@@ -11,7 +11,7 @@ import numpy as np
 
 import patchdg as pdg
 from patchdg.patch import build_patch, lambda_constant
-from patchdg.reconstruction import fit_local
+from patchdg.reconstruction import fit_local, tabulate
 
 
 def main():
@@ -26,9 +26,9 @@ def main():
           f"(vs element diameter {pdg.element_geometry(mesh, K).diameter:.4f})")
 
     # --- the local fit und its shape functions ---------------------------
-    basis = fit_local(patch, 2)
+    coeffs, origin, scale = fit_local(patch, 2)
     pts = patch.nodes[:1]
-    vals = basis.values(pts)
+    vals = tabulate(coeffs[None], origin[None], np.array([scale]), pts[None], 2)["val"]
     print(f"  shape-function values at the sampling node sum to "
           f"{vals.sum():.12f} (partition of unity)")
 

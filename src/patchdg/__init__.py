@@ -54,14 +54,13 @@ from .mesh import (
 from .patch import Patch, build_patch, default_patch_size, lambda_constant, required_dim
 from .quadrature import QuadRule, face_rule, map_rule, simplex_rule
 from .reconstruction import (
-    LocalBasis,
     MonomialBasis,
     ReconstructedSpace,
     build_space,
-    eval_shape,
     fit_local,
     interpolate,
     monomial_basis,
+    tabulate,
 )
 
 __version__ = "0.1.0"

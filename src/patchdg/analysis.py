@@ -24,7 +24,6 @@ from .assembly import (
     energy_norm,
     energy_product,
     load_vector,
-    _as_eval,
 )
 from .eigensolve import solve_dense, solve_smallest
 from .errors import ClusterAmbiguous
@@ -160,17 +159,10 @@ def match_cluster(space, p, exact, index, result):
         )
 
     u = exact.eigenfunction(exact.labels[index - 1])
-    vecs = [result.vectors[:, start - 1 + j] for j in range(k)]
-    evs = [_as_eval(space, p, vector=v) for v in vecs]
-    eu = _as_eval(space, p, exact=u)
-    G = np.empty((k, k))
-    rhs = np.empty(k)
-    for a in range(k):
-        rhs[a] = energy_product(space, p, evs[a], eu)
-        for b in range(a, k):
-            G[a, b] = G[b, a] = energy_product(space, p, evs[a], evs[b])
-    coef = np.linalg.solve(G, rhs)
-    combo = sum(c * v for c, v in zip(coef, vecs))
+    vecs = result.vectors[:, start - 1:start - 1 + k]
+    gram = energy_product(space, p, [*vecs.T, u])
+    coef = np.linalg.solve(gram[:k, :k], gram[:k, k])
+    combo = vecs @ coef
     return MatchedCluster(start, k, cluster.copy(), combo)
 
 
@@ -233,28 +225,22 @@ class StudyResult:
 
 
 def _assemble(space, config):
+    """Stiffness matrix of the configured form."""
     if config.problem == "laplace":
-        A = assemble_laplace(space, config)
-    else:
-        A = assemble_biharmonic(space, config)
-    return A, assemble_mass(space)
+        return assemble_laplace(space, config)
+    return assemble_biharmonic(space, config)
 
 
 def compute_spectrum(space, config, k=None, tol=1e-9):
-    """Assemble and solve; full spectrum when k is None."""
-    from .eigensolve import EigenResult
-
-    A, M = _assemble(space, config)
-    n = space.num_dofs
-    if k is not None and 1 <= k <= n // 4 and k < n - 1:
-        return solve_smallest(A, M, k, tol=tol), A, M
-    result = solve_dense(A, M)
-    if k is not None:
-        result = EigenResult(result.values[:k], result.vectors[:, :k], result.residuals[:k])
-    return result, A, M
+    """Assemble and solve; full spectrum when k is None, else the
+    min(k, N) smallest pairs."""
+    A, M = _assemble(space, config), assemble_mass(space)
+    if k is None:
+        return solve_dense(A, M), A, M
+    return solve_smallest(A, M, min(k, space.num_dofs), tol=tol), A, M
 
 
-def convergence_study(meshes, config, domain, target, t=None, threads=1):
+def convergence_study(meshes, config, domain, target, t=None):
     """Eigenvalue and eigenfunction convergence rows over a mesh sequence.
 
     Meshes must refine by a factor of two in h; ``target`` is the 1-based
@@ -269,7 +255,7 @@ def convergence_study(meshes, config, domain, target, t=None, threads=1):
         from .mesh import build_topology
 
         topo = build_topology(mesh)
-        space = build_space(mesh, topo, config.m, t=t, threads=threads)
+        space = build_space(mesh, topo, config.m, t=t)
         result, A, M = compute_spectrum(space, config, k=min(k_need, space.num_dofs))
         matched = match_cluster(space, config.p, exact, target, result)
         ve, fe = eigen_errors(space, config.p, exact, target, result, M, matched)
@@ -355,10 +341,7 @@ def solve_source(space, config, f, exact=None):
     ``f`` maps an (n, dim) point array to values.  When an exact solution
     field is supplied, its broken energy-norm distance is reported.
     """
-    if config.problem == "laplace":
-        A = assemble_laplace(space, config)
-    else:
-        A = assemble_biharmonic(space, config)
+    A = _assemble(space, config)
     b = load_vector(space, f)
     x = spla.spsolve(A.full().tocsc(), b)
     err = None

@@ -5,6 +5,14 @@ Element K couples every DOF in its patch, so local face blocks live on the
 union of the two side patches and global sparsity is the support-overlap
 graph of the space.
 
+Every form and norm runs on one batched path: volume terms batch over
+element sub-simplices (each carrying its owner element, so polygons need no
+separate path), face terms over interior and boundary faces, grouped so that
+each batch has one patch size per side and capped at ``CHUNK`` carriers.
+Local blocks are batched products of the shape tables from
+:func:`patchdg.reconstruction.tabulate`, and every matrix comes out of one
+lower-triangle build.
+
 Only the lower triangle is stored (SymSparseMatrix), which makes symmetry
 exact by construction.  Local blocks are numerically symmetrized before
 scattering so the stored triangle is the symmetric representative.
@@ -25,7 +33,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegreeTooLow
-from .quadrature import element_rule, face_rule
+from .quadrature import MAX_ORDER, face_rule, map_rule, simplex_rule
+
+# Sub-simplices or faces per batch.  The batch's tables and local blocks
+# set the peak memory of assembly: 2048 faces of 3D fourth-order blocks
+# (30 x 30, four trace kinds) took 175 MB on cube:6, 256 take about 18 MB,
+# and smaller batches only add per-batch overhead.
+CHUNK = 256
 
 
 @dataclass
@@ -71,11 +85,6 @@ class SymSparseMatrix:
         self.lower = lower.tocsr()
         self.lower.sum_duplicates()
 
-    @classmethod
-    def from_triplets(cls, n, rows, cols, vals):
-        lower = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-        return cls(n, lower)
-
     def full(self):
         """Expand to a symmetric CSR matrix."""
         up = self.lower.T.tocsr()
@@ -100,42 +109,94 @@ class SymSparseMatrix:
                 fh.write(f"{r} {c} %.17g\n" % v)
 
 
-class _Accumulator:
-    def __init__(self, n):
-        self.n = n
-        self.rows = []
-        self.cols = []
-        self.vals = []
+def _lower_triangle(n, batches):
+    """One SymSparseMatrix from batches of (ids (B, s), blocks (B, s, s)).
 
-    def add_block(self, ids, block):
-        """Scatter a symmetric local block; keeps entries with row >= col."""
-        ids = np.asarray(ids)
-        block = 0.5 * (block + block.T)
-        R = np.repeat(ids, len(ids))
-        C = np.tile(ids, len(ids))
+    Each batch is summed into compressed form as it arrives, so only one
+    batch of raw triplets is held at a time; explicit zeros are kept, so the
+    stored pattern is the union of the blocks' patterns.
+    """
+    rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
+    for ids, blocks in batches:
+        blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+        R = np.broadcast_to(ids[:, :, None], blocks.shape)
+        C = np.broadcast_to(ids[:, None, :], blocks.shape)
         keep = R >= C
-        self.rows.append(R[keep])
-        self.cols.append(C[keep])
-        self.vals.append(block.ravel()[keep])
-
-    def build(self):
-        if not self.rows:
-            return SymSparseMatrix.from_triplets(self.n, [], [], [])
-        return SymSparseMatrix.from_triplets(
-            self.n,
-            np.concatenate(self.rows),
-            np.concatenate(self.cols),
-            np.concatenate(self.vals),
-        )
+        part = sp.coo_matrix((blocks[keep], (R[keep], C[keep])), shape=(n, n)).tocsr().tocoo()
+        rows.append(part.row)
+        cols.append(part.col)
+        vals.append(part.data)
+    lower = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return SymSparseMatrix(n, sp.coo_matrix(lower, shape=(n, n)))
 
 
-def _face_coords(space, f):
-    return space.mesh.vertices[list(space.topology.faces[f])]
+def _pair(X, wts, Y):
+    """Per batch entry b: sum over points q (and components) of
+    X[b, q, a, ...] wts[b, q] Y[b, q, c, ...], a (B, a, c) array."""
+    B, q = wts.shape
+    Xw = X * wts.reshape(B, q, *([1] * (X.ndim - 2)))
+    return np.moveaxis(Xw, 2, 1).reshape(B, X.shape[2], -1) @ \
+        np.moveaxis(Y, 2, 1).reshape(B, Y.shape[2], -1).transpose(0, 2, 1)
 
 
-def _face_sides(space, f):
-    kp, km = space.topology.sides[f]
-    return int(kp), int(km)
+def _selection(items, n):
+    return np.arange(n) if items is None else np.array(list(items), dtype=int).reshape(-1)
+
+
+def _chunks(keys, items):
+    """``items`` grouped by equal ``keys``, each group cut into CHUNKs."""
+    for key in np.unique(keys):
+        group = items[keys == key]
+        for i in range(0, len(group), CHUNK):
+            yield group[i:i + CHUNK]
+
+
+def _volume_batches(space, order, kinds, elements=None):
+    """(ids, points, weights, tables) per batch of sub-simplices whose
+    owners share one patch size."""
+    owner = space.sub_owner
+    subs = np.arange(len(owner))
+    if elements is not None:
+        subs = subs[np.isin(owner, _selection(elements, space.num_dofs))]
+    rule = simplex_rule(space.mesh.dim, order)
+    for batch in _chunks(space.size[owner[subs]], subs):
+        pts, wts = map_rule(rule, space.sub_simplices[batch])
+        ids, tables = space.shape_tables(owner[batch], pts, kinds)
+        yield ids, pts, wts, tables
+
+
+def _face_batches(space, order, kinds, faces=None):
+    """Per batch of faces with one patch size on each side:
+    (ids, points, weights, normals, h, on_boundary, jumps, averages).
+
+    ``jumps`` and ``averages`` map each table kind to a (F, q, S) trace,
+    taking the normal component of gradients; the normal is the plus side's
+    outward one.  On interior faces the jump is plus minus minus and the
+    average weighs each side by 1/2; on boundary faces both are the
+    plus-side trace.  Columns follow ``ids``: the plus patch, then the minus.
+    """
+    topo = space.topology
+    sel = _selection(faces, topo.num_faces)
+    kp, km = topo.sides[sel, 0], topo.sides[sel, 1]
+    size_m = np.where(km >= 0, space.size[km], 0)
+    for batch in _chunks(space.size[kp] * (space.size.max() + 1) + size_m, sel):
+        pts, wts = face_rule(space.mesh.dim, order, space.face_coords[batch])
+        n = topo.normals[batch]
+        plus, minus = topo.sides[batch, 0], topo.sides[batch, 1]
+        boundary = minus[0] < 0
+        sides = [(plus, 1.0, 1.0)] if boundary else [(plus, 1.0, 0.5), (minus, -1.0, 0.5)]
+        ids, jumps, avgs = [], {k: [] for k in kinds}, {k: [] for k in kinds}
+        for elements, sign, weight in sides:
+            members, tables = space.shape_tables(elements, pts, kinds)
+            ids.append(members)
+            for kind, T in tables.items():
+                if T.ndim == 4:
+                    T = np.einsum("fqsd,fd->fqs", T, n)
+                jumps[kind].append(sign * T)
+                avgs[kind].append(weight * T)
+        yield (np.concatenate(ids, axis=1), pts, wts, n, topo.h_e[batch], boundary,
+               {k: np.concatenate(v, axis=2) for k, v in jumps.items()},
+               {k: np.concatenate(v, axis=2) for k, v in avgs.items()})
 
 
 # --------------------------------------------------------------------------
@@ -147,34 +208,18 @@ def assemble_laplace(space, config, elements=None, faces=None):
     if config.problem != "laplace":
         raise ValueError("config.problem must be 'laplace'")
     _check_degree(space, config)
-    quad_order = 2 * space.m
+    order = 2 * space.m
     eta = config.eta * config.m ** 2 * _dim_factor(space)
-    acc = _Accumulator(space.num_dofs)
 
-    for K in _iter(elements, space.num_dofs):
-        pts, wts = element_rule(space.geometries[K], quad_order)
-        G = space.bases[K].gradients(pts)
-        acc.add_block(space.members(K), np.einsum("qad,q,qbd->ab", G, wts, G))
+    def blocks():
+        for ids, _, wts, T in _volume_batches(space, order, ("grad",), elements):
+            yield ids, _pair(T["grad"], wts, T["grad"])
+        for ids, _, wts, _, h, _, jump, avg in _face_batches(space, order, ("val", "grad"), faces):
+            J = jump["val"]
+            E = _pair(avg["grad"], wts, J)
+            yield ids, (eta / h)[:, None, None] * _pair(J, wts, J) - (E + E.transpose(0, 2, 1))
 
-    topo = space.topology
-    for f in _iter(faces, topo.num_faces):
-        pts, wts = face_rule(space.mesh.dim, quad_order, _face_coords(space, f))
-        n = topo.normals[f]
-        kp, km = _face_sides(space, f)
-        bp = space.bases[kp]
-        if km >= 0:
-            bm = space.bases[km]
-            ids = space.members(kp) + space.members(km)
-            J = np.hstack([bp.values(pts), -bm.values(pts)])
-            AG = 0.5 * np.hstack([bp.gradients(pts) @ n, bm.gradients(pts) @ n])
-        else:
-            ids = space.members(kp)
-            J = bp.values(pts)
-            AG = bp.gradients(pts) @ n
-        E = np.einsum("qa,q,qb->ab", AG, wts, J)
-        block = -(E + E.T) + (eta / topo.h_e[f]) * np.einsum("qa,q,qb->ab", J, wts, J)
-        acc.add_block(ids, block)
-    return acc.build()
+    return _lower_triangle(space.num_dofs, blocks())
 
 
 def assemble_biharmonic(space, config, elements=None, faces=None):
@@ -184,70 +229,44 @@ def assemble_biharmonic(space, config, elements=None, faces=None):
     if space.m < 2 or config.m < 2:
         raise DegreeTooLow("the fourth-order form needs degree >= 2")
     _check_degree(space, config)
-    quad_order = 2 * space.m
+    order = 2 * space.m
     alpha = config.alpha * config.m ** 4 * _dim_factor(space)
     beta = config.beta * config.m ** 2 * _dim_factor(space)
     simply_supported = config.bc == "simply_supported"
-    acc = _Accumulator(space.num_dofs)
+    kinds = ("val", "grad", "lap", "gradlap")
 
-    for K in _iter(elements, space.num_dofs):
-        pts, wts = element_rule(space.geometries[K], quad_order)
-        L = space.bases[K].laplacians(pts)
-        acc.add_block(space.members(K), np.einsum("qa,q,qb->ab", L, wts, L))
+    def blocks():
+        for ids, _, wts, T in _volume_batches(space, order, ("lap",), elements):
+            yield ids, _pair(T["lap"], wts, T["lap"])
+        for ids, _, wts, _, h, boundary, jump, avg in _face_batches(space, order, kinds, faces):
+            J, JG = jump["val"], jump["grad"]
+            E1 = _pair(J, wts, avg["gradlap"])
+            block = (E1 + E1.transpose(0, 2, 1)) + (alpha / h ** 3)[:, None, None] * _pair(J, wts, J)
+            if not (boundary and simply_supported):
+                E2 = _pair(avg["lap"], wts, JG)
+                block -= E2 + E2.transpose(0, 2, 1)
+                block += (beta / h)[:, None, None] * _pair(JG, wts, JG)
+            yield ids, block
 
-    topo = space.topology
-    for f in _iter(faces, topo.num_faces):
-        pts, wts = face_rule(space.mesh.dim, quad_order, _face_coords(space, f))
-        n = topo.normals[f]
-        kp, km = _face_sides(space, f)
-        bp = space.bases[kp]
-        on_boundary = km < 0
-        if not on_boundary:
-            bm = space.bases[km]
-            ids = space.members(kp) + space.members(km)
-            J = np.hstack([bp.values(pts), -bm.values(pts)])
-            JG = np.hstack([bp.gradients(pts) @ n, -(bm.gradients(pts) @ n)])
-            AL = 0.5 * np.hstack([bp.laplacians(pts), bm.laplacians(pts)])
-            AGL = 0.5 * np.hstack([bp.grad_laplacians(pts) @ n, bm.grad_laplacians(pts) @ n])
-        else:
-            ids = space.members(kp)
-            J = bp.values(pts)
-            JG = bp.gradients(pts) @ n
-            AL = bp.laplacians(pts)
-            AGL = bp.grad_laplacians(pts) @ n
-
-        h = topo.h_e[f]
-        E1 = np.einsum("qa,q,qb->ab", J, wts, AGL)
-        block = (E1 + E1.T) + (alpha / h ** 3) * np.einsum("qa,q,qb->ab", J, wts, J)
-        if not (on_boundary and simply_supported):
-            E2 = np.einsum("qa,q,qb->ab", AL, wts, JG)
-            block -= E2 + E2.T
-            block += (beta / h) * np.einsum("qa,q,qb->ab", JG, wts, JG)
-        acc.add_block(ids, block)
-    return acc.build()
+    return _lower_triangle(space.num_dofs, blocks())
 
 
 def assemble_mass(space, elements=None):
     """Mass matrix of the reconstructed space (L2 Gram of the shape set)."""
-    quad_order = 2 * space.m
-    acc = _Accumulator(space.num_dofs)
-    for K in _iter(elements, space.num_dofs):
-        pts, wts = element_rule(space.geometries[K], quad_order)
-        V = space.bases[K].values(pts)
-        acc.add_block(space.members(K), np.einsum("qa,q,qb->ab", V, wts, V))
-    return acc.build()
+    batches = _volume_batches(space, 2 * space.m, ("val",), elements)
+    return _lower_triangle(space.num_dofs,
+                           ((ids, _pair(T["val"], wts, T["val"])) for ids, _, wts, T in batches))
 
 
 def load_vector(space, f, quad_order=None):
     """b[j] = integral of f against shape function j."""
     order = quad_order if quad_order is not None else 2 * space.m + 2
-    order = _cap_order(space.mesh.dim, order)
+    order = min(order, MAX_ORDER[space.mesh.dim])
     b = np.zeros(space.num_dofs)
-    for K in range(space.num_dofs):
-        pts, wts = element_rule(space.geometries[K], order)
-        V = space.bases[K].values(pts)
-        fv = np.asarray(f(pts), dtype=float)
-        b[space.members(K)] += V.T @ (wts * fv)
+    for ids, pts, wts, T in _volume_batches(space, order, ("val",)):
+        fv = np.asarray(f(pts.reshape(-1, pts.shape[2])), dtype=float).reshape(wts.shape)
+        b += np.bincount(ids.ravel(), np.einsum("bqs,bq->bs", T["val"], wts * fv).ravel(),
+                         minlength=space.num_dofs)
     return b
 
 
@@ -261,16 +280,6 @@ def _dim_factor(space):
     # that triangles do; without this the fourth-order spectrum dips below
     # the exact one on coarse cube meshes.
     return space.mesh.dim - 1
-
-
-def _iter(seq, n):
-    return range(n) if seq is None else seq
-
-
-def _cap_order(dim, order):
-    from .quadrature import MAX_ORDER
-
-    return min(order, MAX_ORDER[dim])
 
 
 # --------------------------------------------------------------------------
@@ -299,120 +308,87 @@ class AnalyticField:
         return np.asarray(self._laplacian(pts), dtype=float)
 
 
-class _DiscreteEval:
-    def __init__(self, space, vector):
-        self.space = space
-        self.vector = np.asarray(vector, dtype=float)
+_ANALYTIC = {"val": AnalyticField.value, "grad": AnalyticField.gradient,
+             "lap": AnalyticField.laplacian}
 
-    def on_element(self, K, pts):
-        coef = self.vector[self.space.members(K)]
-        basis = self.space.bases[K]
-        return {
-            "val": basis.values(pts) @ coef,
-            "grad": np.einsum("ptd,t->pd", basis.gradients(pts), coef),
-            "lap": basis.laplacians(pts) @ coef,
-        }
+# p -> (volume table kind, face jumps as (table kind, power of 1/h))
+_PAIRINGS = {
+    0: ("val", ()),
+    1: ("grad", (("val", 1),)),
+    2: ("lap", (("val", 3), ("grad", 1))),
+}
 
 
-class _ExactEval:
-    def __init__(self, field, p):
-        self.field = field
-        self.p = p
-
-    def on_element(self, K, pts):
-        out = {"val": self.field.value(pts), "grad": self.field.gradient(pts)}
-        out["lap"] = self.field.laplacian(pts) if self.p == 2 else None
-        return out
-
-
-class _DiffEval:
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-
-    def on_element(self, K, pts):
-        da, db = self.a.on_element(K, pts), self.b.on_element(K, pts)
-        out = {}
-        for key in ("val", "grad", "lap"):
-            if da[key] is None or db[key] is None:
-                out[key] = None
-            else:
-                out[key] = da[key] - db[key]
-        return out
-
-
-def _as_eval(space, p, exact=None, vector=None):
-    if exact is not None and vector is not None:
-        return _DiffEval(_ExactEval(exact, p), _DiscreteEval(space, vector))
-    if vector is not None:
-        return _DiscreteEval(space, vector)
-    if exact is not None:
-        return _ExactEval(exact, p)
-    raise ValueError("need at least one of exact=, vector=")
-
-
-def energy_product(space, p, eval_a, eval_b, quad_order=None):
-    """Bilinear pairing whose diagonal is the squared broken energy norm.
+def energy_product(space, p, fields, quad_order=None):
+    """Gram matrix of ``fields`` in the broken energy inner product; its
+    diagonal holds the squared broken energy norms.
 
     p=1: broken grad L2 pairing plus h^-1-weighted value-jump terms over all
     faces.  p=2: broken Laplacian pairing plus h^-3 value jumps and h^-1
-    gradient (normal) jumps.
-    """
-    order = quad_order if quad_order is not None else min(2 * space.m + 2, _max_vol_order(space))
-    total = 0.0
-    for K in range(space.num_dofs):
-        pts, wts = element_rule(space.geometries[K], order)
-        da, db = eval_a.on_element(K, pts), eval_b.on_element(K, pts)
-        if p == 1:
-            total += float(np.einsum("qd,q,qd->", da["grad"], wts, db["grad"]))
-        else:
-            total += float(np.einsum("q,q,q->", da["lap"], wts, db["lap"]))
+    gradient (normal) jumps.  p=0: the element-wise L2 pairing.
 
-    topo = space.topology
-    face_order = min(order, 21 if space.mesh.dim == 2 else 12)
-    for f in range(topo.num_faces):
-        pts, wts = face_rule(space.mesh.dim, face_order, _face_coords(space, f))
-        n = topo.normals[f]
-        kp, km = _face_sides(space, f)
-        da_p, db_p = eval_a.on_element(kp, pts), eval_b.on_element(kp, pts)
-        if km >= 0:
-            da_m, db_m = eval_a.on_element(km, pts), eval_b.on_element(km, pts)
-            ja = da_p["val"] - da_m["val"]
-            jb = db_p["val"] - db_m["val"]
-            jga = (da_p["grad"] - da_m["grad"]) @ n
-            jgb = (db_p["grad"] - db_m["grad"]) @ n
+    A field is a DOF vector, an AnalyticField, or a pair (exact, vector)
+    standing for the pointwise difference exact - R vector.  Fields are
+    evaluated at the quadrature points and their products integrated, so
+    the norm of a difference is a direct integral of the difference.
+    """
+    exact, X = [], np.zeros((space.num_dofs, len(fields)))
+    for i, field in enumerate(fields):
+        if isinstance(field, AnalyticField):
+            exact.append(field)
+        elif isinstance(field, tuple):
+            exact.append(field[0])
+            X[:, i] = -np.asarray(field[1], dtype=float)
         else:
-            ja, jb = da_p["val"], db_p["val"]
-            jga, jgb = da_p["grad"] @ n, db_p["grad"] @ n
-        h = topo.h_e[f]
-        if p == 1:
-            total += float(np.sum(wts * ja * jb)) / h
-        else:
-            total += float(np.sum(wts * ja * jb)) / h ** 3
-            total += float(np.sum(wts * jga * jgb)) / h
-    return total
+            exact.append(None)
+            X[:, i] = field
+    order = quad_order if quad_order is not None else min(2 * space.m + 2, MAX_ORDER[space.mesh.dim])
+    volume, face_terms = _PAIRINGS[p]
+
+    def values(T, ids, pts, kind, normals=None):
+        """(fields, B, q, components) field values at a batch's points: the
+        discrete parts from the tables T, plus the analytic parts."""
+        F = np.einsum("bqs...,bsk->kbq...", T, X[ids])
+        for i, u in enumerate(exact):
+            if u is not None:
+                flat = _ANALYTIC[kind](u, pts.reshape(-1, pts.shape[2]))
+                if normals is not None:
+                    flat = np.einsum("bqd,bd->bq", flat.reshape(pts.shape), normals)
+                F[i] += flat.reshape(F.shape[1:])
+        return F.reshape(F.shape[:3] + (-1,))
+
+    G = np.zeros((len(fields), len(fields)))
+    for ids, pts, wts, T in _volume_batches(space, order, (volume,)):
+        F = values(T[volume], ids, pts, volume)
+        G += np.einsum("kbqc,bq,lbqc->kl", F, wts, F)
+    if not face_terms:
+        return G
+    kinds = tuple(kind for kind, _ in face_terms)
+    for ids, pts, wts, n, h, boundary, jump, _ in _face_batches(space, order, kinds):
+        for kind, power in face_terms:
+            if boundary:
+                F = values(jump[kind], ids, pts, kind, n if kind == "grad" else None)
+            else:  # a smooth field does not jump across interior faces
+                F = np.einsum("fqs,fsk->kfq", jump[kind], X[ids])[..., None]
+            G += np.einsum("kfqc,fq,lfqc->kl", F, wts / h[:, None] ** power, F)
+    return G
+
+
+def _field(exact, vector):
+    if exact is None and vector is None:
+        raise ValueError("need at least one of exact=, vector=")
+    if exact is not None and vector is not None:
+        return (exact, vector)
+    return exact if exact is not None else vector
 
 
 def energy_norm(space, p, exact=None, vector=None, quad_order=None):
     """Broken energy norm of a discrete field, an analytic field, or their
     difference (pass both exact= and vector=)."""
-    ev = _as_eval(space, p, exact=exact, vector=vector)
-    return float(np.sqrt(max(energy_product(space, p, ev, ev, quad_order), 0.0)))
+    G = energy_product(space, p, [_field(exact, vector)], quad_order)
+    return float(np.sqrt(max(G[0, 0], 0.0)))
 
 
 def l2_norm(space, exact=None, vector=None, quad_order=None):
     """Element-wise L2 norm of a field or a difference (no face terms)."""
-    ev = _as_eval(space, 1, exact=exact, vector=vector)
-    order = quad_order if quad_order is not None else min(2 * space.m + 2, _max_vol_order(space))
-    total = 0.0
-    for K in range(space.num_dofs):
-        pts, wts = element_rule(space.geometries[K], order)
-        v = ev.on_element(K, pts)["val"]
-        total += float(np.sum(wts * v * v))
-    return float(np.sqrt(total))
-
-
-def _max_vol_order(space):
-    from .quadrature import MAX_ORDER
-
-    return MAX_ORDER[space.mesh.dim]
+    return energy_norm(space, 0, exact, vector, quad_order)

@@ -21,6 +21,7 @@ from . import analysis
 from .assembly import FormConfig
 from .errors import PatchDGError
 from .mesh import build_topology, generate_cube_tet, generate_square_tri, mesh_size, parse_msh, parse_poly
+from .quadrature import MAX_ORDER
 from .reconstruction import build_space
 
 EXIT_OK = 0
@@ -46,7 +47,7 @@ class RunConfig:
     alpha: float = 5.0
     beta: float = 2.5
     tol: float = 1e-9
-    threads: int = 1
+    threads: int = 1  # accepted and validated for compatibility; has no effect
     vtk: int = 0
     output: str = "."
     rate_threshold: float = 1.0
@@ -101,6 +102,14 @@ def _domain_of(spec):
     raise ConfigError("convergence/reliable/source need a generated square:/cube: mesh")
 
 
+def _check_degree(cfg, mesh):
+    """Stiffness integrands have degree 2m; reject degrees the shipped
+    quadrature cannot integrate before any expensive work."""
+    if 2 * cfg.m > MAX_ORDER[mesh.dim]:
+        raise ConfigError(f"degree {cfg.m} needs quadrature order {2 * cfg.m}; "
+                          f"{mesh.dim}D rules stop at order {MAX_ORDER[mesh.dim]}")
+
+
 def _fmt(x):
     if x is None:
         return ""
@@ -131,14 +140,16 @@ def export_vtk(mesh, space, vector, path):
     vector = np.asarray(vector, dtype=float)
     if len(vector) != mesh.num_elements:
         raise ValueError("vector length must equal the element count")
+    # one batch: every element at its own vertices, short polygon loops
+    # padded by repeating their first vertex
+    width = max(len(el) for el in mesh.elements)
+    loops = np.array([el + el[:1] * (width - len(el)) for el in mesh.elements])
+    vals = space.evaluate(vector, np.arange(mesh.num_elements), mesh.vertices[loops])
     points, cells, types, pdata = [], [], [], []
     for K, el in enumerate(mesh.elements):
-        coords = mesh.element_coords(K)
-        vals = space.evaluate(vector, K, coords)
         start = len(points)
-        for c, v in zip(coords, vals):
-            xyz = list(c) + [0.0] * (3 - mesh.dim)
-            points.append(xyz)
+        for c, v in zip(mesh.vertices[list(el)], vals[K]):
+            points.append(list(c) + [0.0] * (3 - mesh.dim))
             pdata.append(float(v))
         cells.append([len(el)] + list(range(start, start + len(el))))
         if mesh.element_kind == "polygon":
@@ -177,8 +188,9 @@ def export_vtk(mesh, space, vector, path):
 
 def _cmd_solve(cfg):
     mesh = _load_mesh_one(cfg.mesh)
+    _check_degree(cfg, mesh)
     topo = build_topology(mesh)
-    space = build_space(mesh, topo, cfg.m, t=cfg.t, threads=cfg.threads)
+    space = build_space(mesh, topo, cfg.m, t=cfg.t)
     result, A, M = analysis.compute_spectrum(space, cfg.form(), k=cfg.k, tol=cfg.tol)
     rows = [(i + 1, v, r) for i, (v, r) in enumerate(zip(result.values, result.residuals))]
     os.makedirs(cfg.output, exist_ok=True)
@@ -198,9 +210,9 @@ def _cmd_solve(cfg):
 
 def _cmd_convergence(cfg):
     meshes = _load_mesh_seq(cfg.mesh)
+    _check_degree(cfg, meshes[0])
     domain = _domain_of(cfg.mesh)
-    study = analysis.convergence_study(meshes, cfg.form(), domain, cfg.target,
-                                       t=cfg.t, threads=cfg.threads)
+    study = analysis.convergence_study(meshes, cfg.form(), domain, cfg.target, t=cfg.t)
     os.makedirs(cfg.output, exist_ok=True)
     _write_csv(
         os.path.join(cfg.output, "errors.csv"),
@@ -219,12 +231,13 @@ def _cmd_reliable(cfg):
     meshes = _load_mesh_seq(cfg.mesh)
     if len(meshes) < 2:
         raise ConfigError("reliable needs at least two meshes (2h and h)")
+    _check_degree(cfg, meshes[0])
     domain = _domain_of(cfg.mesh)
     form = cfg.form()
     results, sizes = [], []
     for mesh in meshes:
         topo = build_topology(mesh)
-        space = build_space(mesh, topo, cfg.m, t=cfg.t, threads=cfg.threads)
+        space = build_space(mesh, topo, cfg.m, t=cfg.t)
         result, _, _ = analysis.compute_spectrum(space, form, k=None)
         results.append(result)
         sizes.append(mesh_size(mesh))
@@ -242,6 +255,7 @@ def _cmd_reliable(cfg):
 
 def _cmd_source(cfg):
     meshes = _load_mesh_seq(cfg.mesh)
+    _check_degree(cfg, meshes[0])
     domain = _domain_of(cfg.mesh)
     form = cfg.form()
     if domain == "square_pi":
@@ -255,7 +269,7 @@ def _cmd_source(cfg):
     rows, prev_err = [], None
     for mesh in meshes:
         topo = build_topology(mesh)
-        space = build_space(mesh, topo, cfg.m, t=cfg.t, threads=cfg.threads)
+        space = build_space(mesh, topo, cfg.m, t=cfg.t)
         res = analysis.solve_source(space, form, f, exact=u)
         order = analysis.rate(prev_err, res.energy_error) if prev_err is not None else None
         rows.append((mesh_size(mesh), res.energy_error, res.energy_error, order))

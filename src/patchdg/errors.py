@@ -71,10 +71,6 @@ class MassNotSPD(PatchDGError):
     """Cholesky factorization of the mass matrix failed."""
 
 
-class StiffnessNotSPD(PatchDGError):
-    """The stiffness matrix is numerically indefinite."""
-
-
 class PenaltyTooSmall(PatchDGError):
     """Negative eigenvalues indicate insufficient face penalties."""
 

@@ -77,53 +77,50 @@ def simplex_rule(dim, order):
 
 
 def map_rule(rule, simplex):
-    """Affine-map a reference rule onto a physical simplex.
+    """Affine-map a reference rule onto a physical simplex, or onto a batch
+    of them given as a (..., d+1, d) vertex array.
 
-    Returns (points, weights); the weights sum to the simplex measure.
+    Returns (points (..., n, d), weights (..., n)); the weights of each
+    simplex sum to its measure.
     """
     simplex = np.asarray(simplex, dtype=float)
     d = rule.dim
-    J = (simplex[1:] - simplex[0]).T  # columns are edge vectors
-    det = abs(np.linalg.det(J))
-    scale = _diameter_scale(simplex)
-    if det <= 1e-14 * scale ** d:
+    edges = simplex[..., 1:, :] - simplex[..., :1, :]  # rows are edge vectors
+    det = np.abs(np.linalg.det(edges))
+    if np.any(det <= 1e-14 * _diameter_scale(simplex) ** d):
         raise DegenerateSimplex("simplex has (numerically) zero volume")
-    pts = simplex[0] + rule.points @ J.T
-    return pts, rule.weights * det
+    pts = simplex[..., :1, :] + rule.points @ edges
+    return pts, rule.weights * det[..., None]
 
 
 def _diameter_scale(coords):
-    diff = coords[:, None, :] - coords[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(-1)).max()) or 1.0
+    diff = coords[..., :, None, :] - coords[..., None, :, :]
+    scale = np.sqrt((diff ** 2).sum(-1)).max(axis=(-2, -1))
+    return np.where(scale > 0.0, scale, 1.0)
 
 
 def face_rule(dim, order, face):
     """Quadrature on a physical face: a segment in 2D, a triangle in 3D.
 
-    Weights carry the surface measure, so they sum to the face length/area.
+    ``face`` holds the (dim, dim) vertex coordinates of one face, or of a
+    batch of faces as a (..., dim, dim) array.  Weights carry the surface
+    measure, so they sum to the face length/area.
     """
     face = np.asarray(face, dtype=float)
+    if dim not in (2, 3):
+        raise OrderUnsupported(f"face rules exist for mesh dimension 2 or 3, not {dim}")
+    rule = simplex_rule(dim - 1, order)
+    edges = face[..., 1:, :] - face[..., :1, :]
     if dim == 2:
-        rule = simplex_rule(1, order)
-        a, b = face[0], face[1]
-        pts = a + rule.points * (b - a)
-        return pts, rule.weights * np.linalg.norm(b - a)
-    if dim == 3:
-        rule = simplex_rule(2, order)
-        e1, e2 = face[1] - face[0], face[2] - face[0]
-        area2 = np.linalg.norm(np.cross(e1, e2))  # = 2 * facet area
-        pts = face[0] + rule.points @ np.vstack([e1, e2])
-        return pts, rule.weights * area2
-    raise OrderUnsupported(f"face rules exist for mesh dimension 2 or 3, not {dim}")
+        measure = np.linalg.norm(edges[..., 0, :], axis=-1)
+    else:  # twice the facet area, matching the reference triangle's 1/2
+        measure = np.linalg.norm(np.cross(edges[..., 0, :], edges[..., 1, :]), axis=-1)
+    pts = face[..., :1, :] + rule.points @ edges
+    return pts, rule.weights * measure[..., None]
 
 
 def element_rule(geom, order):
     """Quadrature over one element via its sub-simplex tiling."""
-    d = geom.sub_simplices.shape[2]
-    rule = simplex_rule(d, order)
-    pts, wts = [], []
-    for sub in geom.sub_simplices:
-        p, w = map_rule(rule, sub)
-        pts.append(p)
-        wts.append(w)
-    return np.concatenate(pts), np.concatenate(wts)
+    rule = simplex_rule(geom.sub_simplices.shape[2], order)
+    pts, wts = map_rule(rule, geom.sub_simplices)
+    return pts.reshape(-1, rule.dim), wts.ravel()

@@ -1,7 +1,7 @@
 """Least-squares polynomial reconstruction from one sample per element.
 
-Every element K gets a table of element-local shape functions: row j of
-``LocalBasis.coeffs`` holds the monomial coefficients (in the scaled local
+Every element K gets a table of element-local shape functions: row j of its
+coefficient table holds the monomial coefficients (in the scaled local
 frame ``y = (x - x_K) / d_K``) of the shape function attached to sampling
 node j of the patch of K.  The table is the transposed minimum-norm
 least-squares solution operator of the node-value fitting problem, so for
@@ -10,6 +10,10 @@ coordinates.
 
 The scaled frame keeps the Vandermonde matrix well conditioned; without it
 the normal equations blow up for degree >= 3 on fine meshes.
+
+The space stores the tables stacked, grouped by patch size, and
+:func:`tabulate` evaluates them for a whole batch of elements at once; every
+form, norm and export goes through it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .errors import RankDeficient
 from .mesh import all_geometries
-from .patch import Patch, build_patch, default_patch_size, grow_patch
+from .patch import build_patch, default_patch_size, grow_patch
 
 RCOND = 1e-10  # numerical-rank threshold for unisolvence
 
@@ -61,95 +65,63 @@ def monomial_basis(m, dim):
 
 
 def vandermonde(basis, points):
-    """V[p, j] = y_p ** alpha_j  (row per point, column per monomial)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.prod(pts[:, None, :] ** basis.exponents[None, :, :], axis=2)
+    """V[..., j] = y ** alpha_j for points y of shape (..., dim)."""
+    powers = np.asarray(points, dtype=float)[..., None] ** np.arange(basis.m + 1)
+    V = powers[..., 0, basis.exponents[:, 0]]
+    for d in range(1, basis.dim):
+        V = V * powers[..., d, basis.exponents[:, d]]
+    return V
 
 
 @lru_cache(maxsize=None)
-def _derivative_operators(m, dim):
-    """D[d] maps monomial coefficient vectors to those of d/dy_d.
-
-    Acting on a coefficient row c (length n_terms): (c @ D[d].T).
-    """
+def _table_operators(m, dim):
+    """Per table kind: the stacked maps from a coefficient vector c to the
+    coefficients ``op @ c`` of its derivatives, and the power of the patch
+    scale that the chain rule divides by."""
     basis = monomial_basis(m, dim)
     index = {tuple(e): i for i, e in enumerate(basis.exponents)}
-    n = len(basis)
-    ops = []
-    for d in range(dim):
-        D = np.zeros((n, n))
-        for i, e in enumerate(basis.exponents):
+    D = np.zeros((dim, len(basis), len(basis)))
+    for i, e in enumerate(basis.exponents):
+        for d in range(dim):
             if e[d] > 0:
                 lowered = list(e)
                 lowered[d] -= 1
-                D[index[tuple(lowered)], i] = e[d]
-        ops.append(D)
-    return ops
+                D[d, index[tuple(lowered)], i] = e[d]
+    L = sum(D[d] @ D[d] for d in range(dim))
+    return {
+        "val": (np.eye(len(basis))[None], 0),
+        "grad": (D, 1),
+        "lap": (L[None], 2),
+        "gradlap": (D @ L, 3),
+    }
 
 
-@lru_cache(maxsize=None)
-def _laplacian_operator(m, dim):
-    ops = _derivative_operators(m, dim)
-    return sum(D @ D for D in ops)
+def tabulate(coeffs, origin, scale, points, m, kinds=("val",)):
+    """Shape functions of a batch of elements, each at its own points.
 
-
-@dataclass
-class LocalBasis:
-    """Shape functions of one element in its scaled local frame."""
-
-    element: int
-    patch: Patch
-    coeffs: np.ndarray  # (t, n_terms)
-    scale: float        # d_K
-    origin: np.ndarray  # x_K
-    basis: MonomialBasis
-
-    def _scaled(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return (pts - self.origin) / self.scale
-
-    def values(self, points):
-        """(n_pts, t) shape-function values."""
-        return vandermonde(self.basis, self._scaled(points)) @ self.coeffs.T
-
-    def gradients(self, points):
-        """(n_pts, t, dim) physical gradients."""
-        V = vandermonde(self.basis, self._scaled(points))
-        ops = _derivative_operators(self.basis.m, self.basis.dim)
-        cols = [V @ (self.coeffs @ D.T).T / self.scale for D in ops]
-        return np.stack(cols, axis=-1)
-
-    def laplacians(self, points):
-        """(n_pts, t) physical Laplacians."""
-        V = vandermonde(self.basis, self._scaled(points))
-        L = _laplacian_operator(self.basis.m, self.basis.dim)
-        return V @ (self.coeffs @ L.T).T / self.scale ** 2
-
-    def grad_laplacians(self, points):
-        """(n_pts, t, dim) physical gradients of the Laplacian."""
-        V = vandermonde(self.basis, self._scaled(points))
-        ops = _derivative_operators(self.basis.m, self.basis.dim)
-        L = _laplacian_operator(self.basis.m, self.basis.dim)
-        cols = [V @ (self.coeffs @ (D @ L).T).T / self.scale ** 3 for D in ops]
-        return np.stack(cols, axis=-1)
-
-    def hessians(self, points):
-        """(n_pts, t, dim, dim) physical second derivatives."""
-        V = vandermonde(self.basis, self._scaled(points))
-        ops = _derivative_operators(self.basis.m, self.basis.dim)
-        dim = self.basis.dim
-        n_pts, t = V.shape[0], self.coeffs.shape[0]
-        H = np.empty((n_pts, t, dim, dim))
-        for a in range(dim):
-            for b in range(dim):
-                C = self.coeffs @ (ops[b] @ ops[a]).T
-                H[:, :, a, b] = V @ C.T / self.scale ** 2
-        return H
+    ``coeffs`` (B, s, n_terms), ``origin`` (B, dim) and ``scale`` (B,) are
+    the elements' tables and frames, ``points`` (B, q, dim) physical points.
+    Returns a dict with one table per entry of ``kinds``: "val" and "lap"
+    give (B, q, s) values and Laplacians, "grad" and "gradlap" give
+    (B, q, s, dim) gradients and gradients of the Laplacian.
+    """
+    dim = origin.shape[1]
+    y = (points - origin[:, None, :]) / scale[:, None, None]
+    V = vandermonde(monomial_basis(m, dim), y)[:, None]  # (B, 1, q, n_terms)
+    C = coeffs.transpose(0, 2, 1)[:, None]               # (B, 1, n_terms, s)
+    out = {}
+    for kind in kinds:
+        ops, power = _table_operators(m, dim)[kind]
+        T = np.moveaxis((V @ ops) @ C, 1, -1) / scale[:, None, None, None] ** power
+        out[kind] = T[..., 0] if kind in ("val", "lap") else T
+    return out
 
 
 def fit_local(patch, m):
     """Solve the sampling-node least-squares fit of degree m on a patch.
 
+    Returns the coefficient table (t, n_terms) and its frame: the origin
+    (the center's sampling node) and the scale (the patch diameter).
     Raises RankDeficient when the numerical rank of the node Vandermonde
     matrix falls short of dim P^m (unisolvence failure).
     """
@@ -160,51 +132,59 @@ def fit_local(patch, m):
             f"patch of element {patch.center} has {patch.size} nodes, "
             f"needs at least {len(basis)} for degree {m}"
         )
-    origin = patch.nodes[0]
+    origin = patch.nodes[0].copy()
     scale = patch.diameter if patch.diameter > 0 else 1.0
     A = vandermonde(basis, (patch.nodes - origin) / scale)
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s[-1] <= RCOND * s[0]:
         raise RankDeficient(f"patch of element {patch.center} is numerically rank deficient")
     pinv = (Vt.T / s) @ U.T
-    return LocalBasis(patch.center, patch, pinv.T.copy(), scale, origin.copy(), basis)
-
-
-def eval_shape(basis, points, deriv=0):
-    """Evaluate a LocalBasis at points.
-
-    deriv=0 returns values (n_pts, t); deriv=1 gradients (n_pts, t, dim);
-    deriv=2 a (hessians, laplacians) pair.
-    """
-    if deriv == 0:
-        return basis.values(points)
-    if deriv == 1:
-        return basis.gradients(points)
-    if deriv == 2:
-        return basis.hessians(points), basis.laplacians(points)
-    raise ValueError("deriv must be 0, 1 or 2")
+    return pinv.T.copy(), origin, scale
 
 
 class ReconstructedSpace:
-    """All per-element shape tables plus the support map.
+    """All per-element shape tables, stacked, plus the support map.
+
+    Element K's frame is ``origin[K]``, ``scale[K]``.  Elements whose
+    patches have the same size s share one table pair
+    ``tables[s] = (members (G, s), coeffs (G, s, n_terms))``, in which K is
+    row ``row[K]``; ``size[K]`` is its patch size.  Grown patches thus form
+    their own small groups instead of padding every patch to the largest.
 
     ``support[j]`` lists every element K whose patch contains element j;
     it is exactly the sparsity coupling of DOF j in assembled matrices.
     """
 
-    def __init__(self, mesh, topology, m, t, bases, patches, geometries):
+    def __init__(self, mesh, topology, m, t, patches, fits, geometries):
         self.mesh = mesh
         self.topology = topology
         self.m = m
         self.t = t
-        self.bases = bases
         self.patches = patches
         self.geometries = geometries
-        support = [[] for _ in range(mesh.num_elements)]
+        n = mesh.num_elements
+        self.origin = np.array([origin for _, origin, _ in fits]).reshape(n, mesh.dim)
+        self.scale = np.array([scale for _, _, scale in fits], dtype=float)
+        self.size = np.array([p.size for p in patches], dtype=int)
+        self.row = np.zeros(n, dtype=int)
+        self.tables = {}
+        for s in np.unique(self.size):
+            group = np.nonzero(self.size == s)[0]
+            self.row[group] = np.arange(len(group))
+            self.tables[int(s)] = (
+                np.array([patches[K].members for K in group], dtype=int),
+                np.stack([fits[K][0] for K in group]),
+            )
+        support = [[] for _ in range(n)]
         for K, patch in enumerate(patches):
             for j in patch.members:
                 support[j].append(K)
         self.support = support
+        # quadrature carriers: every sub-simplex with its owner, every face
+        self.sub_simplices = np.concatenate([g.sub_simplices for g in geometries])
+        self.sub_owner = np.repeat(np.arange(n), [len(g.sub_simplices) for g in geometries])
+        faces = np.array(topology.faces, dtype=int).reshape(-1, mesh.dim)
+        self.face_coords = mesh.vertices[faces]
 
     @property
     def num_dofs(self):
@@ -213,29 +193,54 @@ class ReconstructedSpace:
     def members(self, K):
         return self.patches[K].members
 
+    def shape_tables(self, elements, points, kinds=("val",)):
+        """:func:`tabulate` for elements that all have one patch size.
+
+        Returns the (B, s) member ids and the dict of tables.
+        """
+        members, coeffs = self.tables[int(self.size[elements[0]])]
+        rows = self.row[elements]
+        tables = tabulate(coeffs[rows], self.origin[elements], self.scale[elements],
+                          points, self.m, kinds)
+        return members[rows], tables
+
     def evaluate(self, vector, K, points, deriv=0):
         """Evaluate the reconstructed field with DOF samples ``vector`` on
-        element K (polynomial extension: points need not lie inside K)."""
-        coef = np.asarray(vector, dtype=float)[self.members(K)]
-        basis = self.bases[K]
-        if deriv == 0:
-            return basis.values(points) @ coef
-        if deriv == 1:
-            return np.einsum("ptd,t->pd", basis.gradients(points), coef)
-        if deriv == 2:
-            return basis.laplacians(points) @ coef
-        raise ValueError("deriv must be 0, 1 or 2")
+        element K (polynomial extension: points need not lie inside K).
+
+        deriv=0 gives values (n_pts,), 1 gradients (n_pts, dim), 2
+        Laplacians (n_pts,).  For an array of elements K, ``points`` is
+        (B, n_pts, dim) and the result gains a leading batch axis.
+        """
+        if deriv not in (0, 1, 2):
+            raise ValueError("deriv must be 0, 1 or 2")
+        kind = ("val", "grad", "lap")[deriv]
+        vector = np.asarray(vector, dtype=float)
+        single = np.ndim(K) == 0
+        elements = np.atleast_1d(np.asarray(K, dtype=int))
+        points = np.asarray(points, dtype=float)
+        if single:
+            points = points[None]
+        out = np.empty(points.shape[:2] + ((points.shape[2],) if deriv == 1 else ()))
+        for s in np.unique(self.size[elements]):
+            pos = np.nonzero(self.size[elements] == s)[0]
+            ids, T = self.shape_tables(elements[pos], points[pos], (kind,))
+            out[pos] = np.einsum("bqs...,bs->bq...", T[kind], vector[ids])
+        return out[0] if single else out
 
     def dump_coefficients_csv(self, path):
         """Debug dump: element id, node id, monomial exponents, coefficient."""
+        exponents = monomial_basis(self.m, self.mesh.dim).exponents
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["element", "node", "exponents", "coefficient"])
-            for K, basis in enumerate(self.bases):
-                for j, dof in enumerate(basis.patch.members):
-                    for a, e in enumerate(basis.basis.exponents):
+            for K in range(self.num_dofs):
+                members, coeffs = self.tables[int(self.size[K])]
+                for j, dof in enumerate(members[self.row[K]]):
+                    for a, e in enumerate(exponents):
                         writer.writerow(
-                            [K, dof, " ".join(map(str, e)), "%.17g" % basis.coeffs[j, a]]
+                            [K, dof, " ".join(map(str, e)),
+                             "%.17g" % coeffs[self.row[K], j, a]]
                         )
 
 
@@ -256,8 +261,8 @@ def _fit_with_retry(mesh, topology, patch, m, barycenters, retries=3):
     return fit_local(patch, m), patch  # last attempt; propagates RankDeficient
 
 
-def build_space(mesh, topology, m, t=None, threads=1):
-    """Fit one LocalBasis per element and build the support map.
+def build_space(mesh, topology, m, t=None):
+    """Fit one shape table per element and build the support map.
 
     Rank-deficient patches are grown by a full neighbor ring up to three
     times before the failure propagates with the offending element id.
@@ -268,23 +273,15 @@ def build_space(mesh, topology, m, t=None, threads=1):
         t = default_patch_size(m, mesh.dim) if m >= 1 else 1
     geoms = all_geometries(mesh)
     barycenters = np.array([g.barycenter for g in geoms])
-
-    def fit_one(K):
+    fits, patches = [], []
+    for K in range(mesh.num_elements):
         patch = build_patch(mesh, topology, K, t, barycenters)
-        return _fit_with_retry(mesh, topology, patch, m, barycenters)
-
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(fit_one, range(mesh.num_elements)))
-    else:
-        results = [fit_one(K) for K in range(mesh.num_elements)]
-    bases = [r[0] for r in results]
-    patches = [r[1] for r in results]
-    return ReconstructedSpace(mesh, topology, m, t, bases, patches, geoms)
+        fit, patch = _fit_with_retry(mesh, topology, patch, m, barycenters)
+        fits.append(fit)
+        patches.append(patch)
+    return ReconstructedSpace(mesh, topology, m, t, patches, fits, geoms)
 
 
 def interpolate(space, g):
     """Sample a scalar field at every element's node: the DOF vector of R g."""
-    return np.array([float(g(*x)) for x in (p.nodes[0] for p in space.patches)])
+    return np.array([float(g(*x)) for x in space.origin])

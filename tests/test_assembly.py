@@ -215,6 +215,36 @@ class TestLoadVector:
         assert abs(b.sum() - np.pi ** 2) < 1e-10
 
 
+class TestBatching:
+    def test_chunk_size_invariance(self, monkeypatch):
+        # cube:2 at m=2 has grown patches (sizes 15 and 28), so with tiny
+        # chunks every form runs over many batches and several size groups
+        from patchdg import assembly
+        from patchdg.analysis import sine_product_field
+        from patchdg.mesh import generate_cube_tet
+
+        mesh = generate_cube_tet(2)
+        space = build_space(mesh, build_topology(mesh), 2)
+        assert len(space.tables) > 1
+        u = sine_product_field((1, 1, 1), np.pi, 1.0)
+        v = interpolate(space, lambda x, y, z: x * y + z ** 2)
+
+        def everything():
+            cfg = FormConfig(problem="biharmonic", bc="clamped", m=2)
+            return ([assemble_biharmonic(space, cfg).dense(),
+                     assemble_laplace(space, FormConfig(problem="laplace", m=2)).dense(),
+                     assemble_mass(space).dense(),
+                     load_vector(space, u.value)],
+                    [energy_norm(space, 2, exact=u, vector=v), l2_norm(space, vector=v)])
+
+        mats, norms = everything()
+        monkeypatch.setattr(assembly, "CHUNK", 5)
+        small_mats, small_norms = everything()
+        for a, b in zip(mats, small_mats):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+        assert np.allclose(norms, small_norms, rtol=1e-12, atol=0.0)
+
+
 class TestMatrixExport:
     def test_coordinate_text(self, tmp_path, space_m1):
         A = assemble_laplace(space_m1, FormConfig(problem="laplace", m=1))

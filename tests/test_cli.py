@@ -58,11 +58,19 @@ class TestSolveCommand:
         assert code == 2
 
     def test_byte_identical_reruns(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
-            assert main(["solve", "--mesh", "square:4", "--m", "1", "--k", "5",
-                         "--output", str(out)]) == 0
-        assert (a / "eigenvalues.csv").read_bytes() == (b / "eigenvalues.csv").read_bytes()
+        # square:4 takes the dense path, square:16 shift-invert Lanczos
+        for mesh, m, k in (("square:4", "1", "5"), ("square:16", "2", "10")):
+            a, b = tmp_path / mesh / "a", tmp_path / mesh / "b"
+            for out in (a, b):
+                assert main(["solve", "--mesh", mesh, "--m", m, "--k", k,
+                             "--output", str(out)]) == 0
+            assert (a / "eigenvalues.csv").read_bytes() == (b / "eigenvalues.csv").read_bytes()
+
+    @pytest.mark.parametrize("mesh, m", [("cube:3", "5"), ("square:8", "7")])
+    def test_unsupported_degree_exit_2_no_artifacts(self, tmp_path, mesh, m):
+        out = tmp_path / "run"
+        assert main(["solve", "--mesh", mesh, "--m", m, "--output", str(out)]) == 2
+        assert not out.exists()
 
     def test_mesh_file_input(self, tmp_path):
         mesh_path = tmp_path / "mesh.msh"

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from patchdg.assembly import FormConfig, assemble_laplace, assemble_mass
 from patchdg.eigensolve import solve_dense, solve_smallest
-from patchdg.errors import MassNotSPD
+from patchdg.errors import MassNotSPD, PenaltyTooSmall
 from patchdg.mesh import build_topology, generate_square_tri
 from patchdg.reconstruction import build_space
 
@@ -97,6 +97,18 @@ class TestSmallest:
         A, M = pencil
         res = solve_smallest(A, M, 5, tol=1e-9)
         assert np.all(res.residuals <= 1e-8)
+
+    def test_indefinite_stiffness_raises(self):
+        # shift-invert at 0 finds only the eigenvalues nearest 0, so the
+        # negative ones must be caught from the factor's pivots
+        mesh = generate_square_tri(8)
+        space = build_space(mesh, build_topology(mesh), 2)
+        A = assemble_laplace(space, FormConfig(problem="laplace", m=2, eta=1e-9))
+        M = assemble_mass(space)
+        with pytest.raises(PenaltyTooSmall):
+            solve_dense(A, M)
+        with pytest.raises(PenaltyTooSmall):
+            solve_smallest(A, M, 5)
 
 
 class TestInvariances:

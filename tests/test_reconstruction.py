@@ -6,10 +6,10 @@ from patchdg.mesh import build_topology, generate_cube_tet, generate_square_tri,
 from patchdg.patch import Patch
 from patchdg.reconstruction import (
     build_space,
-    eval_shape,
     fit_local,
     interpolate,
     monomial_basis,
+    tabulate,
 )
 
 
@@ -18,6 +18,13 @@ def mock_patch(nodes, center=0):
     diff = nodes[:, None, :] - nodes[None, :, :]
     diam = float(np.sqrt((diff ** 2).sum(-1)).max())
     return Patch(center, list(range(len(nodes))), nodes, diam)
+
+
+def fitted_values(fit, m, pts):
+    """(n_pts, t) shape-function values of one fit_local result."""
+    coeffs, origin, scale = fit
+    pts = np.asarray(pts, dtype=float)
+    return tabulate(coeffs[None], origin[None], np.array([scale]), pts[None], m)["val"][0]
 
 
 class TestMonomialBasis:
@@ -43,38 +50,37 @@ class TestFitLocal:
         nodes = np.vstack([[0.0, 0, 0], rng.standard_normal((4, 3))])
         patch = mock_patch(nodes)
         patch.diameter = 1.0  # unscaled frame, origin at node 0
-        basis = fit_local(patch, 1)
+        coeffs, _, _ = fit_local(patch, 1)
         A = np.column_stack([np.ones(5), nodes])
         pinv = np.linalg.inv(A.T @ A) @ A.T
-        assert np.allclose(basis.coeffs, pinv.T, atol=1e-10)
+        assert np.allclose(coeffs, pinv.T, atol=1e-10)
 
     def test_worked_3d_example_any_frame(self):
         # the fitted shape functions do not depend on the scaling frame
         rng = np.random.default_rng(4)
         nodes = rng.standard_normal((5, 3))
         patch = mock_patch(nodes)
-        basis = fit_local(patch, 1)
+        fit = fit_local(patch, 1)
         A = np.column_stack([np.ones(5), nodes])
         pinv = np.linalg.inv(A.T @ A) @ A.T
         pts = rng.standard_normal((6, 3))
-        ours = basis.values(pts)
+        ours = fitted_values(fit, 1, pts)
         raw = np.column_stack([np.ones(6), pts]) @ pinv
         assert np.allclose(ours, raw, atol=1e-9)
 
     def test_square_system_interpolates(self):
         nodes = np.array([[0.0, 0], [1, 0], [0, 1]])
-        basis = fit_local(mock_patch(nodes), 1)
-        vals = basis.values(nodes)
+        vals = fitted_values(fit_local(mock_patch(nodes), 1), 1, nodes)
         assert np.allclose(vals, np.eye(3), atol=1e-12)
 
     def test_plane_fit_recovers_x(self):
         # data already in P^1, so the least-squares fit is exact
         nodes = np.array([[0.0, 0], [1, 0], [0, 1], [1, 1]])
-        basis = fit_local(mock_patch(nodes), 1)
+        fit = fit_local(mock_patch(nodes), 1)
         data = np.array([0.0, 1.0, 0.0, 1.0])  # samples of q(x, y) = x
         rng = np.random.default_rng(0)
         pts = rng.random((10, 2))
-        fitted = basis.values(pts) @ data
+        fitted = fitted_values(fit, 1, pts) @ data
         assert np.allclose(fitted, pts[:, 0], atol=1e-12)
 
     def test_rank_deficient(self):
@@ -99,10 +105,9 @@ class TestEvalShape:
         rng = np.random.default_rng(1)
         for K in (0, 7, 31):
             pts = rng.random((20, 2)) * np.pi
-            vals = eval_shape(space.bases[K], pts)
-            assert np.max(np.abs(vals.sum(axis=1) - 1.0)) < 1e-12
-            grads = eval_shape(space.bases[K], pts, deriv=1)
-            assert np.max(np.abs(grads.sum(axis=1))) < 1e-10
+            _, T = space.shape_tables([K], pts[None], ("val", "grad"))
+            assert np.max(np.abs(T["val"][0].sum(axis=1) - 1.0)) < 1e-12
+            assert np.max(np.abs(T["grad"][0].sum(axis=1))) < 1e-10
 
     def test_linear_gradient(self, space):
         data = interpolate(space, lambda x, y: 2 * x + 3 * y)
@@ -112,16 +117,21 @@ class TestEvalShape:
             grad = space.evaluate(data, K, pts, deriv=1)
             assert np.allclose(grad, [2.0, 3.0], atol=1e-9)
 
+    def test_grad_laplacian_of_cubic(self):
+        mesh = generate_square_tri(4)
+        space = build_space(mesh, build_topology(mesh), 3)
+        data = interpolate(space, lambda x, y: x ** 3 + x * y ** 2)  # grad Lap = (8, 0)
+        pts = np.random.default_rng(3).random((1, 4, 2))
+        for K in (2, 21):
+            ids, T = space.shape_tables([K], pts, ("gradlap",))
+            grad_lap = np.einsum("bqsd,bs->bqd", T["gradlap"], data[ids])
+            assert np.allclose(grad_lap, [8.0, 0.0], atol=1e-6)
+
     def test_laplacian_of_quadratic(self, space):
         data = interpolate(space, lambda x, y: x ** 2 + y ** 2)
         for K in (0, 17):
             lap = space.evaluate(data, K, space.patches[K].nodes[:1], deriv=2)
             assert np.allclose(lap, 4.0, atol=1e-8)
-
-    def test_hessians(self, space):
-        hess, lap = eval_shape(space.bases[0], np.array([[0.3, 0.4]]), deriv=2)
-        assert hess.shape == (1, space.t, 2, 2)
-        assert np.allclose(hess[..., 0, 0] + hess[..., 1, 1], lap, atol=1e-12)
 
 
 class TestPolynomialReproduction:
@@ -162,8 +172,8 @@ class TestBuildSpace:
         space = build_space(mesh, build_topology(mesh), 0, t=1)
         # characteristic functions: identity support map
         assert all(space.support[j] == [j] for j in range(mesh.num_elements))
-        vals = space.bases[3].values(np.array([[0.1, 0.2]]))
-        assert np.allclose(vals, 1.0)
+        _, T = space.shape_tables([3], np.array([[[0.1, 0.2]]]))
+        assert np.allclose(T["val"], 1.0)
 
     def test_support_map_consistency(self):
         mesh = generate_square_tri(4)
@@ -183,16 +193,10 @@ class TestBuildSpace:
         mesh = generate_square_tri(3)
         a = build_space(mesh, build_topology(mesh), 2)
         b = build_space(mesh, build_topology(mesh), 2)
-        for ba, bb in zip(a.bases, b.bases):
-            assert np.array_equal(ba.coeffs, bb.coeffs)
-
-    def test_threads_match_sequential(self):
-        mesh = generate_square_tri(3)
-        topo = build_topology(mesh)
-        seq = build_space(mesh, topo, 2, threads=1)
-        par = build_space(mesh, topo, 2, threads=4)
-        for ba, bb in zip(seq.bases, par.bases):
-            assert np.array_equal(ba.coeffs, bb.coeffs)
+        assert a.tables.keys() == b.tables.keys()
+        for s in a.tables:
+            assert np.array_equal(a.tables[s][0], b.tables[s][0])
+            assert np.array_equal(a.tables[s][1], b.tables[s][1])
 
     def test_rank_retry_via_ring_growth(self):
         # a 3x2 grid of tall rectangles: the three nearest sampling nodes of
