@@ -27,7 +27,6 @@ from .assembly import (
 )
 from .eigensolve import solve_dense, solve_smallest
 from .errors import ClusterAmbiguous
-from .mesh import mesh_size
 from .reconstruction import build_space
 
 
@@ -259,7 +258,7 @@ def convergence_study(meshes, config, domain, target, t=None):
         result, A, M = compute_spectrum(space, config, k=min(k_need, space.num_dofs))
         matched = match_cluster(space, config.p, exact, target, result)
         ve, fe = eigen_errors(space, config.p, exact, target, result, M, matched)
-        hs.append(mesh_size(mesh))
+        hs.append(topo.geometry.h)
         values.append(result.values[target - 1])
         eig_errs.append(ve)
         fun_errs.append(fe)

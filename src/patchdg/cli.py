@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis
 from .assembly import FormConfig
 from .errors import PatchDGError
-from .mesh import build_topology, generate_cube_tet, generate_square_tri, mesh_size, parse_msh, parse_poly
+from .mesh import build_topology, generate_cube_tet, generate_square_tri, parse_msh, parse_poly
 from .quadrature import MAX_ORDER
 from .reconstruction import build_space
 
@@ -118,12 +118,25 @@ def _fmt(x):
     return f"{x:.12g}"
 
 
+def _write_atomic(path, text, newline=None):
+    """Write ``text`` to ``<path>.tmp`` in the same directory, then rename
+    it over ``path``: a failed write leaves any earlier file as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def _write_csv(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n", newline="")
 
 
 # --------------------------------------------------------------------------
@@ -176,8 +189,7 @@ def export_vtk(mesh, space, vector, path):
     out.append("LOOKUP_TABLE default")
     out.extend(_fmt(v) for v in vector)
     try:
-        with open(path, "w") as fh:
-            fh.write("\n".join(out) + "\n")
+        _write_atomic(path, "\n".join(out) + "\n")
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}") from exc
 
@@ -240,7 +252,7 @@ def _cmd_reliable(cfg):
         space = build_space(mesh, topo, cfg.m, t=cfg.t)
         result, _, _ = analysis.compute_spectrum(space, form, k=None)
         results.append(result)
-        sizes.append(mesh_size(mesh))
+        sizes.append(topo.geometry.h)
     rows = []
     for (coarse, fine), h_coarse in zip(zip(results, results[1:]), sizes):
         exact = analysis.exact_spectrum(domain, form.p, len(coarse.values))
@@ -272,7 +284,7 @@ def _cmd_source(cfg):
         space = build_space(mesh, topo, cfg.m, t=cfg.t)
         res = analysis.solve_source(space, form, f, exact=u)
         order = analysis.rate(prev_err, res.energy_error) if prev_err is not None else None
-        rows.append((mesh_size(mesh), res.energy_error, res.energy_error, order))
+        rows.append((topo.geometry.h, res.energy_error, res.energy_error, order))
         prev_err = res.energy_error
     os.makedirs(cfg.output, exist_ok=True)
     _write_csv(os.path.join(cfg.output, "errors.csv"),
@@ -283,17 +295,14 @@ def _cmd_source(cfg):
 def _cmd_mesh_info(cfg):
     mesh = _load_mesh_one(cfg.mesh)
     topo = build_topology(mesh)
-    from .mesh import all_geometries
-
-    geoms = all_geometries(mesh)
-    measures = np.array([g.measure for g in geoms])
+    measures = topo.geometry.measures
     print(f"dimension:        {mesh.dim}")
     print(f"element kind:     {mesh.element_kind}")
     print(f"vertices:         {mesh.num_vertices}")
     print(f"elements:         {mesh.num_elements}")
     print(f"faces:            {topo.num_faces} ({int(topo.boundary.sum())} boundary)")
     print(f"total measure:    {_fmt(measures.sum())}")
-    print(f"h (max diameter): {_fmt(max(g.diameter for g in geoms))}")
+    print(f"h (max diameter): {_fmt(topo.geometry.h)}")
     print(f"measure min/max:  {_fmt(measures.min())} / {_fmt(measures.max())}")
     return EXIT_OK
 

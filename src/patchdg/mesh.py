@@ -1,8 +1,10 @@
 """Meshes of simplices and polygons with face topology and sub-triangulations.
 
 A mesh stores vertices and element connectivity only.  Everything derived
-(face adjacency, normals, barycenters, sub-simplices) is computed by
-:func:`build_topology` and :func:`element_geometry`.  All constructors fix
+(face adjacency, normals, barycenters, sub-simplices) is computed in
+stacked arrays for all elements at once: :func:`all_geometries` once per
+mesh, kept by :func:`build_topology` on the topology for every later stage
+(:func:`element_geometry` is the same code for one element).  All constructors fix
 simplex orientation so signed volumes are positive, and polygon cells must
 be star-shaped with respect to their centroid so the fan sub-triangulation
 is valid.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,39 +60,91 @@ class Mesh:
         return self.vertices[list(self.elements[K])]
 
     def validate(self):
-        """Check index bounds, orientation and element uniqueness."""
-        nv = self.num_vertices
-        seen = set()
-        for K, el in enumerate(self.elements):
-            if any(i < 0 or i >= nv for i in el):
-                raise ValueError(f"element {K} references a vertex out of range")
-            key = frozenset(el)
-            if key in seen:
-                raise ValueError(f"element {K} duplicates another element's vertex set")
-            seen.add(key)
-            if self.element_kind == "simplex":
-                if len(el) != self.dim + 1:
-                    raise ValueError(f"element {K} is not a {self.dim}-simplex")
-                if simplex_volume(self.vertices[list(el)]) <= 0.0:
-                    raise ValueError(f"element {K} has non-positive volume")
+        """Check index bounds, orientation and element uniqueness.
+
+        Reports the lowest offending element, and for it the first failing
+        check in the order: index bounds, duplicate vertex set, vertex count,
+        signed volume.
+        """
+        n, nv = self.num_elements, self.num_vertices
+        table, lengths = cell_table(self.elements)
+        present = np.arange(table.shape[1]) < lengths[:, None]
+        out_of_range = (present & ((table < 0) | (table >= nv))).any(axis=1)
+        # vertex sets as sorted rows, repeated ids dropped
+        rows = np.where(present, table, -1)
+        rows.sort(axis=1)
+        rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
+        rows.sort(axis=1)
+        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        checks = [(out_of_range, "references a vertex out of range"),
+                  (first[inverse.reshape(-1)] < np.arange(n),
+                   "duplicates another element's vertex set")]
+        if self.element_kind == "simplex":
+            arity = lengths != self.dim + 1
+            ok = ~out_of_range & ~arity
+            nonpositive = np.zeros(n, dtype=bool)
+            if ok.any():
+                cells = table[ok, :self.dim + 1]
+                nonpositive[ok] = _volumes(self.vertices[cells]) <= 0.0
+            checks += [(arity, f"is not a {self.dim}-simplex"),
+                       (nonpositive, "has non-positive volume")]
+        failed = np.logical_or.reduce([mask for mask, _ in checks])
+        if failed.any():
+            K = int(np.argmax(failed))
+            reason = next(text for mask, text in checks if mask[K])
+            raise ValueError(f"element {K} {reason}")
         return self
+
+
+@dataclass
+class ElementGeometry:
+    """Barycenter, diameter, measure and simplex tiling of one element."""
+
+    barycenter: np.ndarray
+    diameter: float
+    measure: float
+    sub_simplices: np.ndarray  # (ns, dim+1, dim) vertex coordinates
+
+
+@dataclass
+class Geometry:
+    """Barycenters (N, dim), diameters (N,) and measures (N,) of every
+    element, and the simplex tiling of all of them: ``sub_simplices``
+    (S, dim+1, dim) with owning elements ``sub_owner`` (S,), ascending."""
+
+    barycenters: np.ndarray
+    diameters: np.ndarray
+    measures: np.ndarray
+    sub_simplices: np.ndarray
+    sub_owner: np.ndarray
+
+    @property
+    def h(self):
+        """The mesh size max_K h_K."""
+        return float(self.diameters.max())
 
 
 @dataclass
 class FaceTopology:
     """Deduplicated (dim-1)-facets with two-sided element adjacency.
 
-    ``sides[f] = (K_plus, K_minus)`` with ``K_minus = -1`` on the boundary;
-    the plus side is always the lower element id.  ``normals[f]`` is the
-    unit outward normal of the plus side; the minus side sees its negation.
+    ``faces`` (F, dim) holds each facet's sorted vertex ids, rows in
+    lexicographic order.  ``sides[f] = (K_plus, K_minus)`` with
+    ``K_minus = -1`` on the boundary; the plus side is always the lower
+    element id.  ``normals[f]`` is the unit outward normal of the plus side;
+    the minus side sees its negation.  ``adjacency`` (N, max degree) lists
+    each element's face neighbors ascending, padded with -1.  ``geometry``
+    is the mesh's :class:`Geometry`, computed once here for every later
+    stage.
     """
 
-    faces: list
+    faces: np.ndarray
     sides: np.ndarray
     normals: np.ndarray
     h_e: np.ndarray
     boundary: np.ndarray
-    neighbors: list = field(repr=False)
+    adjacency: np.ndarray = field(repr=False)
+    geometry: Geometry = field(repr=False)
 
     @property
     def num_faces(self):
@@ -105,27 +160,55 @@ class FaceTopology:
     def boundary_faces(self):
         return np.nonzero(self.boundary)[0]
 
-
-@dataclass
-class ElementGeometry:
-    """Barycenter, diameter, measure and simplex tiling of one element."""
-
-    barycenter: np.ndarray
-    diameter: float
-    measure: float
-    sub_simplices: np.ndarray  # (ns, dim+1, dim) vertex coordinates
+    @cached_property
+    def neighbors(self):
+        """``adjacency`` as one ascending list per element."""
+        return [row[row >= 0].tolist() for row in self.adjacency]
 
 
 # --------------------------------------------------------------------------
-# primitive geometry helpers
+# primitive geometry helpers, batched
 # --------------------------------------------------------------------------
+
+def rowdot(a, b):
+    """Dot products of matching rows along the last axis.
+
+    Each is the same float as ``np.dot`` of the two rows, so that
+    ``np.sqrt(rowdot(d, d))`` equals ``np.linalg.norm`` of each row;
+    ``(a * b).sum(-1)`` rounds differently, and patch growth breaks exact
+    distance ties by element id, so the distances must not change.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _volumes(coords):
+    """Signed measures of a batch of simplices, (B, dim+1, dim) vertices."""
+    d = coords.shape[-1]
+    return np.linalg.det(coords[:, 1:] - coords[:, :1]) / math.factorial(d)
+
+
+def diameters(coords):
+    """Largest vertex-to-vertex distance of each of a batch of point sets
+    (B, k, dim); repeated points do not change it."""
+    sq = 0.0
+    for x in np.moveaxis(coords, -1, 0):  # squares added in axis order, as .sum(-1) would
+        sq = sq + (x[:, :, None] - x[:, None, :]) ** 2
+    return np.sqrt(sq.max(axis=(1, 2)))
+
+
+def cell_table(elements):
+    """(n, w) vertex-id table of possibly ragged elements, short rows padded
+    by repeating their first vertex, and the row lengths."""
+    lengths = np.fromiter(map(len, elements), dtype=int, count=len(elements))
+    w = int(lengths.max(initial=0))
+    if (lengths == w).all():
+        return np.array(elements, dtype=int).reshape(len(elements), w), lengths
+    return np.array([el + el[:1] * (w - len(el)) for el in elements], dtype=int), lengths
+
 
 def simplex_volume(coords):
     """Signed measure of a simplex given its (dim+1, dim) vertex array."""
-    coords = np.asarray(coords, dtype=float)
-    d = coords.shape[1]
-    J = coords[1:] - coords[0]
-    return float(np.linalg.det(J)) / math.factorial(d)
+    return float(_volumes(np.asarray(coords, dtype=float)[None])[0])
 
 
 def _orient_simplex(el, vertices):
@@ -134,24 +217,9 @@ def _orient_simplex(el, vertices):
     return el
 
 
-def _diameter(coords):
-    coords = np.asarray(coords, dtype=float)
-    diff = coords[:, None, :] - coords[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(-1)).max())
-
-
 def _polygon_area(coords):
     x, y = coords[:, 0], coords[:, 1]
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
-
-
-def _polygon_centroid(coords):
-    x, y = coords[:, 0], coords[:, 1]
-    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
-    area = 0.5 * cross.sum()
-    cx = ((x + np.roll(x, -1)) * cross).sum() / (6.0 * area)
-    cy = ((y + np.roll(y, -1)) * cross).sum() / (6.0 * area)
-    return np.array([cx, cy])
 
 
 # --------------------------------------------------------------------------
@@ -358,8 +426,7 @@ def parse_poly(text):
             raise NonCCW("polygon has non-positive (clockwise) area")
         elements.append(el)
     mesh = Mesh(2, verts, elements, element_kind="polygon").validate()
-    for K in range(mesh.num_elements):
-        element_geometry(mesh, K)  # raises NotStarShaped / DegenerateElement
+    all_geometries(mesh)  # raises NotStarShaped / DegenerateElement
     return mesh
 
 
@@ -379,95 +446,135 @@ def write_poly(mesh):
 # topology and per-element geometry
 # --------------------------------------------------------------------------
 
-def _element_facets(el, dim, kind):
-    if kind == "polygon":
-        return [(el[i], el[(i + 1) % len(el)]) for i in range(len(el))]
-    if dim == 2:
-        a, b, c = el
-        return [(a, b), (b, c), (c, a)]
-    a, b, c, d = el
-    return [(b, c, d), (a, c, d), (a, b, d), (a, b, c)]
+# local vertex positions of each facet of a triangle / tetrahedron
+_SIMPLEX_FACETS = {2: [[0, 1], [1, 2], [2, 0]],
+                   3: [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]}
+
+
+def _facet_rows(mesh):
+    """Every element's facets as sorted vertex-id rows, element by element,
+    and the element owning each row."""
+    if mesh.element_kind == "polygon":
+        table, lengths = cell_table(mesh.elements)
+        pos = np.arange(table.shape[1])
+        ends = table[np.arange(len(table))[:, None], (pos + 1) % lengths[:, None]]
+        keep = pos < lengths[:, None]
+        rows = np.stack([table[keep], ends[keep]], axis=1)
+        owner = np.repeat(np.arange(mesh.num_elements), lengths)
+    else:
+        local = _SIMPLEX_FACETS[mesh.dim]
+        rows = cell_table(mesh.elements)[0][:, local].reshape(-1, mesh.dim)
+        owner = np.repeat(np.arange(mesh.num_elements), len(local))
+    return np.sort(rows, axis=1), owner
 
 
 def build_topology(mesh):
     """Deduplicate facets and attach two-sided adjacency and outward normals."""
-    facet_map = {}
-    for K, el in enumerate(mesh.elements):
-        for facet in _element_facets(el, mesh.dim, mesh.element_kind):
-            key = tuple(sorted(facet))
-            facet_map.setdefault(key, []).append(K)
+    rows, owner = _facet_rows(mesh)
+    faces, inverse, counts = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
+    crowded = counts > 2
+    if crowded.any():
+        f = int(np.argmax(crowded))
+        raise NonManifold(f"facet {tuple(faces[f].tolist())} is shared by {counts[f]} elements")
+    # incident elements per facet, ascending (rows come element by element)
+    incident = owner[np.argsort(inverse.reshape(-1), kind="stable")]
+    first = np.cumsum(counts) - counts
+    kp = incident[first]
+    km = np.where(counts == 2, incident[np.minimum(first + 1, len(incident) - 1)], -1)
+    sides = np.stack([kp, km], axis=1)
+    boundary = km == -1
 
-    barys = np.array([element_geometry(mesh, K).barycenter for K in range(mesh.num_elements)])
+    geometry = all_geometries(mesh)
+    coords = mesh.vertices[faces]
+    if mesh.dim == 2:
+        t = coords[:, 1] - coords[:, 0]
+        n = np.stack([t[:, 1], -t[:, 0]], axis=1)
+    else:
+        n = np.cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
+    n = n / np.sqrt(rowdot(n, n))[:, None]
+    center = coords.mean(axis=1)
+    inward = rowdot(n, center - geometry.barycenters[kp]) < 0.0
+    n[inward] = -n[inward]
 
-    faces, sides, normals, h_e, boundary = [], [], [], [], []
-    for key in sorted(facet_map):
-        incident = facet_map[key]
-        if len(incident) > 2:
-            raise NonManifold(f"facet {key} is shared by {len(incident)} elements")
-        kp = min(incident)
-        km = max(incident) if len(incident) == 2 else -1
-        coords = mesh.vertices[list(key)]
-        if mesh.dim == 2:
-            t = coords[1] - coords[0]
-            n = np.array([t[1], -t[0]])
-        else:
-            n = np.cross(coords[1] - coords[0], coords[2] - coords[0])
-        n = n / np.linalg.norm(n)
-        center = coords.mean(axis=0)
-        if np.dot(n, center - barys[kp]) < 0.0:
-            n = -n
-        faces.append(key)
-        sides.append((kp, km))
-        normals.append(n)
-        h_e.append(_diameter(coords))
-        boundary.append(km == -1)
+    # adjacency: both orientations of every interior facet, sorted
+    a = np.concatenate([kp[~boundary], km[~boundary]])
+    b = np.concatenate([km[~boundary], kp[~boundary]])
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    degree = np.bincount(a, minlength=mesh.num_elements)
+    adjacency = np.full((mesh.num_elements, int(degree.max(initial=0))), -1)
+    adjacency[a, np.arange(len(a)) - (np.cumsum(degree) - degree)[a]] = b
+    return FaceTopology(faces, sides, n, diameters(coords), boundary, adjacency, geometry)
 
-    sides = np.array(sides, dtype=int)
-    boundary = np.array(boundary, dtype=bool)
-    neighbors = [[] for _ in range(mesh.num_elements)]
-    for (kp, km), b in zip(sides, boundary):
-        if not b:
-            neighbors[kp].append(int(km))
-            neighbors[km].append(int(kp))
-    neighbors = [sorted(ns) for ns in neighbors]
-    return FaceTopology(faces, sides, np.array(normals), np.array(h_e), boundary, neighbors)
+
+def _geometry(mesh, elements):
+    """:class:`Geometry` of the given elements (an id array), in its order.
+
+    Simplices tile themselves; polygons are fanned from their area
+    centroid, which requires (and checks) star-shapedness with respect to
+    it.  Raises for the first listed element that fails a check.
+    """
+    elements = np.asarray(elements, dtype=int)
+    cells = [mesh.elements[K] for K in elements]
+    table, lengths = cell_table(cells)
+    coords = mesh.vertices[table]
+    h = diameters(coords)
+    if mesh.element_kind == "simplex":
+        vol = _volumes(coords)
+        degenerate = vol <= 1e-14 * h ** mesh.dim
+        if degenerate.any():
+            i = int(np.argmax(degenerate))
+            raise DegenerateElement(f"element {elements[i]} has measure {vol[i]:g}")
+        return Geometry(coords.mean(axis=1), h, vol, coords, elements)
+
+    # polygons, one batch per vertex count
+    area = np.empty(len(cells))
+    centroid = np.empty((len(cells), 2))
+    fans = np.empty((int(lengths.sum()), 3, 2))
+    starts = np.cumsum(lengths) - lengths
+    not_star = np.zeros(len(cells), dtype=bool)
+    for k in np.unique(lengths):
+        rows = np.nonzero(lengths == k)[0]
+        xy = coords[rows, :k]
+        x, y = xy[..., 0], xy[..., 1]
+        xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+        area[rows] = 0.5 * (rowdot(x, yn) - rowdot(xn, y))
+        cross = x * yn - xn * y
+        six_a = 6.0 * (0.5 * cross.sum(axis=1))
+        with np.errstate(divide="ignore", invalid="ignore"):  # degenerate rows raise below
+            c = np.stack([((x + xn) * cross).sum(axis=1) / six_a,
+                          ((y + yn) * cross).sum(axis=1) / six_a], axis=1)
+        centroid[rows] = c
+        fan = np.empty((len(rows), k, 3, 2))
+        fan[:, :, 0] = c[:, None]
+        fan[:, :, 1] = xy
+        fan[:, :, 2] = np.roll(xy, -1, axis=1)
+        fans[starts[rows, None] + np.arange(k)] = fan
+        with np.errstate(invalid="ignore"):
+            vol = _volumes(fan.reshape(-1, 3, 2)).reshape(len(rows), k)
+        not_star[rows] = (vol <= 1e-14 * h[rows, None] ** 2).any(axis=1)
+    degenerate = area <= 1e-14 * h ** 2
+    failed = degenerate | not_star
+    if failed.any():
+        i = int(np.argmax(failed))
+        if degenerate[i]:
+            raise DegenerateElement(f"polygon {elements[i]} has area {area[i]:g}")
+        raise NotStarShaped(f"polygon {elements[i]} is not star-shaped about its centroid")
+    return Geometry(centroid, h, area, fans, np.repeat(elements, lengths))
 
 
 def element_geometry(mesh, K):
-    """Barycenter, diameter, measure and a simplex tiling of element K.
-
-    Simplices tile themselves; polygons are fanned from their area centroid,
-    which requires (and checks) star-shapedness with respect to it.
-    """
-    coords = mesh.element_coords(K)
-    h = _diameter(coords)
-    if mesh.element_kind == "simplex":
-        vol = simplex_volume(coords)
-        if vol <= 1e-14 * h ** mesh.dim:
-            raise DegenerateElement(f"element {K} has measure {vol:g}")
-        bary = coords.mean(axis=0)
-        subs = coords[None, :, :]
-        return ElementGeometry(bary, h, vol, subs)
-
-    area = _polygon_area(coords)
-    if area <= 1e-14 * h ** 2:
-        raise DegenerateElement(f"polygon {K} has area {area:g}")
-    centroid = _polygon_centroid(coords)
-    k = len(coords)
-    subs = np.empty((k, 3, 2))
-    for i in range(k):
-        subs[i, 0] = centroid
-        subs[i, 1] = coords[i]
-        subs[i, 2] = coords[(i + 1) % k]
-        if simplex_volume(subs[i]) <= 1e-14 * h ** 2:
-            raise NotStarShaped(f"polygon {K} is not star-shaped about its centroid")
-    return ElementGeometry(centroid, h, area, subs)
+    """Barycenter, diameter, measure and a simplex tiling of element K."""
+    g = _geometry(mesh, [K])
+    return ElementGeometry(g.barycenters[0], float(g.diameters[0]), float(g.measures[0]),
+                           g.sub_simplices)
 
 
 def all_geometries(mesh):
-    return [element_geometry(mesh, K) for K in range(mesh.num_elements)]
+    """:class:`Geometry` of every element, in one batch."""
+    return _geometry(mesh, np.arange(mesh.num_elements))
 
 
 def mesh_size(mesh):
     """max_K h_K."""
-    return max(g.diameter for g in all_geometries(mesh))
+    return all_geometries(mesh).h

@@ -4,6 +4,8 @@ A patch starts from its center element and greedily adds, among all
 edge/face neighbors of the current member set, the one whose barycenter is
 closest to the center's sampling node (ties broken by element id, so
 construction is deterministic).  Sampling nodes are the member barycenters.
+The patches of many elements grow together, one greedy step at a time over
+stacked candidate arrays.
 """
 
 from __future__ import annotations
@@ -14,8 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PatchExhausted, RankDeficient
-from .mesh import all_geometries
+from .mesh import cell_table, diameters, element_geometry, rowdot
 from .quadrature import element_rule
+
+# patches per batch of the pairwise-distance array behind patch diameters
+DIAMETER_CHUNK = 32
 
 
 @dataclass
@@ -30,6 +35,35 @@ class Patch:
         return len(self.members)
 
 
+@dataclass
+class Patches:
+    """The patches of a batch of elements, all of one size t.
+
+    ``members`` (B, t) holds element ids with the center in column 0;
+    a patch that ran out of neighbors is padded with -1 from the first
+    slot it could not fill (see :meth:`exhausted`), and its nodes and
+    diameter mean nothing.
+    """
+
+    centers: np.ndarray    # (B,)
+    members: np.ndarray    # (B, t)
+    nodes: np.ndarray      # (B, t, dim)
+    diameters: np.ndarray  # (B,)
+
+    def __getitem__(self, i):
+        return Patch(int(self.centers[i]), self.members[i].tolist(), self.nodes[i],
+                     float(self.diameters[i]))
+
+    def exhausted(self):
+        """Rows whose patch could not be filled."""
+        return np.nonzero(self.members[:, -1] < 0)[0]
+
+    def exhausted_error(self, i):
+        reached = int((self.members[i] >= 0).sum())
+        return PatchExhausted(f"element {self.centers[i]}: only {reached} connected elements "
+                              f"reachable, need {self.members.shape[1]}")
+
+
 def required_dim(m, dim):
     """Dimension of the space of polynomials of total degree <= m."""
     return math.comb(m + dim, dim)
@@ -41,59 +75,80 @@ def default_patch_size(m, dim):
     return max(r + 1, math.ceil(1.5 * r))
 
 
-def _patch_diameter(mesh, members):
-    vids = sorted({v for K in members for v in mesh.elements[K]})
-    coords = mesh.vertices[vids]
-    diff = coords[:, None, :] - coords[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(-1)).max())
+def _distances(barycenters, ids, centers):
+    """(B, k) distances from each center's node to its candidates ``ids``."""
+    d = barycenters[ids] - barycenters[centers][:, None, :]
+    return np.sqrt(rowdot(d, d))
 
 
-def build_patch(mesh, topology, K, t, barycenters=None):
-    """Grow the patch of element K to exactly t members."""
+def patch_diameters(mesh, members):
+    """Diameter of the union of each row's member elements, (B, s) -> (B,)."""
+    # each row's distinct vertex ids first, padded with its lowest one
+    vids = np.sort(cell_table(mesh.elements)[0][members].reshape(len(members), -1), axis=1)
+    last = np.iinfo(int).max
+    vids[:, 1:][vids[:, 1:] == vids[:, :-1]] = last
+    vids.sort(axis=1)
+    vids = vids[:, :int((vids < last).sum(axis=1).max(initial=0))]
+    vids = np.where(vids == last, vids[:, :1], vids)
+    out = np.empty(len(members))
+    for i in range(0, len(members), DIAMETER_CHUNK):
+        out[i:i + DIAMETER_CHUNK] = diameters(mesh.vertices[vids[i:i + DIAMETER_CHUNK]])
+    return out
+
+
+def build_patch(mesh, topology, K, t):
+    """Grow the patch of element K to exactly t members.
+
+    For an array K the patches of all its elements grow together and come
+    back as :class:`Patches`, exhausted rows included; a single element
+    gives a :class:`Patch` or raises :class:`PatchExhausted`.
+    """
     if t < 1:
         raise ValueError("patch size must be >= 1")
-    if barycenters is None:
-        barycenters = np.array([g.barycenter for g in all_geometries(mesh)])
-    center = barycenters[K]
-    members = [K]
-    member_set = {K}
-    candidates = {}  # element id -> distance to center node
-    for nb in topology.neighbors[K]:
-        candidates[nb] = float(np.linalg.norm(barycenters[nb] - center))
-    while len(members) < t:
-        if not candidates:
-            raise PatchExhausted(
-                f"element {K}: only {len(members)} connected elements reachable, need {t}"
-            )
-        best = min(candidates, key=lambda e: (candidates[e], e))
-        del candidates[best]
-        members.append(best)
-        member_set.add(best)
-        for nb in topology.neighbors[best]:
-            if nb not in member_set and nb not in candidates:
-                candidates[nb] = float(np.linalg.norm(barycenters[nb] - center))
-    nodes = barycenters[members]
-    return Patch(K, members, nodes, _patch_diameter(mesh, members))
+    centers = np.atleast_1d(np.asarray(K, dtype=int))
+    adjacency, barycenters = topology.adjacency, topology.geometry.barycenters
+    members = np.full((len(centers), t), -1)
+    members[:, 0] = centers
+    # candidate pool: neighbors of members (ids, -1 for none) and distances;
+    # an id may appear more than once, with the same distance each time
+    pool = adjacency[centers]
+    dist = np.where(pool >= 0, _distances(barycenters, pool, centers), np.inf)
+    last = np.iinfo(int).max
+    for i in range(1, t):
+        nearest = dist.min(axis=1, initial=np.inf)
+        best = np.where(dist == nearest[:, None], pool, last).min(axis=1, initial=last)
+        alive = np.isfinite(nearest)
+        best[~alive] = -1
+        members[:, i] = best
+        dist[pool == best[:, None]] = np.inf
+        new = np.where(alive[:, None], adjacency[best], -1)
+        new[(new[:, :, None] == members[:, None, :i + 1]).any(axis=2)] = -1
+        pool = np.concatenate([pool, new], axis=1)
+        dist = np.concatenate(
+            [dist, np.where(new >= 0, _distances(barycenters, new, centers), np.inf)], axis=1)
+    patches = Patches(centers, members, barycenters[members], patch_diameters(mesh, members))
+    if np.ndim(K):
+        return patches
+    if len(patches.exhausted()):
+        raise patches.exhausted_error(0)
+    return patches[0]
 
 
-def grow_patch(mesh, topology, patch, barycenters=None):
+def grow_patch(mesh, topology, patch):
     """Add one full ring of Von Neumann neighbors to an existing patch.
 
     Used as the recovery step when a least-squares fit on the patch turns
     out rank deficient.
     """
-    if barycenters is None:
-        barycenters = np.array([g.barycenter for g in all_geometries(mesh)])
-    member_set = set(patch.members)
-    ring = sorted(
-        {nb for K in patch.members for nb in topology.neighbors[K]} - member_set,
-        key=lambda e: (float(np.linalg.norm(barycenters[e] - patch.nodes[0])), e),
-    )
-    if not ring:
+    barycenters = topology.geometry.barycenters
+    ring = np.setdiff1d(topology.adjacency[patch.members], [-1, *patch.members])
+    if not len(ring):
         raise PatchExhausted(f"element {patch.center}: no further neighbors to grow into")
-    members = patch.members + ring
-    nodes = barycenters[members]
-    return Patch(patch.center, members, nodes, _patch_diameter(mesh, members))
+    d = barycenters[ring] - patch.nodes[0]
+    ring = ring[np.lexsort((ring, np.sqrt(rowdot(d, d))))]
+    members = patch.members + ring.tolist()
+    return Patch(patch.center, members, barycenters[members],
+                 float(patch_diameters(mesh, np.array([members]))[0]))
 
 
 def lambda_constant(mesh, patch, m, sample_order=None):
@@ -112,8 +167,6 @@ def lambda_constant(mesh, patch, m, sample_order=None):
 
     samples = [patch.nodes]
     order = sample_order if sample_order is not None else max(2 * m, 2)
-    from .mesh import element_geometry
-
     for K in patch.members:
         geom = element_geometry(mesh, K)
         pts, _ = element_rule(geom, order)

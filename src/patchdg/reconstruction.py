@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import RankDeficient
-from .mesh import all_geometries
-from .patch import build_patch, default_patch_size, grow_patch
+from .errors import PatchExhausted, RankDeficient
+from .patch import Patch, Patches, build_patch, default_patch_size, grow_patch
 
 RCOND = 1e-10  # numerical-rank threshold for unisolvence
 
@@ -124,22 +123,37 @@ def fit_local(patch, m):
     (the center's sampling node) and the scale (the patch diameter).
     Raises RankDeficient when the numerical rank of the node Vandermonde
     matrix falls short of dim P^m (unisolvence failure).
+
+    A :class:`Patches` batch is fitted with one stacked SVD and gives
+    ``(coeffs (B, t, n_terms), origin (B, dim), scale (B,), ok (B,))``:
+    rows that fail the rank test have ``ok`` False and zero coefficients,
+    and are left to the caller.  A single patch is a batch of one.
     """
-    dim = patch.nodes.shape[1]
-    basis = monomial_basis(m, dim)
-    if patch.size < len(basis):
+    batch = patch if isinstance(patch, Patches) else Patches(
+        np.array([patch.center]), np.array([patch.members]),
+        np.asarray(patch.nodes, dtype=float)[None], np.array([patch.diameter], dtype=float))
+    nodes = batch.nodes
+    basis = monomial_basis(m, nodes.shape[2])
+    origin = nodes[:, 0].copy()
+    scale = np.where(batch.diameters > 0, batch.diameters, 1.0)
+    coeffs = np.zeros(nodes.shape[:2] + (len(basis),))
+    ok = np.zeros(len(nodes), dtype=bool)
+    if nodes.shape[1] >= len(basis):
+        A = vandermonde(basis, (nodes - origin[:, None]) / scale[:, None, None])
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        ok = ~(s[:, -1] <= RCOND * s[:, 0])
+        pinv = (Vt[ok].transpose(0, 2, 1) / s[ok, None, :]) @ U[ok].transpose(0, 2, 1)
+        coeffs[ok] = pinv.transpose(0, 2, 1)
+    if isinstance(patch, Patches):
+        return coeffs, origin, scale, ok
+    if nodes.shape[1] < len(basis):
         raise RankDeficient(
             f"patch of element {patch.center} has {patch.size} nodes, "
             f"needs at least {len(basis)} for degree {m}"
         )
-    origin = patch.nodes[0].copy()
-    scale = patch.diameter if patch.diameter > 0 else 1.0
-    A = vandermonde(basis, (patch.nodes - origin) / scale)
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if s[-1] <= RCOND * s[0]:
+    if not ok[0]:
         raise RankDeficient(f"patch of element {patch.center} is numerically rank deficient")
-    pinv = (Vt.T / s) @ U.T
-    return pinv.T.copy(), origin, scale
+    return coeffs[0], origin[0], scale[0]
 
 
 class ReconstructedSpace:
@@ -150,48 +164,61 @@ class ReconstructedSpace:
     ``tables[s] = (members (G, s), coeffs (G, s, n_terms))``, in which K is
     row ``row[K]``; ``size[K]`` is its patch size.  Grown patches thus form
     their own small groups instead of padding every patch to the largest.
+    The space is built from one ``groups[s] = (elements, members, coeffs)``
+    per patch size, its elements ascending.
 
     ``support[j]`` lists every element K whose patch contains element j;
     it is exactly the sparsity coupling of DOF j in assembled matrices.
     """
 
-    def __init__(self, mesh, topology, m, t, patches, fits, geometries):
+    def __init__(self, mesh, topology, m, t, groups, origin, scale):
         self.mesh = mesh
         self.topology = topology
+        self.geometry = topology.geometry
         self.m = m
         self.t = t
-        self.patches = patches
-        self.geometries = geometries
+        self.origin = origin
+        self.scale = scale
         n = mesh.num_elements
-        self.origin = np.array([origin for _, origin, _ in fits]).reshape(n, mesh.dim)
-        self.scale = np.array([scale for _, _, scale in fits], dtype=float)
-        self.size = np.array([p.size for p in patches], dtype=int)
+        self.size = np.zeros(n, dtype=int)
         self.row = np.zeros(n, dtype=int)
         self.tables = {}
-        for s in np.unique(self.size):
-            group = np.nonzero(self.size == s)[0]
-            self.row[group] = np.arange(len(group))
-            self.tables[int(s)] = (
-                np.array([patches[K].members for K in group], dtype=int),
-                np.stack([fits[K][0] for K in group]),
-            )
-        support = [[] for _ in range(n)]
-        for K, patch in enumerate(patches):
-            for j in patch.members:
-                support[j].append(K)
-        self.support = support
+        for s in sorted(groups):
+            elements, members, coeffs = groups[s]
+            self.size[elements] = s
+            self.row[elements] = np.arange(len(elements))
+            self.tables[int(s)] = (members, coeffs)
         # quadrature carriers: every sub-simplex with its owner, every face
-        self.sub_simplices = np.concatenate([g.sub_simplices for g in geometries])
-        self.sub_owner = np.repeat(np.arange(n), [len(g.sub_simplices) for g in geometries])
-        faces = np.array(topology.faces, dtype=int).reshape(-1, mesh.dim)
-        self.face_coords = mesh.vertices[faces]
+        self.sub_simplices = self.geometry.sub_simplices
+        self.sub_owner = self.geometry.sub_owner
+        self.face_coords = mesh.vertices[topology.faces]
+
+    @cached_property
+    def support(self):
+        j, K = [], []
+        for s, (members, _) in self.tables.items():
+            j.append(members.ravel())
+            K.append(np.repeat(np.nonzero(self.size == s)[0], s))
+        j, K = np.concatenate(j), np.concatenate(K)
+        order = np.lexsort((K, j))
+        counts = np.bincount(j, minlength=self.num_dofs)
+        return [ks.tolist() for ks in np.split(K[order], np.cumsum(counts)[:-1])]
+
+    @cached_property
+    def patches(self):
+        """One :class:`Patch` per element (its diameter is ``scale[K]``),
+        built on first use."""
+        barycenters = self.geometry.barycenters
+        return [Patch(K, members, barycenters[members], float(self.scale[K]))
+                for K, members in enumerate(map(self.members, range(self.num_dofs)))]
 
     @property
     def num_dofs(self):
         return self.mesh.num_elements
 
     def members(self, K):
-        return self.patches[K].members
+        members, _ = self.tables[int(self.size[K])]
+        return members[self.row[K]].tolist()
 
     def shape_tables(self, elements, points, kinds=("val",)):
         """:func:`tabulate` for elements that all have one patch size.
@@ -244,42 +271,52 @@ class ReconstructedSpace:
                         )
 
 
-def _fit_with_retry(mesh, topology, patch, m, barycenters, retries=3):
-    from .patch import PatchExhausted
-
-    for _ in range(retries):
+def _refit(mesh, topology, patch, m, retries=3):
+    """Grow a patch whose fit was rank deficient by one neighbor ring and
+    refit, up to ``retries`` times; the last failure propagates."""
+    for attempt in range(retries):
+        try:
+            patch = grow_patch(mesh, topology, patch)
+        except PatchExhausted:
+            raise RankDeficient(
+                f"element {patch.center}: sampling nodes stay rank deficient "
+                f"and the mesh has no further elements to grow into"
+            ) from None
         try:
             return fit_local(patch, m), patch
         except RankDeficient:
-            try:
-                patch = grow_patch(mesh, topology, patch, barycenters)
-            except PatchExhausted:
-                raise RankDeficient(
-                    f"element {patch.center}: sampling nodes stay rank deficient "
-                    f"and the mesh has no further elements to grow into"
-                ) from None
-    return fit_local(patch, m), patch  # last attempt; propagates RankDeficient
+            if attempt == retries - 1:
+                raise
 
 
 def build_space(mesh, topology, m, t=None):
     """Fit one shape table per element and build the support map.
 
-    Rank-deficient patches are grown by a full neighbor ring up to three
-    times before the failure propagates with the offending element id.
+    All patches grow and are fitted in one batch.  Rank-deficient patches
+    are then grown by a full neighbor ring up to three times before the
+    failure propagates with the offending element id; an exhausted patch
+    raises PatchExhausted.  Either error names the lowest failing element.
     """
     if m < 0:
         raise ValueError("degree must be >= 0")
     if t is None:
         t = default_patch_size(m, mesh.dim) if m >= 1 else 1
-    geoms = all_geometries(mesh)
-    barycenters = np.array([g.barycenter for g in geoms])
-    fits, patches = [], []
-    for K in range(mesh.num_elements):
-        patch = build_patch(mesh, topology, K, t, barycenters)
-        fit, patch = _fit_with_retry(mesh, topology, patch, m, barycenters)
-        fits.append(fit)
-        patches.append(patch)
-    return ReconstructedSpace(mesh, topology, m, t, patches, fits, geoms)
+    n = mesh.num_elements
+    patches = build_patch(mesh, topology, np.arange(n), t)
+    coeffs, origin, scale, ok = fit_local(patches, m)
+    exhausted = patches.exhausted()
+    stop = exhausted[0] if len(exhausted) else n
+    grown = {}
+    for K in np.nonzero(~ok[:stop])[0]:
+        (table, _, scale[K]), patch = _refit(mesh, topology, patches[K], m)
+        grown.setdefault(patch.size, []).append((K, patch.members, table))
+    if stop < n:
+        raise patches.exhausted_error(stop)
+    groups = {t: (np.nonzero(ok)[0], patches.members[ok], coeffs[ok])} if ok.any() else {}
+    for s, rows in grown.items():
+        elements, members, tables = zip(*rows)
+        groups[s] = (np.array(elements), np.array(members), np.stack(tables))
+    return ReconstructedSpace(mesh, topology, m, t, groups, origin, scale)
 
 
 def interpolate(space, g):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from patchdg import analysis
 from patchdg.analysis import (
     compute_spectrum,
     convergence_study,
@@ -16,6 +17,7 @@ from patchdg.analysis import (
 )
 from patchdg.assembly import FormConfig, energy_norm
 from patchdg.eigensolve import EigenResult
+from patchdg.errors import ClusterAmbiguous
 from patchdg.mesh import build_topology, generate_square_tri
 from patchdg.reconstruction import build_space
 
@@ -169,6 +171,31 @@ class TestMatching:
         ve, _ = eigen_errors(space, 1, exact, 4, result, M)
         expected = abs(result.values[3] - exact.values[3]) / exact.values[3]
         assert abs(ve - expected) < 1e-14
+
+
+    @pytest.mark.parametrize("top, ambiguous", [(6.6, True), (6.4, False)])
+    def test_ambiguous_cluster_raises_before_any_product(self, monkeypatch, top, ambiguous):
+        # lambda = 5 (k = 2) lies 3 from its neighbors 2 and 8; a discrete
+        # cluster spread of 1.6 exceeds half that gap, a spread of 1.4 does not
+        mesh = generate_square_tri(4)
+        space = build_space(mesh, build_topology(mesh), 1)
+        exact = exact_spectrum("square_pi", 1, 6)
+        values = np.array([2.1, 5.0, top, 8.2, 10.3, 10.4])
+        result = EigenResult(values, np.eye(space.num_dofs)[:, :6], np.zeros(6))
+        calls = []
+
+        def product(space, p, fields):
+            calls.append(len(fields))
+            return np.eye(len(fields))
+
+        monkeypatch.setattr(analysis, "energy_product", product)
+        if ambiguous:
+            with pytest.raises(ClusterAmbiguous):
+                match_cluster(space, 1, exact, 2, result)
+            assert calls == []
+        else:
+            assert match_cluster(space, 1, exact, 2, result).size == 2
+            assert calls == [3]
 
 
 def _normalized(x, M, space, u):

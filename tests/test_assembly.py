@@ -156,7 +156,7 @@ class TestMass:
         space = build_space(mesh, build_topology(mesh), 0, t=1)
         M = assemble_mass(space)
         dense = M.dense()
-        measures = [space.geometries[K].measure for K in range(mesh.num_elements)]
+        measures = space.geometry.measures
         assert np.allclose(dense, np.diag(measures), atol=1e-14)
 
     def test_spd(self, space_m2):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from patchdg import cli
 from patchdg.cli import export_vtk, main
 from patchdg.mesh import build_topology, generate_square_tri, write_msh
 from patchdg.reconstruction import build_space, interpolate
@@ -214,3 +215,55 @@ class TestVtkExport:
     def test_wrong_length_rejected(self, tmp_path, space):
         with pytest.raises(ValueError):
             export_vtk(space.mesh, space, np.ones(3), tmp_path / "b.vtk")
+
+
+class TestAtomicWrites:
+    HEADER = ["index", "value", "residual"]
+
+    def test_failed_formatting_keeps_old_csv(self, tmp_path):
+        path = tmp_path / "eigenvalues.csv"
+        cli._write_csv(path, self.HEADER, [(1, 2.0, 0.0)])
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            cli._write_csv(path, self.HEADER, [(1, 2.5, 0.0), (2, object(), 0.0)])
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("artifact", ["eigenvalues.csv", "eigenfunction_001.vtk"])
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, artifact):
+        path = tmp_path / artifact
+        mesh = generate_square_tri(2)
+        space = build_space(mesh, build_topology(mesh), 1)
+
+        def write(values):
+            if artifact.endswith(".csv"):
+                cli._write_csv(path, self.HEADER, [(i + 1, v, 0.0) for i, v in enumerate(values)])
+            else:
+                export_vtk(mesh, space, values, path)
+
+        write(np.zeros(mesh.num_elements))
+        before = path.read_bytes()
+
+        class DiskFull:
+            """A file that takes the first bytes of a write, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:20])
+                raise OSError(28, "No space left on device")
+
+        real_open = open
+        monkeypatch.setattr(cli, "open", lambda *a, **kw: DiskFull(real_open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(OSError):
+            write(np.ones(mesh.num_elements))
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]

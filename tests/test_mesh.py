@@ -105,6 +105,33 @@ class TestGenerators:
             generate_cube_tet(0)
 
 
+class TestValidate:
+    BASE = generate_square_tri(2)
+
+    def check(self, elements, message, kind="simplex"):
+        mesh = Mesh(2, self.BASE.vertices, elements, element_kind=kind)
+        with pytest.raises(ValueError) as info:
+            mesh.validate()
+        assert str(info.value) == message
+
+    def test_each_check_and_its_message(self):
+        E = list(self.BASE.elements)
+        self.check(E[:3] + [(0, 1, 99)], "element 3 references a vertex out of range")
+        self.check(E[:2] + [(0, -1, 3)], "element 2 references a vertex out of range")
+        self.check(E[:5] + [E[1][::-1]], "element 5 duplicates another element's vertex set")
+        self.check(E[:4] + [(0, 1)], "element 4 is not a 2-simplex")
+        self.check(E[:6] + [(E[6][1], E[6][0], E[6][2])], "element 6 has non-positive volume")
+        self.check([(0, 1, 4, 3), (1, 2, 5, 4), (3, 0, 1, 4)],
+                   "element 2 duplicates another element's vertex set", kind="polygon")
+
+    def test_lowest_element_first_check(self):
+        E = list(self.BASE.elements)
+        # element 2 is both a duplicate and too short; element 3 is out of range
+        self.check(E[:2] + [(E[1][1], E[1][0], E[1][2], E[1][0]), (0, 1, 99)],
+                   "element 2 duplicates another element's vertex set")
+        self.check(E[:4] + [(0, 1), (0, 1, 99)], "element 4 is not a 2-simplex")
+
+
 class TestMshIO:
     def test_parse_fixture(self):
         mesh = parse_msh(MSH_FIXTURE.encode())

@@ -52,7 +52,7 @@ class TestBuildPatch:
         # gets exactly those neighbors at t=5
         mesh = generate_cube_tet(3)
         topo = build_topology(mesh)
-        barys = np.array([g.barycenter for g in all_geometries(mesh)])
+        barys = all_geometries(mesh).barycenters
         chosen = None
         for K in range(mesh.num_elements):
             nbs = topo.neighbors[K]
@@ -93,8 +93,7 @@ class TestBuildPatch:
         # the center than the farthest chosen member added last
         mesh = generate_square_tri(4)
         topo = build_topology(mesh)
-        barys = np.array([g.barycenter for g in all_geometries(mesh)])
-        patch = build_patch(mesh, topo, 10, 5, barys)
+        patch = build_patch(mesh, topo, 10, 5)
         assert patch.members[0] == 10
         assert len(patch.members) == len(set(patch.members)) == 5
         assert patch.nodes.shape == (5, 2)
@@ -118,12 +117,10 @@ class TestBuildPatch:
         for n in (4, 8):
             mesh = generate_square_tri(n)
             topo = build_topology(mesh)
-            geoms = all_geometries(mesh)
-            barys = np.array([g.barycenter for g in geoms])
-            h = max(g.diameter for g in geoms)
+            h = all_geometries(mesh).h
             t = default_patch_size(1, 2)
             dmax = max(
-                build_patch(mesh, topo, K, t, barys).diameter
+                build_patch(mesh, topo, K, t).diameter
                 for K in range(mesh.num_elements)
             )
             assert dmax <= 10 * h
