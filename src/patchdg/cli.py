@@ -10,7 +10,6 @@ plus optional legacy-VTK eigenfunction exports.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -20,7 +19,8 @@ import numpy as np
 from . import analysis
 from .assembly import FormConfig
 from .errors import PatchDGError
-from .mesh import build_topology, generate_cube_tet, generate_square_tri, parse_msh, parse_poly
+from .mesh import (build_topology, cell_table, generate_cube_tet, generate_square_tri,
+                   parse_msh, parse_poly)
 from .quadrature import MAX_ORDER
 from .reconstruction import build_space
 
@@ -113,8 +113,6 @@ def _check_degree(cfg, mesh):
 def _fmt(x):
     if x is None:
         return ""
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return f"{x:.12g}"
 
 
@@ -143,6 +141,14 @@ def _write_csv(path, header, rows):
 # VTK export
 # --------------------------------------------------------------------------
 
+def _format_lines(values, counts, spec="%.12g"):
+    """Lines of ``counts[i]`` space-separated numbers each, from the flat
+    ``values``, with one %-format (``"%.12g" % x`` prints what ``_fmt``
+    prints for floats)."""
+    templates = {c: " ".join([spec] * c) for c in set(counts)}
+    return "\n".join([templates[c] for c in counts]) % tuple(values)
+
+
 def export_vtk(mesh, space, vector, path):
     """Legacy ASCII VTK with duplicated per-element points.
 
@@ -154,40 +160,35 @@ def export_vtk(mesh, space, vector, path):
     if len(vector) != mesh.num_elements:
         raise ValueError("vector length must equal the element count")
     # one batch: every element at its own vertices, short polygon loops
-    # padded by repeating their first vertex
-    width = max(len(el) for el in mesh.elements)
-    loops = np.array([el + el[:1] * (width - len(el)) for el in mesh.elements])
-    vals = space.evaluate(vector, np.arange(mesh.num_elements), mesh.vertices[loops])
-    points, cells, types, pdata = [], [], [], []
-    for K, el in enumerate(mesh.elements):
-        start = len(points)
-        for c, v in zip(mesh.vertices[list(el)], vals[K]):
-            points.append(list(c) + [0.0] * (3 - mesh.dim))
-            pdata.append(float(v))
-        cells.append([len(el)] + list(range(start, start + len(el))))
-        if mesh.element_kind == "polygon":
-            types.append(7)
-        else:
-            types.append(5 if mesh.dim == 2 else 10)
+    # padded by repeating their first vertex; the padding is dropped again
+    n = mesh.num_elements
+    table, lengths = cell_table(mesh.elements)
+    vals = space.evaluate(vector, np.arange(n), mesh.vertices[table])
+    present = np.arange(table.shape[1]) < lengths[:, None]
+    n_points = int(lengths.sum())
+    points = np.zeros((n_points, 3))
+    points[:, :mesh.dim] = mesh.vertices[table[present]]
+    # cell rows: the vertex count, then the element's consecutive point ids
+    starts = np.cumsum(lengths) - lengths
+    cells = np.column_stack([lengths, starts[:, None] + np.arange(table.shape[1])])
+    cells = cells[np.column_stack([np.ones(n, dtype=bool), present])]
+    cell_type = 7 if mesh.element_kind == "polygon" else (5 if mesh.dim == 2 else 10)
 
     out = ["# vtk DataFile Version 3.0", "patchdg reconstructed field", "ASCII",
-           "DATASET UNSTRUCTURED_GRID", f"POINTS {len(points)} double"]
-    for p in points:
-        out.append(" ".join(_fmt(c) for c in p))
-    size = sum(len(c) for c in cells)
-    out.append(f"CELLS {len(cells)} {size}")
-    for c in cells:
-        out.append(" ".join(str(i) for i in c))
-    out.append(f"CELL_TYPES {len(cells)}")
-    out.extend(str(t) for t in types)
-    out.append(f"POINT_DATA {len(points)}")
-    out.append("SCALARS reconstructed double 1")
-    out.append("LOOKUP_TABLE default")
-    out.extend(_fmt(v) for v in pdata)
-    out.append(f"CELL_DATA {len(cells)}")
-    out.append("SCALARS sample double 1")
-    out.append("LOOKUP_TABLE default")
-    out.extend(_fmt(v) for v in vector)
+           "DATASET UNSTRUCTURED_GRID", f"POINTS {n_points} double",
+           _format_lines(points.ravel().tolist(), [3] * n_points),
+           f"CELLS {n} {n_points + n}",
+           _format_lines(cells.tolist(), (lengths + 1).tolist(), "%d"),
+           f"CELL_TYPES {n}",
+           "\n".join([str(cell_type)] * n),
+           f"POINT_DATA {n_points}",
+           "SCALARS reconstructed double 1",
+           "LOOKUP_TABLE default",
+           _format_lines(vals[present].tolist(), [1] * n_points),
+           f"CELL_DATA {n}",
+           "SCALARS sample double 1",
+           "LOOKUP_TABLE default",
+           _format_lines(vector.tolist(), [1] * n)]
     try:
         _write_atomic(path, "\n".join(out) + "\n")
     except OSError as exc:

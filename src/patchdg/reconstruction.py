@@ -64,8 +64,23 @@ def monomial_basis(m, dim):
 
 
 def vandermonde(basis, points):
-    """V[..., j] = y ** alpha_j for points y of shape (..., dim)."""
-    powers = np.asarray(points, dtype=float)[..., None] ** np.arange(basis.m + 1)
+    """V[..., j] = y ** alpha_j for points y of shape (..., dim).
+
+    Powers 0 and 1 are exact (1 and y).  Higher powers keep numpy's vector
+    ``pow``, called with an exponent array of the data's own shape:
+    products, and the ``y * y`` fast path numpy takes for a lone or
+    broadcast exponent 2, round differently and would change the last
+    digits of every table.
+    """
+    y = np.asarray(points, dtype=float)
+    powers = np.empty(y.shape + (basis.m + 1,))
+    powers[..., 0] = 1.0
+    if basis.m >= 1:
+        powers[..., 1] = y
+    exponent = np.empty_like(y)
+    for k in range(2, basis.m + 1):
+        exponent.fill(k)
+        np.power(y, exponent, out=powers[..., k])
     V = powers[..., 0, basis.exponents[:, 0]]
     for d in range(1, basis.dim):
         V = V * powers[..., d, basis.exponents[:, d]]
@@ -75,8 +90,9 @@ def vandermonde(basis, points):
 @lru_cache(maxsize=None)
 def _table_operators(m, dim):
     """Per table kind: the stacked maps from a coefficient vector c to the
-    coefficients ``op @ c`` of its derivatives, and the power of the patch
-    scale that the chain rule divides by."""
+    coefficients ``op @ c`` of its derivatives (None for the values
+    themselves), and the power of the patch scale that the chain rule
+    divides by."""
     basis = monomial_basis(m, dim)
     index = {tuple(e): i for i, e in enumerate(basis.exponents)}
     D = np.zeros((dim, len(basis), len(basis)))
@@ -88,7 +104,7 @@ def _table_operators(m, dim):
                 D[d, index[tuple(lowered)], i] = e[d]
     L = sum(D[d] @ D[d] for d in range(dim))
     return {
-        "val": (np.eye(len(basis))[None], 0),
+        "val": (None, 0),
         "grad": (D, 1),
         "lap": (L[None], 2),
         "gradlap": (D @ L, 3),
@@ -111,7 +127,10 @@ def tabulate(coeffs, origin, scale, points, m, kinds=("val",)):
     out = {}
     for kind in kinds:
         ops, power = _table_operators(m, dim)[kind]
-        T = np.moveaxis((V @ ops) @ C, 1, -1) / scale[:, None, None, None] ** power
+        T = V @ C if ops is None else (V @ ops) @ C        # (B, 1 or dim, q, s)
+        if power:
+            T /= scale[:, None, None, None] ** power
+        T = np.moveaxis(T, 1, -1)
         out[kind] = T[..., 0] if kind in ("val", "lap") else T
     return out
 

@@ -3,8 +3,9 @@ import pytest
 
 from patchdg import cli
 from patchdg.cli import export_vtk, main
-from patchdg.mesh import build_topology, generate_square_tri, write_msh
+from patchdg.mesh import build_topology, generate_cube_tet, generate_square_tri, write_msh
 from patchdg.reconstruction import build_space, interpolate
+from test_batched_setup import polygon_mesh
 
 
 def read_csv(path):
@@ -215,6 +216,48 @@ class TestVtkExport:
     def test_wrong_length_rejected(self, tmp_path, space):
         with pytest.raises(ValueError):
             export_vtk(space.mesh, space, np.ones(3), tmp_path / "b.vtk")
+
+
+def reference_vtk(mesh, space, vector):
+    """The per-element VTK writer that the array-built one replaced."""
+    fmt = lambda x: f"{x:.12g}"
+    width = max(len(el) for el in mesh.elements)
+    loops = np.array([el + el[:1] * (width - len(el)) for el in mesh.elements])
+    vals = space.evaluate(vector, np.arange(mesh.num_elements), mesh.vertices[loops])
+    points, cells, types, pdata = [], [], [], []
+    for K, el in enumerate(mesh.elements):
+        start = len(points)
+        for c, v in zip(mesh.vertices[list(el)], vals[K]):
+            points.append(list(c) + [0.0] * (3 - mesh.dim))
+            pdata.append(float(v))
+        cells.append([len(el)] + list(range(start, start + len(el))))
+        types.append(7 if mesh.element_kind == "polygon" else 5 if mesh.dim == 2 else 10)
+    out = ["# vtk DataFile Version 3.0", "patchdg reconstructed field", "ASCII",
+           "DATASET UNSTRUCTURED_GRID", f"POINTS {len(points)} double"]
+    out += [" ".join(fmt(c) for c in p) for p in points]
+    out.append(f"CELLS {len(cells)} {sum(len(c) for c in cells)}")
+    out += [" ".join(str(i) for i in c) for c in cells]
+    out.append(f"CELL_TYPES {len(cells)}")
+    out += [str(t) for t in types]
+    out += [f"POINT_DATA {len(points)}", "SCALARS reconstructed double 1", "LOOKUP_TABLE default"]
+    out += [fmt(v) for v in pdata]
+    out += [f"CELL_DATA {len(cells)}", "SCALARS sample double 1", "LOOKUP_TABLE default"]
+    out += [fmt(v) for v in vector]
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("make_mesh", [lambda: generate_square_tri(4),
+                                       lambda: generate_cube_tet(2), polygon_mesh],
+                         ids=["square:4", "cube:2", "polygon"])
+def test_vtk_matches_per_element_writer(tmp_path, make_mesh):
+    # the polygon mesh mixes triangles and quads, so its loops are padded
+    mesh = make_mesh()
+    space = build_space(mesh, build_topology(mesh), 2)
+    vector = np.random.default_rng(5).standard_normal(mesh.num_elements)
+    vector[:3] = [0.0, -0.0, 1e-300]
+    path = tmp_path / "f.vtk"
+    export_vtk(mesh, space, vector, path)
+    assert path.read_bytes() == reference_vtk(mesh, space, vector).encode()
 
 
 class TestAtomicWrites:

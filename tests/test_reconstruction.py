@@ -4,12 +4,15 @@ import pytest
 from patchdg.errors import RankDeficient
 from patchdg.mesh import build_topology, generate_cube_tet, generate_square_tri, parse_poly
 from patchdg.patch import Patch
+from patchdg.quadrature import MAX_ORDER
 from patchdg.reconstruction import (
+    _table_operators,
     build_space,
     fit_local,
     interpolate,
     monomial_basis,
     tabulate,
+    vandermonde,
 )
 
 
@@ -40,6 +43,66 @@ class TestMonomialBasis:
     def test_graded_lex_order_3d(self):
         exps = [tuple(e) for e in monomial_basis(1, 3).exponents]
         assert exps == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def reference_vandermonde(basis, points):
+    """The kernel's earlier Vandermonde: every power, 0 and 1 included,
+    through one broadcast ``pow``."""
+    powers = np.asarray(points, dtype=float)[..., None] ** np.arange(basis.m + 1)
+    V = powers[..., 0, basis.exponents[:, 0]]
+    for d in range(1, basis.dim):
+        V = V * powers[..., d, basis.exponents[:, d]]
+    return V
+
+
+def reference_tabulate(coeffs, origin, scale, points, m, kind):
+    """The kernel's earlier table: the values through the identity map and
+    every table divided by ``scale ** power``, power 0 included."""
+    dim = origin.shape[1]
+    basis = monomial_basis(m, dim)
+    y = (points - origin[:, None, :]) / scale[:, None, None]
+    V = reference_vandermonde(basis, y)[:, None]
+    C = coeffs.transpose(0, 2, 1)[:, None]
+    ops, power = _table_operators(m, dim)[kind]
+    if kind == "val":
+        ops = np.eye(len(basis))[None]
+    T = np.moveaxis((V @ ops) @ C, 1, -1) / scale[:, None, None, None] ** power
+    return T[..., 0] if kind in ("val", "lap") else T
+
+
+class TestKernelBits:
+    """The kernel skips only arithmetic whose result is known exactly, so it
+    must reproduce the earlier formulas bit for bit."""
+
+    @pytest.mark.parametrize("m, dim", [(m, dim) for dim in (1, 2, 3) for m in range(7)
+                                        if 2 * m <= MAX_ORDER[dim]])
+    def test_vandermonde(self, m, dim):
+        rng = np.random.default_rng(10 * m + dim)
+        y = rng.uniform(-1.5, 1.5, (6, 9, dim))
+        y.reshape(-1)[:5] = [0.0, -0.0, 1.0, -1.0, -0.5]
+        basis = monomial_basis(m, dim)
+        assert np.array_equal(vandermonde(basis, y), reference_vandermonde(basis, y))
+
+    @pytest.mark.parametrize("mesh_spec, m", [("square:8", 2), ("square:8", 3), ("cube:2", 2)])
+    def test_tabulate(self, mesh_spec, m):
+        kind, n = mesh_spec.split(":")
+        mesh = (generate_square_tri if kind == "square" else generate_cube_tet)(int(n))
+        space = build_space(mesh, build_topology(mesh), m)
+        barycenters = space.geometry.barycenters
+        for s, (_, coeffs) in space.tables.items():
+            elements = np.nonzero(space.size == s)[0]
+            # each element's vertices and barycenter, and points outside it
+            points = np.concatenate([mesh.vertices[np.array(mesh.elements)[elements]],
+                                     barycenters[elements, None],
+                                     barycenters[elements, None] + 0.3], axis=1)
+            args = (coeffs[space.row[elements]], space.origin[elements],
+                    space.scale[elements], points, m)
+            kinds = ("val", "grad", "lap", "gradlap")
+            tables = tabulate(*args, kinds)
+            for kind in kinds:
+                ref = reference_tabulate(*args, kind)
+                assert np.array_equal(tables[kind], ref), (s, kind)
+                assert tables[kind].strides == ref.strides, (s, kind)
 
 
 class TestFitLocal:
