@@ -20,15 +20,14 @@ def main():
 
     # --- one patch, grown element by element -----------------------------
     K = mesh.num_elements // 2 + 3
-    patch = build_patch(mesh, topo, K, t=9)
-    print(f"patch of element {K}: members {patch.members}")
-    print(f"  diameter d_K = {patch.diameter:.4f} "
-          f"(vs element diameter {pdg.element_geometry(mesh, K).diameter:.4f})")
+    patch = build_patch(mesh, topo, [K], t=9)  # a batch of one patch
+    print(f"patch of element {K}: members {patch.members[0].tolist()}")
+    print(f"  diameter d_K = {patch.diameters[0]:.4f} "
+          f"(vs element diameter {topo.geometry.diameters[K]:.4f})")
 
-    # --- the local fit und its shape functions ---------------------------
-    coeffs, origin, scale = fit_local(patch, 2)
-    pts = patch.nodes[:1]
-    vals = tabulate(coeffs[None], origin[None], np.array([scale]), pts[None], 2)["val"]
+    # --- the local fit and its shape functions ---------------------------
+    coeffs, origin, scale, _ = fit_local(patch, 2)
+    vals = tabulate(coeffs, origin, scale, patch.nodes[:, :1], 2)["val"]
     print(f"  shape-function values at the sampling node sum to "
           f"{vals.sum():.12f} (partition of unity)")
 

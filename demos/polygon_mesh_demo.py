@@ -32,11 +32,11 @@ def main():
     mesh = pdg.parse_poly(quad_mesh_text(12))
     print(f"parsed polygon mesh: {mesh.num_elements} quads, "
           f"{mesh.num_vertices} vertices")
-    geom = pdg.element_geometry(mesh, 0)
-    print(f"cell 0: centroid {np.round(geom.barycenter, 4)}, "
-          f"area {geom.measure:.6f}, {len(geom.sub_simplices)} fan triangles")
-
     topo = pdg.build_topology(mesh)
+    geom = topo.geometry
+    print(f"cell 0: centroid {np.round(geom.barycenters[0], 4)}, "
+          f"area {geom.measures[0]:.6f}, {(geom.sub_owner == 0).sum()} fan triangles")
+
     space = pdg.build_space(mesh, topo, 2)
     cfg = pdg.FormConfig(problem="laplace", m=2)
     result, A, M = pdg.compute_spectrum(space, cfg, k=6)

@@ -38,11 +38,11 @@ from .assembly import (
 )
 from .eigensolve import EigenResult, solve_dense, solve_smallest
 from .mesh import (
-    ElementGeometry,
     FaceTopology,
+    Geometry,
     Mesh,
+    all_geometries,
     build_topology,
-    element_geometry,
     generate_cube_tet,
     generate_square_tri,
     mesh_size,

@@ -69,6 +69,8 @@ class FormConfig:
         else:
             if self.bc not in ("clamped", "simply_supported"):
                 raise ValueError(f"unknown biharmonic bc {self.bc!r}")
+            if self.m < 2:
+                raise ValueError("degree must be >= 2 for the fourth-order form")
         if min(self.eta, self.alpha, self.beta) <= 0.0:
             raise ValueError("penalty bases must be positive")
 

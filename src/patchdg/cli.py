@@ -47,28 +47,47 @@ class RunConfig:
     alpha: float = 5.0
     beta: float = 2.5
     tol: float = 1e-9
-    threads: int = 1  # accepted and validated for compatibility; has no effect
     vtk: int = 0
     output: str = "."
     rate_threshold: float = 1.0
 
     def __post_init__(self):
+        """Reject bad values before any mesh work."""
         if not self.bc:
             self.bc = "homogeneous_dirichlet" if self.problem == "laplace" else "simply_supported"
-        if self.problem == "laplace" and self.m < 1:
-            raise ConfigError("degree must be >= 1 for the second-order problem")
-        if self.problem == "biharmonic" and self.m < 2:
-            raise ConfigError("degree must be >= 2 for the fourth-order problem")
+        try:
+            self.form()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.k < 1:
             raise ConfigError("k must be >= 1")
-        if min(self.eta, self.alpha, self.beta) <= 0:
-            raise ConfigError("penalties must be positive")
+        if self.t is not None and self.t < 1:
+            raise ConfigError("patch size t must be >= 1")
+        if self.tol <= 0:
+            raise ConfigError("tol must be positive")
+        meshes = len(_mesh_specs(self.mesh))
+        if self.command in ("convergence", "reliable") and meshes < 2:
+            raise ConfigError(f"{self.command} needs at least two meshes")
+        if self.command in ("solve", "mesh-info") and meshes > 1:
+            raise ConfigError(f"{self.command} takes one mesh")
 
     def form(self):
         return FormConfig(
             problem=self.problem, bc=self.bc, m=self.m,
             eta=self.eta, alpha=self.alpha, beta=self.beta,
         )
+
+
+def _mesh_specs(spec):
+    """The single-mesh specs of 'square:4,8,16', 'cube:n' or comma-separated
+    paths; generated sizes must be integers >= 1."""
+    if not spec.startswith(("square:", "cube:")):
+        return spec.split(",")
+    kind, sizes = spec.split(":", 1)
+    sizes = sizes.split(",")
+    if not all(n.strip().isdecimal() and int(n) > 0 for n in sizes):
+        raise ConfigError(f"mesh sizes must be integers >= 1: {spec}")
+    return [f"{kind}:{n}" for n in sizes]
 
 
 def _load_mesh_one(spec):
@@ -88,10 +107,7 @@ def _load_mesh_one(spec):
 
 def _load_mesh_seq(spec):
     """A refinement sequence: 'square:4,8,16' or comma-separated paths."""
-    if spec.startswith(("square:", "cube:")):
-        kind, sizes = spec.split(":", 1)
-        return [_load_mesh_one(f"{kind}:{s}") for s in sizes.split(",")]
-    return [_load_mesh_one(p) for p in spec.split(",")]
+    return [_load_mesh_one(s) for s in _mesh_specs(spec)]
 
 
 def _domain_of(spec):
@@ -242,8 +258,6 @@ def _cmd_convergence(cfg):
 
 def _cmd_reliable(cfg):
     meshes = _load_mesh_seq(cfg.mesh)
-    if len(meshes) < 2:
-        raise ConfigError("reliable needs at least two meshes (2h and h)")
     _check_degree(cfg, meshes[0])
     domain = _domain_of(cfg.mesh)
     form = cfg.form()
@@ -319,7 +333,7 @@ _COMMANDS = {
 _FILE_KEYS = {
     "problem": str, "bc": str, "m": int, "t": int, "mesh": str, "k": int,
     "target": int, "eta": float, "alpha": float, "beta": float, "tol": float,
-    "threads": int, "vtk": int, "output": str, "rate_threshold": float,
+    "vtk": int, "output": str, "rate_threshold": float,
 }
 
 
@@ -363,7 +377,6 @@ def _build_parser():
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--beta", type=float, default=None)
         p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--vtk", type=int, default=None, help="export this many eigenfunctions")
         p.add_argument("--output", default=None)
         p.add_argument("--rate-threshold", dest="rate_threshold", type=float, default=None)
@@ -379,13 +392,6 @@ def build_config(argv):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if args.command != "mesh-info" and "threads" not in values:
-        env = os.environ.get("PATCHDG_THREADS")
-        if env:
-            try:
-                values["threads"] = int(env)
-            except ValueError:
-                raise ConfigError(f"PATCHDG_THREADS is not an integer: {env!r}")
     if not values.get("mesh"):
         raise ConfigError("a mesh source is required (--mesh or mesh= in the config file)")
     try:
@@ -402,10 +408,7 @@ def run(cfg):
 def main(argv=None):
     try:
         cfg = build_config(argv if argv is not None else sys.argv[1:])
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError,) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

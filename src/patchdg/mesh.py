@@ -3,11 +3,10 @@
 A mesh stores vertices and element connectivity only.  Everything derived
 (face adjacency, normals, barycenters, sub-simplices) is computed in
 stacked arrays for all elements at once: :func:`all_geometries` once per
-mesh, kept by :func:`build_topology` on the topology for every later stage
-(:func:`element_geometry` is the same code for one element).  All constructors fix
-simplex orientation so signed volumes are positive, and polygon cells must
-be star-shaped with respect to their centroid so the fan sub-triangulation
-is valid.
+mesh, kept by :func:`build_topology` on the topology for every later stage.
+All constructors fix simplex orientation so signed volumes are positive,
+and polygon cells must be star-shaped with respect to their centroid so the
+fan sub-triangulation is valid.
 """
 
 from __future__ import annotations
@@ -97,16 +96,6 @@ class Mesh:
 
 
 @dataclass
-class ElementGeometry:
-    """Barycenter, diameter, measure and simplex tiling of one element."""
-
-    barycenter: np.ndarray
-    diameter: float
-    measure: float
-    sub_simplices: np.ndarray  # (ns, dim+1, dim) vertex coordinates
-
-
-@dataclass
 class Geometry:
     """Barycenters (N, dim), diameters (N,) and measures (N,) of every
     element, and the simplex tiling of all of them: ``sub_simplices``
@@ -149,10 +138,6 @@ class FaceTopology:
     @property
     def num_faces(self):
         return len(self.faces)
-
-    @property
-    def interior(self):
-        return ~self.boundary
 
     def interior_faces(self):
         return np.nonzero(~self.boundary)[0]
@@ -206,15 +191,13 @@ def cell_table(elements):
     return np.array([el + el[:1] * (w - len(el)) for el in elements], dtype=int), lengths
 
 
-def simplex_volume(coords):
-    """Signed measure of a simplex given its (dim+1, dim) vertex array."""
-    return float(_volumes(np.asarray(coords, dtype=float)[None])[0])
-
-
-def _orient_simplex(el, vertices):
-    if simplex_volume(vertices[list(el)]) < 0.0:
-        el = el[:-2] + (el[-1], el[-2])
-    return el
+def _orient(cells, vertices):
+    """Simplex vertex-id rows, the last two ids swapped in every row whose
+    signed volume is negative."""
+    cells = np.array(cells, dtype=int)
+    flip = _volumes(vertices[cells]) < 0.0
+    cells[flip, -2:] = cells[flip, :-3:-1]
+    return cells
 
 
 def _polygon_area(coords):
@@ -280,17 +263,15 @@ def generate_cube_tet(n):
     for k in range(n):
         for j in range(n):
             for i in range(n):
-                base = np.array([i, j, k])
                 for perm in _KUHN_PERMS:
                     # walk from the low corner to the high corner along perm
-                    path = [base.copy()]
+                    corner = [i, j, k]
+                    path = [vid(*corner)]
                     for axis in perm:
-                        nxt = path[-1].copy()
-                        nxt[axis] += 1
-                        path.append(nxt)
-                    el = tuple(vid(*p) for p in path)
-                    elements.append(_orient_simplex(el, verts))
-    return Mesh(3, verts, elements).validate()
+                        corner[axis] += 1
+                        path.append(vid(*corner))
+                    elements.append(path)
+    return Mesh(3, verts, _orient(elements, verts)).validate()
 
 
 # --------------------------------------------------------------------------
@@ -367,16 +348,12 @@ def parse_msh(text):
 
     raw = tris if tris else tets
     dim = 2 if tris else 3
-    elements = []
-    for nodes in raw:
-        try:
-            el = tuple(id_map[n] for n in nodes)
-        except KeyError as missing:
-            raise DanglingNode(f"element references missing node {missing}") from None
-        elements.append(el)
+    try:
+        elements = [[id_map[n] for n in nodes] for nodes in raw]
+    except KeyError as missing:
+        raise DanglingNode(f"element references missing node {missing}") from None
     verts = coords[:, :dim]
-    elements = [_orient_simplex(el, verts) for el in elements]
-    return Mesh(dim, verts, elements).validate()
+    return Mesh(dim, verts, _orient(elements, verts)).validate()
 
 
 def write_msh(mesh):
@@ -561,13 +538,6 @@ def _geometry(mesh, elements):
             raise DegenerateElement(f"polygon {elements[i]} has area {area[i]:g}")
         raise NotStarShaped(f"polygon {elements[i]} is not star-shaped about its centroid")
     return Geometry(centroid, h, area, fans, np.repeat(elements, lengths))
-
-
-def element_geometry(mesh, K):
-    """Barycenter, diameter, measure and a simplex tiling of element K."""
-    g = _geometry(mesh, [K])
-    return ElementGeometry(g.barycenters[0], float(g.diameters[0]), float(g.measures[0]),
-                           g.sub_simplices)
 
 
 def all_geometries(mesh):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PatchExhausted, RankDeficient
-from .mesh import cell_table, diameters, element_geometry, rowdot
+from .mesh import _geometry, cell_table, diameters, rowdot
 from .quadrature import element_rule
 
 # patches per batch of the pairwise-distance array behind patch diameters
@@ -25,6 +25,8 @@ DIAMETER_CHUNK = 32
 
 @dataclass
 class Patch:
+    """One element's patch, as ``ReconstructedSpace.patches`` lists them."""
+
     center: int
     members: list        # element ids, members[0] == center
     nodes: np.ndarray    # (t, dim) sampling-node coordinates
@@ -50,9 +52,10 @@ class Patches:
     nodes: np.ndarray      # (B, t, dim)
     diameters: np.ndarray  # (B,)
 
-    def __getitem__(self, i):
-        return Patch(int(self.centers[i]), self.members[i].tolist(), self.nodes[i],
-                     float(self.diameters[i]))
+    def take(self, rows):
+        """The batch of the given rows."""
+        return Patches(self.centers[rows], self.members[rows], self.nodes[rows],
+                       self.diameters[rows])
 
     def exhausted(self):
         """Rows whose patch could not be filled."""
@@ -97,15 +100,14 @@ def patch_diameters(mesh, members):
 
 
 def build_patch(mesh, topology, K, t):
-    """Grow the patch of element K to exactly t members.
+    """Grow the patches of the elements K (an id array) to exactly t members.
 
-    For an array K the patches of all its elements grow together and come
-    back as :class:`Patches`, exhausted rows included; a single element
-    gives a :class:`Patch` or raises :class:`PatchExhausted`.
+    The patches grow together and come back as :class:`Patches`, exhausted
+    rows included.
     """
     if t < 1:
         raise ValueError("patch size must be >= 1")
-    centers = np.atleast_1d(np.asarray(K, dtype=int))
+    centers = np.asarray(K, dtype=int)
     adjacency, barycenters = topology.adjacency, topology.geometry.barycenters
     members = np.full((len(centers), t), -1)
     members[:, 0] = centers
@@ -126,29 +128,24 @@ def build_patch(mesh, topology, K, t):
         pool = np.concatenate([pool, new], axis=1)
         dist = np.concatenate(
             [dist, np.where(new >= 0, _distances(barycenters, new, centers), np.inf)], axis=1)
-    patches = Patches(centers, members, barycenters[members], patch_diameters(mesh, members))
-    if np.ndim(K):
-        return patches
-    if len(patches.exhausted()):
-        raise patches.exhausted_error(0)
-    return patches[0]
+    return Patches(centers, members, barycenters[members], patch_diameters(mesh, members))
 
 
 def grow_patch(mesh, topology, patch):
-    """Add one full ring of Von Neumann neighbors to an existing patch.
+    """Add one full ring of Von Neumann neighbors to a batch of one patch.
 
     Used as the recovery step when a least-squares fit on the patch turns
     out rank deficient.
     """
     barycenters = topology.geometry.barycenters
-    ring = np.setdiff1d(topology.adjacency[patch.members], [-1, *patch.members])
+    members = patch.members[0]
+    ring = np.setdiff1d(topology.adjacency[members], [-1, *members])
     if not len(ring):
-        raise PatchExhausted(f"element {patch.center}: no further neighbors to grow into")
-    d = barycenters[ring] - patch.nodes[0]
+        raise PatchExhausted(f"element {patch.centers[0]}: no further neighbors to grow into")
+    d = barycenters[ring] - patch.nodes[0, 0]
     ring = ring[np.lexsort((ring, np.sqrt(rowdot(d, d))))]
-    members = patch.members + ring.tolist()
-    return Patch(patch.center, members, barycenters[members],
-                 float(patch_diameters(mesh, np.array([members]))[0]))
+    members = np.concatenate([members, ring])[None]
+    return Patches(patch.centers, members, barycenters[members], patch_diameters(mesh, members))
 
 
 def lambda_constant(mesh, patch, m, sample_order=None):
@@ -165,14 +162,10 @@ def lambda_constant(mesh, patch, m, sample_order=None):
     origin = patch.nodes[0]
     scale = patch.diameter if patch.diameter > 0 else 1.0
 
-    samples = [patch.nodes]
     order = sample_order if sample_order is not None else max(2 * m, 2)
-    for K in patch.members:
-        geom = element_geometry(mesh, K)
-        pts, _ = element_rule(geom, order)
-        samples.append(pts)
-        samples.append(mesh.element_coords(K))
-    Y = (np.concatenate(samples) - origin) / scale
+    pts, _ = element_rule(_geometry(mesh, patch.members), order)
+    vertices = mesh.vertices[np.concatenate([mesh.elements[K] for K in patch.members])]
+    Y = (np.concatenate([patch.nodes, pts, vertices]) - origin) / scale
 
     V_nodes = vandermonde(basis, (patch.nodes - origin) / scale)
     s = np.linalg.svd(V_nodes, compute_uv=False)

@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import PatchExhausted, RankDeficient
-from .patch import Patch, Patches, build_patch, default_patch_size, grow_patch
+from .patch import Patch, build_patch, default_patch_size, grow_patch
 
 RCOND = 1e-10  # numerical-rank threshold for unisolvence
 
@@ -135,26 +135,21 @@ def tabulate(coeffs, origin, scale, points, m, kinds=("val",)):
     return out
 
 
-def fit_local(patch, m):
-    """Solve the sampling-node least-squares fit of degree m on a patch.
+def fit_local(patches, m):
+    """Solve the sampling-node least-squares fits of degree m on a
+    :class:`Patches` batch, with one stacked SVD.
 
-    Returns the coefficient table (t, n_terms) and its frame: the origin
-    (the center's sampling node) and the scale (the patch diameter).
-    Raises RankDeficient when the numerical rank of the node Vandermonde
-    matrix falls short of dim P^m (unisolvence failure).
-
-    A :class:`Patches` batch is fitted with one stacked SVD and gives
-    ``(coeffs (B, t, n_terms), origin (B, dim), scale (B,), ok (B,))``:
-    rows that fail the rank test have ``ok`` False and zero coefficients,
-    and are left to the caller.  A single patch is a batch of one.
+    Returns the coefficient tables (B, t, n_terms), their frames, the
+    origins (B, dim) (the centers' sampling nodes) and scales (B,) (the
+    patch diameters), and ``ok`` (B,).  A row whose node Vandermonde matrix
+    has numerical rank short of dim P^m (unisolvence failure, always the
+    case for t < dim P^m) has ``ok`` False and zero coefficients, and is
+    left to the caller.
     """
-    batch = patch if isinstance(patch, Patches) else Patches(
-        np.array([patch.center]), np.array([patch.members]),
-        np.asarray(patch.nodes, dtype=float)[None], np.array([patch.diameter], dtype=float))
-    nodes = batch.nodes
+    nodes = patches.nodes
     basis = monomial_basis(m, nodes.shape[2])
     origin = nodes[:, 0].copy()
-    scale = np.where(batch.diameters > 0, batch.diameters, 1.0)
+    scale = np.where(patches.diameters > 0, patches.diameters, 1.0)
     coeffs = np.zeros(nodes.shape[:2] + (len(basis),))
     ok = np.zeros(len(nodes), dtype=bool)
     if nodes.shape[1] >= len(basis):
@@ -163,16 +158,7 @@ def fit_local(patch, m):
         ok = ~(s[:, -1] <= RCOND * s[:, 0])
         pinv = (Vt[ok].transpose(0, 2, 1) / s[ok, None, :]) @ U[ok].transpose(0, 2, 1)
         coeffs[ok] = pinv.transpose(0, 2, 1)
-    if isinstance(patch, Patches):
-        return coeffs, origin, scale, ok
-    if nodes.shape[1] < len(basis):
-        raise RankDeficient(
-            f"patch of element {patch.center} has {patch.size} nodes, "
-            f"needs at least {len(basis)} for degree {m}"
-        )
-    if not ok[0]:
-        raise RankDeficient(f"patch of element {patch.center} is numerically rank deficient")
-    return coeffs[0], origin[0], scale[0]
+    return coeffs, origin, scale, ok
 
 
 class ReconstructedSpace:
@@ -291,21 +277,26 @@ class ReconstructedSpace:
 
 
 def _refit(mesh, topology, patch, m, retries=3):
-    """Grow a patch whose fit was rank deficient by one neighbor ring and
-    refit, up to ``retries`` times; the last failure propagates."""
-    for attempt in range(retries):
+    """Grow a patch (a batch of one) whose fit was rank deficient by one
+    neighbor ring and refit, up to ``retries`` times.  Returns the table,
+    its scale and the grown patch's members; the last failure raises."""
+    center = patch.centers[0]
+    for _ in range(retries):
         try:
             patch = grow_patch(mesh, topology, patch)
         except PatchExhausted:
             raise RankDeficient(
-                f"element {patch.center}: sampling nodes stay rank deficient "
+                f"element {center}: sampling nodes stay rank deficient "
                 f"and the mesh has no further elements to grow into"
             ) from None
-        try:
-            return fit_local(patch, m), patch
-        except RankDeficient:
-            if attempt == retries - 1:
-                raise
+        coeffs, _, scale, ok = fit_local(patch, m)
+        if ok[0]:
+            return coeffs[0], scale[0], patch.members[0]
+    size, n_terms = coeffs.shape[1:]
+    if size < n_terms:
+        raise RankDeficient(f"patch of element {center} has {size} nodes, "
+                            f"needs at least {n_terms} for degree {m}")
+    raise RankDeficient(f"patch of element {center} is numerically rank deficient")
 
 
 def build_space(mesh, topology, m, t=None):
@@ -327,8 +318,8 @@ def build_space(mesh, topology, m, t=None):
     stop = exhausted[0] if len(exhausted) else n
     grown = {}
     for K in np.nonzero(~ok[:stop])[0]:
-        (table, _, scale[K]), patch = _refit(mesh, topology, patches[K], m)
-        grown.setdefault(patch.size, []).append((K, patch.members, table))
+        table, scale[K], members = _refit(mesh, topology, patches.take([K]), m)
+        grown.setdefault(len(members), []).append((K, members, table))
     if stop < n:
         raise patches.exhausted_error(stop)
     groups = {t: (np.nonzero(ok)[0], patches.members[ok], coeffs[ok])} if ok.any() else {}

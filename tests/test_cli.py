@@ -105,16 +105,19 @@ class TestConfigFile:
         cfg.write_text("meshes=square:4\n")
         assert main(["solve", "--config", str(cfg)]) == 2
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PATCHDG_THREADS", "2")
-        out = tmp_path / "out"
-        code = main(["solve", "--mesh", "square:4", "--m", "1", "--k", "3",
-                     "--output", str(out)])
-        assert code == 0
-
-    def test_bad_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PATCHDG_THREADS", "lots")
-        assert main(["solve", "--mesh", "square:4", "--output", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--mesh", "square:abc"],
+        ["solve", "--mesh", "square:0"],
+        ["solve", "--mesh", "square:4", "--problem", "laplace", "--bc", "clamped"],
+        ["convergence", "--mesh", "square:4"],
+        ["solve", "--mesh", "square:4", "--t", "0"],
+        ["solve", "--mesh", "square:4", "--tol", "0"],
+    ])
+    def test_bad_values_exit_2_before_mesh_work(self, tmp_path, monkeypatch, argv):
+        monkeypatch.setattr(cli, "_load_mesh_one", lambda spec: pytest.fail("mesh loaded"))
+        out = tmp_path / "run"
+        assert main(argv + ["--output", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestConvergenceCommand:

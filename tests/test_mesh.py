@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,16 +15,26 @@ from patchdg.errors import (
 )
 from patchdg.mesh import (
     Mesh,
+    all_geometries,
     build_topology,
-    element_geometry,
     generate_cube_tet,
     generate_square_tri,
     parse_msh,
     parse_poly,
-    simplex_volume,
     write_msh,
     write_poly,
 )
+
+
+def signed_measures(coords):
+    """Signed measures of a batch of simplices, (B, dim+1, dim) vertices."""
+    coords = np.asarray(coords, dtype=float)
+    d = coords.shape[-1]
+    return np.linalg.det(coords[:, 1:] - coords[:, :1]) / math.factorial(d)
+
+
+def element_coords(mesh):
+    return mesh.vertices[np.array(mesh.elements)]
 
 MSH_FIXTURE = """$MeshFormat
 2.2 0 8
@@ -52,7 +64,7 @@ class TestGenerators:
     def test_area_conservation(self):
         mesh = generate_square_tri(2, side=np.pi)
         assert mesh.num_elements == 8
-        total = sum(simplex_volume(mesh.element_coords(K)) for K in range(8))
+        total = signed_measures(element_coords(mesh)).sum()
         assert abs(total - np.pi ** 2) < 1e-12
 
     def test_handshake_identity(self):
@@ -77,7 +89,7 @@ class TestGenerators:
     def test_cube_volume(self):
         mesh = generate_cube_tet(2)
         assert mesh.num_elements == 48
-        total = sum(simplex_volume(mesh.element_coords(K)) for K in range(48))
+        total = signed_measures(element_coords(mesh)).sum()
         assert abs(total - 1.0) < 1e-12
 
     def test_cube_face_incidence(self):
@@ -162,6 +174,15 @@ class TestMshIO:
         assert np.max(np.abs(back.vertices - mesh.vertices)) < 1e-12
         assert back.elements == mesh.elements
 
+    @pytest.mark.parametrize("mesh", [generate_square_tri(3), generate_cube_tet(2)])
+    def test_negative_elements_reoriented(self, mesh):
+        # every other element written with its last two vertices swapped
+        # comes back with them swapped back, the others unchanged
+        flipped = [el[:-2] + (el[-1], el[-2]) if K % 2 else el
+                   for K, el in enumerate(mesh.elements)]
+        text = write_msh(Mesh(mesh.dim, mesh.vertices, flipped))
+        assert parse_msh(text).elements == mesh.elements
+
     def test_round_trip_3d(self):
         mesh = generate_cube_tet(1)
         back = parse_msh(write_msh(mesh))
@@ -174,8 +195,7 @@ class TestPolyIO:
         text = "4 1\n0 0\n1 0\n1 1\n0 1\n4 0 1 2 3\n"
         mesh = parse_poly(text)
         assert mesh.num_elements == 1
-        geom = element_geometry(mesh, 0)
-        assert abs(geom.measure - 1.0) < 1e-12
+        assert abs(all_geometries(mesh).measures[0] - 1.0) < 1e-12
 
     def test_clockwise_rejected(self):
         text = "4 1\n0 0\n1 0\n1 1\n0 1\n4 3 2 1 0\n"
@@ -244,10 +264,10 @@ class TestTopology:
             n = topo.normals[f]
             assert abs(np.linalg.norm(n) - 1.0) < 1e-12
             kp, km = topo.sides[f]
-            bp = element_geometry(mesh, kp).barycenter
+            bp = topo.geometry.barycenters[kp]
             assert np.dot(n, center - bp) > 0
             if km >= 0:
-                bm = element_geometry(mesh, km).barycenter
+                bm = topo.geometry.barycenters[km]
                 assert np.dot(-n, center - bm) > 0
 
     def test_unit_normals_3d(self):
@@ -259,37 +279,36 @@ class TestTopology:
 class TestElementGeometry:
     def test_reference_triangle(self):
         mesh = Mesh(2, np.array([[0.0, 0], [1, 0], [0, 1]]), [(0, 1, 2)])
-        geom = element_geometry(mesh, 0)
-        assert np.allclose(geom.barycenter, [1 / 3, 1 / 3])
-        assert abs(geom.measure - 0.5) < 1e-14
-        assert abs(geom.diameter - np.sqrt(2)) < 1e-14
+        geom = all_geometries(mesh)
+        assert np.allclose(geom.barycenters[0], [1 / 3, 1 / 3])
+        assert abs(geom.measures[0] - 0.5) < 1e-14
+        assert abs(geom.diameters[0] - np.sqrt(2)) < 1e-14
 
     def test_unit_square_polygon(self):
         mesh = parse_poly("4 1\n0 0\n1 0\n1 1\n0 1\n4 0 1 2 3\n")
-        geom = element_geometry(mesh, 0)
-        assert np.allclose(geom.barycenter, [0.5, 0.5])
+        geom = all_geometries(mesh)
+        assert np.allclose(geom.barycenters[0], [0.5, 0.5])
         assert geom.sub_simplices.shape[0] == 4
-        areas = [simplex_volume(s) for s in geom.sub_simplices]
-        assert np.allclose(areas, 0.25)
+        assert geom.sub_owner.tolist() == [0] * 4
+        assert np.allclose(signed_measures(geom.sub_simplices), 0.25)
 
     def test_regular_hexagon(self):
         angles = np.linspace(0, 2 * np.pi, 7)[:-1]
         verts = np.column_stack([np.cos(angles), np.sin(angles)])
         lines = ["6 1"] + [f"{x:.17g} {y:.17g}" for x, y in verts] + ["6 0 1 2 3 4 5"]
         mesh = parse_poly("\n".join(lines) + "\n")
-        geom = element_geometry(mesh, 0)
-        assert abs(geom.measure - 3 * np.sqrt(3) / 2) < 1e-12
+        assert abs(all_geometries(mesh).measures[0] - 3 * np.sqrt(3) / 2) < 1e-12
 
     def test_sub_simplices_tile(self):
         mesh = parse_poly("4 1\n0 0\n2 0\n2 1\n0 1\n4 0 1 2 3\n")
-        geom = element_geometry(mesh, 0)
-        total = sum(simplex_volume(s) for s in geom.sub_simplices)
-        assert abs(total - geom.measure) < 1e-12 * geom.measure
+        geom = all_geometries(mesh)
+        total = signed_measures(geom.sub_simplices).sum()
+        assert abs(total - geom.measures[0]) < 1e-12 * geom.measures[0]
 
     def test_degenerate_rejected(self):
         mesh = Mesh(2, np.array([[0.0, 0], [1, 0], [2, 0]]), [(0, 1, 2)])
         with pytest.raises(DegenerateElement):
-            element_geometry(mesh, 0)
+            all_geometries(mesh)
 
 
 def test_domain_measures():
@@ -297,5 +316,5 @@ def test_domain_measures():
         (generate_square_tri(5), np.pi ** 2),
         (generate_cube_tet(3), 1.0),
     ):
-        total = sum(element_geometry(mesh, K).measure for K in range(mesh.num_elements))
+        total = all_geometries(mesh).measures.sum()
         assert abs(total - exact) < 1e-10 * exact

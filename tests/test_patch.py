@@ -43,9 +43,9 @@ class TestBuildPatch:
     def test_singleton(self):
         mesh = generate_square_tri(2)
         topo = build_topology(mesh)
-        patch = build_patch(mesh, topo, 3, 1)
-        assert patch.members == [3]
-        assert patch.size == 1
+        patch = build_patch(mesh, topo, [3], 1)
+        assert patch.members.tolist() == [[3]]
+        assert patch.nodes.shape == (1, 1, 2)
 
     def test_interior_tet_neighbors(self):
         # a tetrahedron whose 4 Von Neumann neighbors are strictly nearest
@@ -65,16 +65,16 @@ class TestBuildPatch:
                 chosen = K
                 break
         assert chosen is not None
-        patch = build_patch(mesh, topo, chosen, 5)
-        assert patch.members[0] == chosen
-        assert set(patch.members) == {chosen} | set(topo.neighbors[chosen])
+        members = build_patch(mesh, topo, [chosen], 5).members[0].tolist()
+        assert members[0] == chosen
+        assert set(members) == {chosen} | set(topo.neighbors[chosen])
 
     def test_corner_patch_connected(self):
         mesh = generate_square_tri(2)
         topo = build_topology(mesh)
         K = min(range(mesh.num_elements), key=lambda e: len(topo.neighbors[e]))
-        patch = build_patch(mesh, topo, K, 4)
-        assert len(set(patch.members)) == 4
+        members = set(build_patch(mesh, topo, [K], 4).members[0].tolist())
+        assert len(members) == 4
         # breadth-first reachability oracle: the member set must be connected
         reached = {K}
         frontier = [K]
@@ -82,35 +82,40 @@ class TestBuildPatch:
             nxt = []
             for e in frontier:
                 for nb in topo.neighbors[e]:
-                    if nb in set(patch.members) and nb not in reached:
+                    if nb in members and nb not in reached:
                         reached.add(nb)
                         nxt.append(nb)
             frontier = nxt
-        assert reached == set(patch.members)
+        assert reached == members
 
     def test_all_members_nearest_consistent(self):
         # every element outside the patch that neighbors it is no closer to
         # the center than the farthest chosen member added last
         mesh = generate_square_tri(4)
         topo = build_topology(mesh)
-        patch = build_patch(mesh, topo, 10, 5)
-        assert patch.members[0] == 10
-        assert len(patch.members) == len(set(patch.members)) == 5
-        assert patch.nodes.shape == (5, 2)
+        patch = build_patch(mesh, topo, [10], 5)
+        members = patch.members[0].tolist()
+        assert members[0] == 10
+        assert len(members) == len(set(members)) == 5
+        assert patch.nodes.shape == (1, 5, 2)
 
     def test_determinism(self):
         mesh = generate_square_tri(4)
         topo = build_topology(mesh)
-        a = build_patch(mesh, topo, 7, 6)
-        b = build_patch(mesh, topo, 7, 6)
-        assert a.members == b.members
+        a = build_patch(mesh, topo, [7], 6)
+        b = build_patch(mesh, topo, [7], 6)
+        assert np.array_equal(a.members, b.members)
         assert np.array_equal(a.nodes, b.nodes)
 
     def test_exhausted(self):
         mesh = generate_square_tri(1)
         topo = build_topology(mesh)
-        with pytest.raises(PatchExhausted):
-            build_patch(mesh, topo, 0, 10)
+        patch = build_patch(mesh, topo, [0], 10)
+        assert patch.exhausted().tolist() == [0]
+        assert patch.members[0].tolist() == [0, 1] + [-1] * 8
+        error = patch.exhausted_error(0)
+        assert isinstance(error, PatchExhausted)
+        assert str(error) == "element 0: only 2 connected elements reachable, need 10"
 
     def test_diameter_bound_on_uniform_meshes(self):
         # quasi-uniformity: max patch diameter stays a bounded multiple of h
@@ -119,25 +124,28 @@ class TestBuildPatch:
             topo = build_topology(mesh)
             h = all_geometries(mesh).h
             t = default_patch_size(1, 2)
-            dmax = max(
-                build_patch(mesh, topo, K, t).diameter
-                for K in range(mesh.num_elements)
-            )
+            dmax = build_patch(mesh, topo, np.arange(mesh.num_elements), t).diameters.max()
             assert dmax <= 10 * h
+
+
+def patch_of(mesh, topo, K, t):
+    """Element K's patch of size t as a :class:`Patch`, grown as a batch of one."""
+    batch = build_patch(mesh, topo, [K], t)
+    return Patch(K, batch.members[0].tolist(), batch.nodes[0], float(batch.diameters[0]))
 
 
 class TestLambdaConstant:
     def test_constant_reconstruction(self):
         mesh = generate_square_tri(2)
         topo = build_topology(mesh)
-        patch = build_patch(mesh, topo, 0, 3)
+        patch = patch_of(mesh, topo, 0, 3)
         lam = lambda_constant(mesh, patch, 0)
         assert abs(lam - 1.0) < 1e-12
 
     def test_at_least_one(self):
         mesh = generate_square_tri(3)
         topo = build_topology(mesh)
-        patch = build_patch(mesh, topo, 4, 5)
+        patch = patch_of(mesh, topo, 4, 5)
         lam = lambda_constant(mesh, patch, 1)
         assert lam >= 1.0 - 1e-12
 
@@ -145,7 +153,7 @@ class TestLambdaConstant:
         # nodes nearly on a line make the degree-1 Vandermonde ill-conditioned
         mesh = generate_square_tri(4)
         topo = build_topology(mesh)
-        patch = build_patch(mesh, topo, 0, 3)
+        patch = patch_of(mesh, topo, 0, 3)
         eps = 1e-8
         nodes = np.array([[0.0, 0.0], [1.0, eps], [2.0, -eps]])
         rigged = Patch(patch.center, patch.members, nodes, 2.0)
@@ -155,7 +163,7 @@ class TestLambdaConstant:
     def test_rank_deficient_exactly_collinear(self):
         mesh = generate_square_tri(4)
         topo = build_topology(mesh)
-        patch = build_patch(mesh, topo, 0, 3)
+        patch = patch_of(mesh, topo, 0, 3)
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         rigged = Patch(patch.center, patch.members, nodes, 2.0)
         with pytest.raises(RankDeficient):
@@ -172,6 +180,7 @@ def test_polygon_mesh_patches():
             lines.append(f"4 {v} {v+1} {v+4} {v+3}")
     mesh = parse_poly("\n".join(lines) + "\n")
     topo = build_topology(mesh)
-    patch = build_patch(mesh, topo, 0, 3)
-    assert patch.members[0] == 0
-    assert len(patch.members) == 3
+    members = build_patch(mesh, topo, [0], 3).members[0].tolist()
+    assert members[0] == 0
+    assert len(set(members)) == 3
+    assert -1 not in members

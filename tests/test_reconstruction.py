@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from patchdg.errors import RankDeficient
+from patchdg.errors import PatchExhausted, RankDeficient
 from patchdg.mesh import build_topology, generate_cube_tet, generate_square_tri, parse_poly
-from patchdg.patch import Patch
+from patchdg.patch import Patches
 from patchdg.quadrature import MAX_ORDER
 from patchdg.reconstruction import (
     _table_operators,
@@ -20,14 +20,14 @@ def mock_patch(nodes, center=0):
     nodes = np.asarray(nodes, dtype=float)
     diff = nodes[:, None, :] - nodes[None, :, :]
     diam = float(np.sqrt((diff ** 2).sum(-1)).max())
-    return Patch(center, list(range(len(nodes))), nodes, diam)
+    return Patches(np.array([center]), np.arange(len(nodes))[None], nodes[None], np.array([diam]))
 
 
 def fitted_values(fit, m, pts):
-    """(n_pts, t) shape-function values of one fit_local result."""
-    coeffs, origin, scale = fit
-    pts = np.asarray(pts, dtype=float)
-    return tabulate(coeffs[None], origin[None], np.array([scale]), pts[None], m)["val"][0]
+    """(n_pts, t) shape-function values of a fit_local result for a batch of one."""
+    coeffs, origin, scale, ok = fit
+    assert ok.all()
+    return tabulate(coeffs, origin, scale, np.asarray(pts, dtype=float)[None], m)["val"][0]
 
 
 class TestMonomialBasis:
@@ -112,11 +112,12 @@ class TestFitLocal:
         rng = np.random.default_rng(3)
         nodes = np.vstack([[0.0, 0, 0], rng.standard_normal((4, 3))])
         patch = mock_patch(nodes)
-        patch.diameter = 1.0  # unscaled frame, origin at node 0
-        coeffs, _, _ = fit_local(patch, 1)
+        patch.diameters[:] = 1.0  # unscaled frame, origin at node 0
+        coeffs, _, _, ok = fit_local(patch, 1)
         A = np.column_stack([np.ones(5), nodes])
         pinv = np.linalg.inv(A.T @ A) @ A.T
-        assert np.allclose(coeffs, pinv.T, atol=1e-10)
+        assert ok[0]
+        assert np.allclose(coeffs[0], pinv.T, atol=1e-10)
 
     def test_worked_3d_example_any_frame(self):
         # the fitted shape functions do not depend on the scaling frame
@@ -148,13 +149,27 @@ class TestFitLocal:
 
     def test_rank_deficient(self):
         nodes = np.array([[0.0, 0], [1, 0], [2, 0]])
-        with pytest.raises(RankDeficient):
-            fit_local(mock_patch(nodes), 1)
+        coeffs, _, _, ok = fit_local(mock_patch(nodes), 1)
+        assert not ok[0] and not coeffs.any()
 
     def test_too_few_nodes(self):
         nodes = np.array([[0.0, 0], [1, 0]])
-        with pytest.raises(RankDeficient):
-            fit_local(mock_patch(nodes), 1)
+        coeffs, _, _, ok = fit_local(mock_patch(nodes), 1)
+        assert not ok[0] and not coeffs.any()
+
+    def test_batch_rows_fail_alone(self):
+        # a failing row does not touch the fits of the other rows
+        good = np.array([[0.0, 0], [1, 0], [0, 1], [1, 1]])
+        bad = np.array([[0.0, 0], [1, 0], [2, 0], [3, 0]])
+        batch = Patches(np.arange(3), np.arange(12).reshape(3, 4),
+                        np.stack([good, bad, good + 5.0]), np.array([2.0, 3.0, 2.0]))
+        coeffs, origin, scale, ok = fit_local(batch, 1)
+        assert ok.tolist() == [True, False, True]
+        assert not coeffs[1].any()
+        for row in (0, 2):
+            alone = fit_local(batch.take([row]), 1)
+            assert np.array_equal(coeffs[row], alone[0][0])
+            assert np.array_equal(origin[row], alone[1][0]) and scale[row] == alone[2][0]
 
 
 @pytest.fixture(scope="module")
@@ -307,3 +322,38 @@ class TestBuildSpace:
         lines = path.read_text().splitlines()
         assert lines[0] == "element,node,exponents,coefficient"
         assert len(lines) == 1 + mesh.num_elements * space.t * 3
+
+
+def strip(n):
+    """A 1 x n strip of unit squares: every sampling node lies on one line."""
+    verts = [(x, y) for y in (0, 1) for x in range(n + 1)]
+    cells = [f"4 {i} {i + 1} {i + n + 2} {i + n + 1}" for i in range(n)]
+    lines = [f"{len(verts)} {n}"] + [f"{x} {y}" for x, y in verts] + cells
+    return parse_poly("\n".join(lines) + "\n")
+
+
+class TestPatchErrors:
+    """Each patch failure reaches build_space with its text and the lowest
+    failing element."""
+
+    @pytest.mark.parametrize("mesh, m, t, error, text", [
+        (strip(10), 3, 1, RankDeficient,
+         "patch of element 0 has 4 nodes, needs at least 10 for degree 3"),
+        (generate_square_tri(2), 4, 1, RankDeficient,
+         "patch of element 0 has 7 nodes, needs at least 15 for degree 4"),
+        (generate_cube_tet(2), 3, 1, RankDeficient,
+         "patch of element 6 has 11 nodes, needs at least 20 for degree 3"),
+        (strip(10), 1, 3, RankDeficient, "patch of element 0 is numerically rank deficient"),
+        (strip(4), 1, 3, RankDeficient,
+         "element 0: sampling nodes stay rank deficient and the mesh has no further "
+         "elements to grow into"),
+        (generate_square_tri(1), 1, 3, PatchExhausted,
+         "element 0: only 2 connected elements reachable, need 3"),
+        (generate_square_tri(2), 2, 9, PatchExhausted,
+         "element 0: only 8 connected elements reachable, need 9"),
+    ], ids=["too-few-strip", "too-few-square", "too-few-cube", "rank-deficient",
+            "no-ring-left", "exhausted-square1", "exhausted-square2"])
+    def test_text(self, mesh, m, t, error, text):
+        with pytest.raises(error) as caught:
+            build_space(mesh, build_topology(mesh), m, t=t)
+        assert str(caught.value) == text
