@@ -5,13 +5,14 @@ Element K couples every DOF in its patch, so local face blocks live on the
 union of the two side patches and global sparsity is the support-overlap
 graph of the space.
 
-Every form and norm runs on one batched path: volume terms batch over
-element sub-simplices (each carrying its owner element, so polygons need no
-separate path), face terms over interior and boundary faces, grouped so that
-each batch has one patch size per side and capped at ``CHUNK`` carriers.
-Local blocks are batched products of the shape tables from
-:func:`patchdg.reconstruction.tabulate`, and every matrix comes out of one
-lower-triangle build.
+Volume terms batch over element sub-simplices (each carrying its owner
+element, so polygons need no separate path), face terms over interior and
+boundary faces, at most ``CHUNK`` carriers per batch.  For matrices and load
+vectors each batch has one patch size per side: local blocks are batched
+products of the shape tables from :func:`patchdg.reconstruction.tabulate`,
+and every matrix comes out of one lower-triangle build.  Norms and Gram
+matrices need no grouping: :func:`measure` tabulates each field from its
+per-element monomial coefficients and keeps its values at every point.
 
 Only the lower triangle is stored (SymSparseMatrix), which makes symmetry
 exact by construction.  Local blocks are numerically symmetrized before
@@ -34,6 +35,7 @@ import scipy.sparse as sp
 
 from .errors import DegreeTooLow
 from .quadrature import MAX_ORDER, face_rule, map_rule, simplex_rule
+from .reconstruction import tabulate
 
 # Sub-simplices or faces per batch.  The batch's tables and local blocks
 # set the peak memory of assembly: 2048 faces of 3D fourth-order blocks
@@ -321,74 +323,98 @@ _PAIRINGS = {
 }
 
 
-def energy_product(space, p, fields, quad_order=None):
-    """Gram matrix of ``fields`` in the broken energy inner product; its
-    diagonal holds the squared broken energy norms.
+def measure(space, p, fields, quad_order=None, l2=False):
+    """Values of ``fields`` at every quadrature point of the broken energy
+    pairing p, from one pass over sub-simplices and faces in CHUNKs.
 
-    p=1: broken grad L2 pairing plus h^-1-weighted value-jump terms over all
-    faces.  p=2: broken Laplacian pairing plus h^-3 value jumps and h^-1
-    gradient (normal) jumps.  p=0: the element-wise L2 pairing.
-
-    A field is a DOF vector, an AnalyticField, or a pair (exact, vector)
-    standing for the pointwise difference exact - R vector.  Fields are
-    evaluated at the quadrature points and their products integrated, so
-    the norm of a difference is a direct integral of the difference.
+    A field is a DOF vector, an AnalyticField, or a pair (exact, vector) for
+    the pointwise difference exact - R vector (either part may be None);
+    discrete parts come from R's per-element monomial coefficients.  Returns
+    one (values (fields, points, components), weights (points,)) pair per
+    term of the pairing: the volume term, then each face jump, weighted by
+    h^-power (smooth fields do not jump across interior faces).  With
+    ``l2``, a last pair holds the volume values of the L2 pairing.
     """
-    exact, X = [], np.zeros((space.num_dofs, len(fields)))
+    exact = [f if isinstance(f, AnalyticField) else f[0] if isinstance(f, tuple) else None
+             for f in fields]
+    X = np.zeros((space.num_dofs, len(fields)))
     for i, field in enumerate(fields):
-        if isinstance(field, AnalyticField):
-            exact.append(field)
-        elif isinstance(field, tuple):
-            exact.append(field[0])
+        if isinstance(field, tuple) and field[1] is not None:
             X[:, i] = -np.asarray(field[1], dtype=float)
-        else:
-            exact.append(None)
+        elif not isinstance(field, (tuple, AnalyticField)):
             X[:, i] = field
+    C = space.coefficients(X)
     order = quad_order if quad_order is not None else min(2 * space.m + 2, MAX_ORDER[space.mesh.dim])
     volume, face_terms = _PAIRINGS[p]
 
-    def values(T, ids, pts, kind, normals=None):
-        """(fields, B, q, components) field values at a batch's points: the
-        discrete parts from the tables T, plus the analytic parts."""
-        F = np.einsum("bqs...,bsk->kbq...", T, X[ids])
-        for i, u in enumerate(exact):
-            if u is not None:
-                flat = _ANALYTIC[kind](u, pts.reshape(-1, pts.shape[2]))
-                if normals is not None:
-                    flat = np.einsum("bqd,bd->bq", flat.reshape(pts.shape), normals)
-                F[i] += flat.reshape(F.shape[1:])
-        return F.reshape(F.shape[:3] + (-1,))
+    def values(elements, pts, kinds, rows, normals=None):
+        """kind -> (B, q, fields[, dim]) values, the analytic parts added on
+        the batch ``rows``; gradients become normal components on faces."""
+        T = tabulate(C[elements], space.origin[elements], space.scale[elements], pts, space.m, kinds)
+        at = pts[rows]
+        for kind, v in T.items():
+            for i, u in enumerate(exact):
+                if u is not None and at.size:
+                    flat = _ANALYTIC[kind](u, at.reshape(-1, at.shape[2]))
+                    v[rows, :, i] += flat.reshape(at.shape[:2] + v.shape[3:])
+            if normals is not None and v.ndim == 4:
+                T[kind] = np.einsum("bqkd,bd->bqk", v, normals)
+        return T
 
-    G = np.zeros((len(fields), len(fields)))
-    for ids, pts, wts, T in _volume_batches(space, order, (volume,)):
-        F = values(T[volume], ids, pts, volume)
-        G += np.einsum("kbqc,bq,lbqc->kl", F, wts, F)
-    if not face_terms:
-        return G
-    kinds = tuple(kind for kind, _ in face_terms)
-    for ids, pts, wts, n, h, boundary, jump, _ in _face_batches(space, order, kinds):
-        for kind, power in face_terms:
-            if boundary:
-                F = values(jump[kind], ids, pts, kind, n if kind == "grad" else None)
-            else:  # a smooth field does not jump across interior faces
-                F = np.einsum("fqs,fsk->kfq", jump[kind], X[ids])[..., None]
-            G += np.einsum("kfqc,fq,lfqc->kl", F, wts / h[:, None] ** power, F)
-    return G
+    rule, owner, vol = simplex_rule(space.mesh.dim, order), space.sub_owner, []
+    for i in range(0, len(owner), CHUNK):
+        pts, wts = map_rule(rule, space.sub_simplices[i:i + CHUNK])
+        vol.append((values(owner[i:i + CHUNK], pts, (volume, "val") if l2 and p else (volume,),
+                           slice(None)), wts))
+    topo, kinds, faces = space.topology, tuple(kind for kind, _ in face_terms), []
+    for i in range(0, topo.num_faces if face_terms else 0, CHUNK):
+        pts, wts = face_rule(space.mesh.dim, order, space.face_coords[i:i + CHUNK])
+        n, (plus, minus) = topo.normals[i:i + CHUNK], topo.sides[i:i + CHUNK].T
+        inner = minus >= 0
+        J = values(plus, pts, kinds, ~inner, n)
+        for kind, v in values(minus[inner], pts[inner], kinds, slice(0), n[inner]).items():
+            J[kind][inner] -= v
+        faces.append((J, wts, topo.h_e[i:i + CHUNK, None]))
+    terms = [_stack([T[volume] for T, _ in vol], [w for _, w in vol])]
+    terms += [_stack([J[kind] for J, _, _ in faces], [w / h ** power for _, w, h in faces])
+              for kind, power in face_terms]
+    if l2:
+        terms.append(_stack([T["val"] for T, _ in vol], [w for _, w in vol]))
+    return terms
 
 
-def _field(exact, vector):
-    if exact is None and vector is None:
-        raise ValueError("need at least one of exact=, vector=")
-    if exact is not None and vector is not None:
-        return (exact, vector)
-    return exact if exact is not None else vector
+def _stack(values, weights):
+    """A term's (fields, points, components) values and (points,) weights
+    from its per-batch (B, q, fields, ...) values and (B, q) weights."""
+    F = [np.moveaxis(v, 2, 0).reshape(v.shape[2], v.shape[0] * v.shape[1], -1) for v in values]
+    return np.concatenate(F, axis=1), np.concatenate([w.ravel() for w in weights])
+
+
+def gram(terms):
+    """(fields, fields) weighted sum of pointwise products over (values, weights) terms."""
+    return sum((F * w[:, None]).reshape(len(F), -1) @ F.reshape(len(F), -1).T for F, w in terms)
+
+
+def energy_product(space, p, fields, quad_order=None):
+    """Gram matrix of ``fields`` (as in :func:`measure`) in the broken
+    energy inner product; its diagonal holds the squared broken energy
+    norms.
+
+    p=1: broken grad L2 pairing plus h^-1-weighted value-jump terms over all
+    faces.  p=2: broken Laplacian pairing plus h^-3 value jumps and h^-1
+    gradient (normal) jumps.  p=0: the element-wise L2 pairing.  The fields
+    are evaluated at the quadrature points and their products integrated,
+    so the norm of a difference is a direct integral of the difference.
+    """
+    return gram(measure(space, p, fields, quad_order))
 
 
 def energy_norm(space, p, exact=None, vector=None, quad_order=None):
     """Broken energy norm of a discrete field, an analytic field, or their
     difference (pass both exact= and vector=)."""
-    G = energy_product(space, p, [_field(exact, vector)], quad_order)
-    return float(np.sqrt(max(G[0, 0], 0.0)))
+    if exact is None and vector is None:
+        raise ValueError("need at least one of exact=, vector=")
+    return float(np.sqrt(max(energy_product(space, p, [(exact, vector)], quad_order)[0, 0], 0.0)))
 
 
 def l2_norm(space, exact=None, vector=None, quad_order=None):

@@ -411,6 +411,8 @@ def main(argv=None):
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
+        return exc.code
     try:
         return run(cfg)
     except ConfigError as exc:

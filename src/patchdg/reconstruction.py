@@ -236,6 +236,14 @@ class ReconstructedSpace:
                           points, self.m, kinds)
         return members[rows], tables
 
+    def coefficients(self, X):
+        """(N, fields, n_terms) coefficients of R x in each element's monomial
+        frame, for every column x of X (N, fields), as :func:`tabulate` takes."""
+        C = np.empty((self.num_dofs, X.shape[1], len(monomial_basis(self.m, self.mesh.dim))))
+        for s, (members, coeffs) in self.tables.items():
+            C[self.size == s] = X[members].transpose(0, 2, 1) @ coeffs
+        return C
+
     def evaluate(self, vector, K, points, deriv=0):
         """Evaluate the reconstructed field with DOF samples ``vector`` on
         element K (polynomial extension: points need not lie inside K).

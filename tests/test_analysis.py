@@ -184,11 +184,13 @@ class TestMatching:
         result = EigenResult(values, np.eye(space.num_dofs)[:, :6], np.zeros(6))
         calls = []
 
-        def product(space, p, fields):
+        def measure(space, p, fields, quad_order=None, l2=False):
+            # one unit-weighted term per field: an identity Gram, then the L2 term
             calls.append(len(fields))
-            return np.eye(len(fields))
+            term = (np.eye(len(fields))[:, :, None], np.ones(len(fields)))
+            return [term, term]
 
-        monkeypatch.setattr(analysis, "energy_product", product)
+        monkeypatch.setattr(analysis, "measure", measure)
         if ambiguous:
             with pytest.raises(ClusterAmbiguous):
                 match_cluster(space, 1, exact, 2, result)
@@ -205,6 +207,54 @@ def _normalized(x, M, space, u):
     x = x / math.sqrt(float(x @ (Mfull @ x)))
     b = load_vector(space, lambda pts: u.value(pts))
     return x if float(b @ x) >= 0 else -x
+
+
+class TestOnePass:
+    @staticmethod
+    def errors_by_shape_tables(space, p, exact, index, result, M, matched):
+        # the formula measured before one pass per mesh: load-vector sign,
+        # unit M norm, then the energy norm of the difference on shape tables
+        from test_assembly import shape_table_product
+
+        u = exact.eigenfunction(exact.labels[index - 1])
+        x = _normalized(matched.vector, M, space, u)
+        return math.sqrt(max(shape_table_product(space, p, [(u, x)])[0, 0], 0.0))
+
+    @pytest.mark.parametrize("kind, sizes, problem, m, target", [
+        ("square", (8, 16), "laplace", 2, 3),
+        ("square", (4, 8), "laplace", 4, 3),
+        ("cube", (2, 3), "biharmonic", 2, 1),
+    ])
+    def test_eigen_errors_match_shape_tables(self, kind, sizes, problem, m, target):
+        from patchdg.mesh import generate_cube_tet
+
+        bc = "homogeneous_dirichlet" if problem == "laplace" else "simply_supported"
+        cfg = FormConfig(problem=problem, bc=bc, m=m)
+        exact = exact_spectrum("square_pi" if kind == "square" else "cube_unit", cfg.p, target + 8)
+        for n in sizes:
+            mesh = generate_square_tri(n) if kind == "square" else generate_cube_tet(n)
+            space = build_space(mesh, build_topology(mesh), m)
+            result, _, M = compute_spectrum(space, cfg, k=target + 6)
+            matched = match_cluster(space, cfg.p, exact, target, result)
+            assert matched.size == exact.multiplicity(target)
+            _, fe = eigen_errors(space, cfg.p, exact, target, result, M, matched)
+            oracle = self.errors_by_shape_tables(space, cfg.p, exact, target, result, M, matched)
+            assert abs(fe - oracle) <= 1e-12 * oracle
+
+    def test_convergence_study_measures_each_mesh_once(self, monkeypatch):
+        calls = {"measure": 0, "load_vector": 0, "energy_product": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(analysis, name, counted(name, getattr(analysis, name)))
+        meshes = [generate_square_tri(n) for n in (4, 8)]
+        convergence_study(meshes, FormConfig(problem="laplace", m=2), "square_pi", 3)
+        assert calls == {"measure": 2, "load_vector": 0, "energy_product": 0}
 
 
 class TestConvergenceStudy:

@@ -245,6 +245,72 @@ class TestBatching:
         assert np.allclose(norms, small_norms, rtol=1e-12, atol=0.0)
 
 
+def shape_table_product(space, p, fields):
+    """Oracle for energy_product: the broken energy Gram matrix from the
+    patch shape tables of every batch, each field evaluated as the sum over
+    its patch's shape functions, not from per-element coefficients."""
+    from patchdg import assembly
+    from patchdg.quadrature import MAX_ORDER
+
+    exact, X = [], np.zeros((space.num_dofs, len(fields)))
+    for i, field in enumerate(fields):
+        if isinstance(field, AnalyticField):
+            exact.append(field)
+        elif isinstance(field, tuple):
+            exact.append(field[0])
+            X[:, i] = -np.asarray(field[1], dtype=float)
+        else:
+            exact.append(None)
+            X[:, i] = field
+    order = min(2 * space.m + 2, MAX_ORDER[space.mesh.dim])
+    volume, face_terms = assembly._PAIRINGS[p]
+
+    def values(T, ids, pts, kind, normals=None):
+        F = np.einsum("bqs...,bsk->kbq...", T, X[ids])
+        for i, u in enumerate(exact):
+            if u is not None:
+                flat = assembly._ANALYTIC[kind](u, pts.reshape(-1, pts.shape[2]))
+                if normals is not None:
+                    flat = np.einsum("bqd,bd->bq", flat.reshape(pts.shape), normals)
+                F[i] += flat.reshape(F.shape[1:])
+        return F.reshape(F.shape[:3] + (-1,))
+
+    G = np.zeros((len(fields), len(fields)))
+    for ids, pts, wts, T in assembly._volume_batches(space, order, (volume,)):
+        F = values(T[volume], ids, pts, volume)
+        G += np.einsum("kbqc,bq,lbqc->kl", F, wts, F)
+    kinds = tuple(kind for kind, _ in face_terms)
+    for ids, pts, wts, n, h, boundary, jump, _ in (
+            assembly._face_batches(space, order, kinds) if kinds else ()):
+        for kind, power in face_terms:
+            if boundary:
+                F = values(jump[kind], ids, pts, kind, n if kind == "grad" else None)
+            else:
+                F = np.einsum("fqs,fsk->kfq", jump[kind], X[ids])[..., None]
+            G += np.einsum("kfqc,fq,lfqc->kl", F, wts / h[:, None] ** power, F)
+    return G
+
+
+class TestMeasurement:
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_energy_product_matches_shape_tables(self, p):
+        # cube:2 at m=2 has two patch sizes; the fields are a DOF vector,
+        # an analytic field and their pointwise difference
+        from patchdg.analysis import sine_product_field
+        from patchdg.assembly import energy_product
+        from patchdg.mesh import generate_cube_tet
+
+        mesh = generate_cube_tet(2)
+        space = build_space(mesh, build_topology(mesh), 2)
+        assert len(space.tables) == 2
+        u = sine_product_field((1, 1, 1), np.pi, 1.0)
+        v = interpolate(space, lambda x, y, z: np.sin(np.pi * x) * y * (1 - z) + z ** 3)
+        fields = [v, u, (u, v)]
+        G, oracle = energy_product(space, p, fields), shape_table_product(space, p, fields)
+        assert np.max(np.abs(G - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+        assert np.allclose(np.diag(G), np.diag(oracle), rtol=1e-12, atol=0.0)
+
+
 class TestMatrixExport:
     def test_coordinate_text(self, tmp_path, space_m1):
         A = assemble_laplace(space_m1, FormConfig(problem="laplace", m=1))

@@ -1,0 +1,29 @@
+"""The benchmark's study workloads, run through ``cli.main`` and compared
+with the committed references by the benchmark's own output check
+(``perfbench/check.py``), loaded as it is.  A change that moves an error
+column beyond the check's tolerances fails here, not only in a benchmark
+run."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from patchdg import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["study-square-laplace", "study-cube-biharmonic"])
+def test_study_outputs_match_reference(tmp_path, workload):
+    argv = load("workloads").WORKLOADS[workload]
+    assert cli.main(argv + ["--output", str(tmp_path)]) == cli.EXIT_OK
+    refdir = PERFBENCH / "reference" / workload
+    assert load("check").check_outputs(argv, str(tmp_path), "", str(refdir)) == []

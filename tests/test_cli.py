@@ -119,6 +119,20 @@ class TestConfigFile:
         assert main(argv + ["--output", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--mesh", "square:4", "--threads", "2"],
+        ["solve", "--mesh", "square:4", "--m", "x"],
+    ])
+    def test_usage_errors_return_2_no_artifacts(self, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        assert main(argv + ["--output", str(out)]) == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_returns_0(self, capsys):
+        assert main(["solve", "--help"]) == 0
+        assert "--mesh" in capsys.readouterr().out
+
 
 class TestConvergenceCommand:
     def test_errors_csv(self, tmp_path):
