@@ -1,22 +1,28 @@
 """Symmetric interior penalty assembly over the reconstructed space.
 
 One DOF per element: matrix row/column j is the sampled value on element j.
-Element K couples every DOF in its patch, so local face blocks live on the
-union of the two side patches and global sparsity is the support-overlap
-graph of the space.
+The space is the image of the reconstruction operator R (see
+:class:`patchdg.reconstruction.ReconstructedSpace`) on the broken
+polynomials U_h, so every matrix is the classical DG matrix on element
+monomials pulled back by R: A = R^T A_DG R, M = R^T M_DG R, b = R^T b_DG.
+
+A_DG has a block structure fixed by the topology: one n_terms x n_terms
+diagonal block per element and the two off-diagonal blocks of each interior
+face.  Each block's slot comes from one sort of the block keys, so the local
+blocks of every batch are added in place into one (slots, n_terms, n_terms)
+array, with no entry-level triplets or sort; M_DG is block diagonal.  The
+products with R run on its (n_terms x 1) blocks.
 
 Volume terms batch over element sub-simplices (each carrying its owner
-element, so polygons need no separate path), face terms over interior and
-boundary faces, at most ``CHUNK`` carriers per batch.  For matrices and load
-vectors each batch has one patch size per side: local blocks are batched
-products of the shape tables from :func:`patchdg.reconstruction.tabulate`,
-and every matrix comes out of one lower-triangle build.  Norms and Gram
-matrices need no grouping: :func:`measure` tabulates each field from its
-per-element monomial coefficients and keeps its values at every point.
+element, so polygons need no separate path), face terms over interior faces
+and then boundary faces, at most ``CHUNK`` carriers per batch.  Every element
+tabulates the same n_terms monomials, so nothing is grouped by patch size.
+Norms and Gram matrices go through :func:`measure`, which contracts the same
+monomial tables with each field's per-element coefficients and keeps its
+values at every point.
 
 Only the lower triangle is stored (SymSparseMatrix), which makes symmetry
-exact by construction.  Local blocks are numerically symmetrized before
-scattering so the stored triangle is the symmetric representative.
+exact by construction.
 
 Boundary faces use one-sided traces and enforce the essential conditions
 weakly (Nitsche style): v = 0 for the second-order form, v = dv/dn = 0 for
@@ -113,27 +119,6 @@ class SymSparseMatrix:
                 fh.write(f"{r} {c} %.17g\n" % v)
 
 
-def _lower_triangle(n, batches):
-    """One SymSparseMatrix from batches of (ids (B, s), blocks (B, s, s)).
-
-    Each batch is summed into compressed form as it arrives, so only one
-    batch of raw triplets is held at a time; explicit zeros are kept, so the
-    stored pattern is the union of the blocks' patterns.
-    """
-    rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
-    for ids, blocks in batches:
-        blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
-        R = np.broadcast_to(ids[:, :, None], blocks.shape)
-        C = np.broadcast_to(ids[:, None, :], blocks.shape)
-        keep = R >= C
-        part = sp.coo_matrix((blocks[keep], (R[keep], C[keep])), shape=(n, n)).tocsr().tocoo()
-        rows.append(part.row)
-        cols.append(part.col)
-        vals.append(part.data)
-    lower = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    return SymSparseMatrix(n, sp.coo_matrix(lower, shape=(n, n)))
-
-
 def _pair(X, wts, Y):
     """Per batch entry b: sum over points q (and components) of
     X[b, q, a, ...] wts[b, q] Y[b, q, c, ...], a (B, a, c) array."""
@@ -147,60 +132,85 @@ def _selection(items, n):
     return np.arange(n) if items is None else np.array(list(items), dtype=int).reshape(-1)
 
 
-def _chunks(keys, items):
-    """``items`` grouped by equal ``keys``, each group cut into CHUNKs."""
-    for key in np.unique(keys):
-        group = items[keys == key]
-        for i in range(0, len(group), CHUNK):
-            yield group[i:i + CHUNK]
-
-
 def _volume_batches(space, order, kinds, elements=None):
-    """(ids, points, weights, tables) per batch of sub-simplices whose
-    owners share one patch size."""
+    """(owners, points, weights, monomial tables) per batch of sub-simplices."""
     owner = space.sub_owner
     subs = np.arange(len(owner))
     if elements is not None:
         subs = subs[np.isin(owner, _selection(elements, space.num_dofs))]
     rule = simplex_rule(space.mesh.dim, order)
-    for batch in _chunks(space.size[owner[subs]], subs):
+    for i in range(0, len(subs), CHUNK):
+        batch = subs[i:i + CHUNK]
         pts, wts = map_rule(rule, space.sub_simplices[batch])
-        ids, tables = space.shape_tables(owner[batch], pts, kinds)
-        yield ids, pts, wts, tables
+        K = owner[batch]
+        yield K, pts, wts, tabulate(None, space.origin[K], space.scale[K], pts, space.m, kinds)
 
 
-def _face_batches(space, order, kinds, faces=None):
-    """Per batch of faces with one patch size on each side:
-    (ids, points, weights, normals, h, on_boundary, jumps, averages).
+def _face_batches(space, order, kinds, faces):
+    """Per batch of the interior ``faces``, then of the boundary ones:
+    (faces, points, weights, normals, h, on_boundary, jumps, averages).
 
-    ``jumps`` and ``averages`` map each table kind to a (F, q, S) trace,
-    taking the normal component of gradients; the normal is the plus side's
-    outward one.  On interior faces the jump is plus minus minus and the
-    average weighs each side by 1/2; on boundary faces both are the
-    plus-side trace.  Columns follow ``ids``: the plus patch, then the minus.
+    ``jumps`` and ``averages`` map each table kind to a (F, q, k n_terms)
+    trace of the monomials of the k sides, taking the normal component of
+    gradients; the normal is the plus side's outward one.  On interior faces
+    the jump is plus minus minus and the average weighs each side by 1/2; on
+    boundary faces both are the plus-side trace.
     """
     topo = space.topology
-    sel = _selection(faces, topo.num_faces)
-    kp, km = topo.sides[sel, 0], topo.sides[sel, 1]
-    size_m = np.where(km >= 0, space.size[km], 0)
-    for batch in _chunks(space.size[kp] * (space.size.max() + 1) + size_m, sel):
-        pts, wts = face_rule(space.mesh.dim, order, space.face_coords[batch])
-        n = topo.normals[batch]
-        plus, minus = topo.sides[batch, 0], topo.sides[batch, 1]
-        boundary = minus[0] < 0
-        sides = [(plus, 1.0, 1.0)] if boundary else [(plus, 1.0, 0.5), (minus, -1.0, 0.5)]
-        ids, jumps, avgs = [], {k: [] for k in kinds}, {k: [] for k in kinds}
-        for elements, sign, weight in sides:
-            members, tables = space.shape_tables(elements, pts, kinds)
-            ids.append(members)
-            for kind, T in tables.items():
-                if T.ndim == 4:
-                    T = np.einsum("fqsd,fd->fqs", T, n)
-                jumps[kind].append(sign * T)
-                avgs[kind].append(weight * T)
-        yield (np.concatenate(ids, axis=1), pts, wts, n, topo.h_e[batch], boundary,
-               {k: np.concatenate(v, axis=2) for k, v in jumps.items()},
-               {k: np.concatenate(v, axis=2) for k, v in avgs.items()})
+    boundary = topo.sides[faces, 1] < 0
+    for on_boundary, part in ((False, faces[~boundary]), (True, faces[boundary])):
+        for i in range(0, len(part), CHUNK):
+            batch = part[i:i + CHUNK]
+            pts, wts = face_rule(space.mesh.dim, order, space.face_coords[batch])
+            n, (plus, minus) = topo.normals[batch], topo.sides[batch].T
+            sides = [(plus, 1.0, 1.0)] if on_boundary else [(plus, 1.0, 0.5), (minus, -1.0, 0.5)]
+            jumps, avgs = {k: [] for k in kinds}, {k: [] for k in kinds}
+            for K, sign, weight in sides:
+                tables = tabulate(None, space.origin[K], space.scale[K], pts, space.m, kinds)
+                for kind, T in tables.items():
+                    if T.ndim == 4:
+                        T = np.einsum("fqsd,fd->fqs", T, n)
+                    jumps[kind].append(sign * T)
+                    avgs[kind].append(weight * T)
+            yield (batch, pts, wts, n, topo.h_e[batch], on_boundary,
+                   {k: np.concatenate(v, axis=2) for k, v in jumps.items()},
+                   {k: np.concatenate(v, axis=2) for k, v in avgs.items()})
+
+
+def _assemble(space, volume, elements=None, face_kinds=(), face_block=None, faces=None):
+    """The lower triangle of R^T A_DG R, for the volume pairing of the table
+    kind ``volume`` plus, if given, the face terms ``face_block(weights, h,
+    on_boundary, jumps, averages)`` (F, k n_terms, k n_terms) over each face's
+    k sides, plus first, from the ``face_kinds`` traces.  Each block is added
+    in place into its slot of A_DG, block diagonal without face terms.  Block
+    products keep every structural entry (explicit zeros too), so the pattern
+    is the union of the local blocks' patterns."""
+    n, nt, topo = space.num_dofs, space.n_terms, space.topology
+    sel = _selection(faces, topo.num_faces) if face_block else np.zeros(0, dtype=int)
+    plus, minus = topo.sides[sel].T
+    minus = np.where(minus >= 0, minus, plus)  # a boundary face has one side
+    rows = np.concatenate([np.arange(n), plus, plus, minus, minus])
+    cols = np.concatenate([np.arange(n), plus, minus, plus, minus])
+    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    diag, face_slots = slot[:n], np.zeros((topo.num_faces, 2, 2), dtype=int)
+    face_slots[sel] = slot[n:].reshape(4, -1).T.reshape(-1, 2, 2)
+    blocks = np.zeros((len(keys), nt, nt))
+
+    def add(where, local):  # entry by entry: ufunc.at is much faster on a flat index
+        entries = (where.reshape(-1, 1) * nt ** 2 + np.arange(nt ** 2)).ravel()
+        np.add.at(blocks.reshape(-1), entries, local.reshape(-1))
+
+    order = 2 * space.m
+    for K, _, wts, T in _volume_batches(space, order, (volume,), elements):
+        add(diag[K], _pair(T[volume], wts, T[volume]))
+    for batch, _, wts, _, h, boundary, jump, avg in _face_batches(space, order, face_kinds, sel):
+        k = 1 if boundary else 2
+        local = face_block(wts, h, boundary, jump, avg).reshape(len(batch), k, nt, k, nt)
+        add(face_slots[batch, :k, :k], local.transpose(0, 1, 3, 2, 4))
+    A_dg = sp.bsr_matrix((blocks, keys % n, np.searchsorted(keys, np.arange(n + 1) * n)),
+                         shape=(n * nt, n * nt))
+    R = space.R
+    return SymSparseMatrix(n, sp.tril(R.T @ (A_dg @ R), format="csr"))
 
 
 # --------------------------------------------------------------------------
@@ -212,18 +222,14 @@ def assemble_laplace(space, config, elements=None, faces=None):
     if config.problem != "laplace":
         raise ValueError("config.problem must be 'laplace'")
     _check_degree(space, config)
-    order = 2 * space.m
     eta = config.eta * config.m ** 2 * _dim_factor(space)
 
-    def blocks():
-        for ids, _, wts, T in _volume_batches(space, order, ("grad",), elements):
-            yield ids, _pair(T["grad"], wts, T["grad"])
-        for ids, _, wts, _, h, _, jump, avg in _face_batches(space, order, ("val", "grad"), faces):
-            J = jump["val"]
-            E = _pair(avg["grad"], wts, J)
-            yield ids, (eta / h)[:, None, None] * _pair(J, wts, J) - (E + E.transpose(0, 2, 1))
+    def face_block(wts, h, boundary, jump, avg):
+        J = jump["val"]
+        E = _pair(avg["grad"], wts, J)
+        return (eta / h)[:, None, None] * _pair(J, wts, J) - (E + E.transpose(0, 2, 1))
 
-    return _lower_triangle(space.num_dofs, blocks())
+    return _assemble(space, "grad", elements, ("val", "grad"), face_block, faces)
 
 
 def assemble_biharmonic(space, config, elements=None, faces=None):
@@ -233,45 +239,38 @@ def assemble_biharmonic(space, config, elements=None, faces=None):
     if space.m < 2 or config.m < 2:
         raise DegreeTooLow("the fourth-order form needs degree >= 2")
     _check_degree(space, config)
-    order = 2 * space.m
     alpha = config.alpha * config.m ** 4 * _dim_factor(space)
     beta = config.beta * config.m ** 2 * _dim_factor(space)
     simply_supported = config.bc == "simply_supported"
-    kinds = ("val", "grad", "lap", "gradlap")
 
-    def blocks():
-        for ids, _, wts, T in _volume_batches(space, order, ("lap",), elements):
-            yield ids, _pair(T["lap"], wts, T["lap"])
-        for ids, _, wts, _, h, boundary, jump, avg in _face_batches(space, order, kinds, faces):
-            J, JG = jump["val"], jump["grad"]
-            E1 = _pair(J, wts, avg["gradlap"])
-            block = (E1 + E1.transpose(0, 2, 1)) + (alpha / h ** 3)[:, None, None] * _pair(J, wts, J)
-            if not (boundary and simply_supported):
-                E2 = _pair(avg["lap"], wts, JG)
-                block -= E2 + E2.transpose(0, 2, 1)
-                block += (beta / h)[:, None, None] * _pair(JG, wts, JG)
-            yield ids, block
+    def face_block(wts, h, boundary, jump, avg):
+        J, JG = jump["val"], jump["grad"]
+        E1 = _pair(J, wts, avg["gradlap"])
+        block = (E1 + E1.transpose(0, 2, 1)) + (alpha / h ** 3)[:, None, None] * _pair(J, wts, J)
+        if not (boundary and simply_supported):
+            E2 = _pair(avg["lap"], wts, JG)
+            block -= E2 + E2.transpose(0, 2, 1)
+            block += (beta / h)[:, None, None] * _pair(JG, wts, JG)
+        return block
 
-    return _lower_triangle(space.num_dofs, blocks())
+    return _assemble(space, "lap", elements, ("val", "grad", "lap", "gradlap"), face_block, faces)
 
 
 def assemble_mass(space, elements=None):
-    """Mass matrix of the reconstructed space (L2 Gram of the shape set)."""
-    batches = _volume_batches(space, 2 * space.m, ("val",), elements)
-    return _lower_triangle(space.num_dofs,
-                           ((ids, _pair(T["val"], wts, T["val"])) for ids, _, wts, T in batches))
+    """Mass matrix of the reconstructed space (L2 Gram of the shape set):
+    R^T M_DG R with M_DG block diagonal."""
+    return _assemble(space, "val", elements)
 
 
 def load_vector(space, f, quad_order=None):
-    """b[j] = integral of f against shape function j."""
+    """b[j] = integral of f against shape function j: R^T b_DG."""
     order = quad_order if quad_order is not None else 2 * space.m + 2
     order = min(order, MAX_ORDER[space.mesh.dim])
-    b = np.zeros(space.num_dofs)
-    for ids, pts, wts, T in _volume_batches(space, order, ("val",)):
+    b = np.zeros((space.num_dofs, space.n_terms))
+    for K, pts, wts, T in _volume_batches(space, order, ("val",)):
         fv = np.asarray(f(pts.reshape(-1, pts.shape[2])), dtype=float).reshape(wts.shape)
-        b += np.bincount(ids.ravel(), np.einsum("bqs,bq->bs", T["val"], wts * fv).ravel(),
-                         minlength=space.num_dofs)
-    return b
+        np.add.at(b, K, np.einsum("bqa,bq->ba", T["val"], wts * fv))
+    return space.R.T @ b.ravel()
 
 
 def _check_degree(space, config):
@@ -347,34 +346,30 @@ def measure(space, p, fields, quad_order=None, l2=False):
     order = quad_order if quad_order is not None else min(2 * space.m + 2, MAX_ORDER[space.mesh.dim])
     volume, face_terms = _PAIRINGS[p]
 
-    def values(elements, pts, kinds, rows, normals=None):
-        """kind -> (B, q, fields[, dim]) values, the analytic parts added on
-        the batch ``rows``; gradients become normal components on faces."""
-        T = tabulate(C[elements], space.origin[elements], space.scale[elements], pts, space.m, kinds)
-        at = pts[rows]
-        for kind, v in T.items():
-            for i, u in enumerate(exact):
-                if u is not None and at.size:
-                    flat = _ANALYTIC[kind](u, at.reshape(-1, at.shape[2]))
-                    v[rows, :, i] += flat.reshape(at.shape[:2] + v.shape[3:])
-            if normals is not None and v.ndim == 4:
-                T[kind] = np.einsum("bqkd,bd->bqk", v, normals)
-        return T
+    def values(T, coeffs, pts, analytic, normals=None):
+        """kind -> (B, q, fields[, dim]) values from the monomial tables T and
+        the coefficients (B, fields, columns of T), the analytic parts added
+        if ``analytic``; on faces gradients are normal components."""
+        out, at, Ct = {}, pts.reshape(-1, pts.shape[2]), coeffs.transpose(0, 2, 1)
+        for kind, t in T.items():
+            v = out[kind] = t @ Ct if t.ndim == 3 else \
+                np.moveaxis(np.moveaxis(t, 3, 2) @ Ct[:, None], 3, 2)
+            for i, u in enumerate(exact if analytic else ()):
+                if u is not None:
+                    flat = _ANALYTIC[kind](u, at).reshape(pts.shape[:2] + (-1,))
+                    if normals is not None and kind == "grad":
+                        flat = np.einsum("bqd,bd->bq", flat, normals)
+                    v[:, :, i] += flat.reshape(v.shape[:2] + v.shape[3:])
+        return out
 
-    rule, owner, vol = simplex_rule(space.mesh.dim, order), space.sub_owner, []
-    for i in range(0, len(owner), CHUNK):
-        pts, wts = map_rule(rule, space.sub_simplices[i:i + CHUNK])
-        vol.append((values(owner[i:i + CHUNK], pts, (volume, "val") if l2 and p else (volume,),
-                           slice(None)), wts))
-    topo, kinds, faces = space.topology, tuple(kind for kind, _ in face_terms), []
-    for i in range(0, topo.num_faces if face_terms else 0, CHUNK):
-        pts, wts = face_rule(space.mesh.dim, order, space.face_coords[i:i + CHUNK])
-        n, (plus, minus) = topo.normals[i:i + CHUNK], topo.sides[i:i + CHUNK].T
-        inner = minus >= 0
-        J = values(plus, pts, kinds, ~inner, n)
-        for kind, v in values(minus[inner], pts[inner], kinds, slice(0), n[inner]).items():
-            J[kind][inner] -= v
-        faces.append((J, wts, topo.h_e[i:i + CHUNK, None]))
+    vol = [(values(T, C[K], pts, True), wts) for K, pts, wts, T in
+           _volume_batches(space, order, (volume, "val") if l2 and p else (volume,))]
+    kinds, faces = tuple(kind for kind, _ in face_terms), []
+    every = np.arange(space.topology.num_faces if kinds else 0)
+    for batch, pts, wts, n, h, boundary, jump, _ in _face_batches(space, order, kinds, every):
+        plus, minus = space.topology.sides[batch].T
+        sides = C[plus] if boundary else np.concatenate([C[plus], C[minus]], axis=2)
+        faces.append((values(jump, sides, pts, boundary, n), wts, h[:, None]))
     terms = [_stack([T[volume] for T, _ in vol], [w for _, w in vol])]
     terms += [_stack([J[kind] for J, _, _ in faces], [w / h ** power for _, w, h in faces])
               for kind, power in face_terms]

@@ -42,21 +42,11 @@ def _fix_signs(vectors):
 
 
 def _residuals(A, M, values, vectors):
-    R = A @ vectors - (M @ vectors) * values[None, :]
-    num = np.linalg.norm(R, axis=0)
-    den = np.linalg.norm(A @ vectors, axis=0)
+    """||A x - lambda M x|| / ||A x|| per pair, and those ||A x|| (0 read as 1)."""
+    AX = A @ vectors
+    den = np.linalg.norm(AX, axis=0)
     den[den == 0.0] = 1.0
-    return num / den
-
-
-def _residual_floor(A, vectors):
-    """Roundoff floor of the relative residual: evaluating A x - lambda M x
-    cancels to eps * ||A|| * ||x||, so for small eigenvalues the quotient
-    cannot reach arbitrary tolerances no matter how converged the pair is."""
-    norm_a = spla.norm(A, np.inf)
-    den = np.linalg.norm(A @ vectors, axis=0)
-    den[den == 0.0] = 1.0
-    return np.finfo(float).eps * norm_a * np.linalg.norm(vectors, axis=0) / den
+    return np.linalg.norm(AX - (M @ vectors) * values[None, :], axis=0) / den, den
 
 
 def solve_dense(A, M):
@@ -77,7 +67,7 @@ def solve_dense(A, M):
             f"stiffness is indefinite (lambda_min = {values[0]:.3e}); raise the penalties"
         )
     vectors = _fix_signs(vectors)
-    return EigenResult(values, vectors, _residuals(A, M, values, vectors))
+    return EigenResult(values, vectors, _residuals(A, M, values, vectors)[0])
 
 
 def _factor_spd(A):
@@ -139,8 +129,12 @@ def solve_smallest(A, M, k, tol=1e-9, maxiter=None):
     order = np.argsort(values)
     values, vectors = values[order], vectors[:, order]
     vectors = _fix_signs(vectors)
-    res = _residuals(A, M, values, vectors)
-    bound = np.maximum(tol, 100.0 * _residual_floor(A, vectors))
+    res, den = _residuals(A, M, values, vectors)
+    # the roundoff floor of the relative residual: evaluating A x - lambda M x
+    # cancels to eps * ||A|| * ||x||, so for small eigenvalues the quotient
+    # cannot reach arbitrary tolerances no matter how converged the pair is
+    floor = np.finfo(float).eps * spla.norm(A, np.inf) * np.linalg.norm(vectors, axis=0) / den
+    bound = np.maximum(tol, 100.0 * floor)
     if np.any(res > bound):
         raise NoConvergence(
             f"residuals up to {res.max():.3e} exceed the requested tolerance {tol:g}"

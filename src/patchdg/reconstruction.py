@@ -11,9 +11,10 @@ coordinates.
 The scaled frame keeps the Vandermonde matrix well conditioned; without it
 the normal equations blow up for degree >= 3 on fine meshes.
 
-The space stores the tables stacked, grouped by patch size, and
-:func:`tabulate` evaluates them for a whole batch of elements at once; every
-form, norm and export goes through it.
+The space stores the tables as one sparse reconstruction operator R from the
+DOF samples to every element's monomial coefficients, and :func:`tabulate`
+evaluates monomials, or coefficient tables, for a whole batch of elements at
+once; every form, norm and export goes through it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import PatchExhausted, RankDeficient
 from .patch import Patch, build_patch, default_patch_size, grow_patch
@@ -114,20 +116,22 @@ def _table_operators(m, dim):
 def tabulate(coeffs, origin, scale, points, m, kinds=("val",)):
     """Shape functions of a batch of elements, each at its own points.
 
-    ``coeffs`` (B, s, n_terms), ``origin`` (B, dim) and ``scale`` (B,) are
-    the elements' tables and frames, ``points`` (B, q, dim) physical points.
-    Returns a dict with one table per entry of ``kinds``: "val" and "lap"
-    give (B, q, s) values and Laplacians, "grad" and "gradlap" give
-    (B, q, s, dim) gradients and gradients of the Laplacian.
+    ``coeffs`` (B, s, n_terms), or None for the monomials themselves (s =
+    n_terms), ``origin`` (B, dim) and ``scale`` (B,) are the elements' tables
+    and frames, ``points`` (B, q, dim) physical points.  Returns a dict with
+    one table per entry of ``kinds``: "val" and "lap" give (B, q, s) values
+    and Laplacians, "grad" and "gradlap" give (B, q, s, dim) gradients and
+    gradients of the Laplacian.
     """
     dim = origin.shape[1]
     y = (points - origin[:, None, :]) / scale[:, None, None]
     V = vandermonde(monomial_basis(m, dim), y)[:, None]  # (B, 1, q, n_terms)
-    C = coeffs.transpose(0, 2, 1)[:, None]               # (B, 1, n_terms, s)
     out = {}
     for kind in kinds:
         ops, power = _table_operators(m, dim)[kind]
-        T = V @ C if ops is None else (V @ ops) @ C        # (B, 1 or dim, q, s)
+        T = V if ops is None else V @ ops                  # (B, 1 or dim, q, n_terms)
+        if coeffs is not None:
+            T = T @ coeffs.transpose(0, 2, 1)[:, None]     # (B, 1 or dim, q, s)
         if power:
             T /= scale[:, None, None, None] ** power
         T = np.moveaxis(T, 1, -1)
@@ -162,37 +166,30 @@ def fit_local(patches, m):
 
 
 class ReconstructedSpace:
-    """All per-element shape tables, stacked, plus the support map.
+    """The space V_h = R U_h of the reconstruction operator R on the broken
+    polynomials of degree m.
 
-    Element K's frame is ``origin[K]``, ``scale[K]``.  Elements whose
-    patches have the same size s share one table pair
-    ``tables[s] = (members (G, s), coeffs (G, s, n_terms))``, in which K is
-    row ``row[K]``; ``size[K]`` is its patch size.  Grown patches thus form
-    their own small groups instead of padding every patch to the largest.
-    The space is built from one ``groups[s] = (elements, members, coeffs)``
-    per patch size, its elements ascending.
+    ``R`` is sparse, (N n_terms x N): row ``K * n_terms + a`` holds
+    ``coeffs[K, j, a]``, the coefficient of monomial a (in K's frame
+    ``origin[K]``, ``scale[K]``) of the shape function of patch member j, in
+    column ``members[K, j]``.  It is stored as (n_terms, 1) blocks: block row
+    K lists K's patch in patch order (the center first), so a grown patch is
+    a longer block row; nothing is grouped or padded.
 
     ``support[j]`` lists every element K whose patch contains element j;
     it is exactly the sparsity coupling of DOF j in assembled matrices.
     """
 
-    def __init__(self, mesh, topology, m, t, groups, origin, scale):
+    def __init__(self, mesh, topology, m, t, R, origin, scale):
         self.mesh = mesh
         self.topology = topology
         self.geometry = topology.geometry
         self.m = m
         self.t = t
+        self.R = R
         self.origin = origin
         self.scale = scale
-        n = mesh.num_elements
-        self.size = np.zeros(n, dtype=int)
-        self.row = np.zeros(n, dtype=int)
-        self.tables = {}
-        for s in sorted(groups):
-            elements, members, coeffs = groups[s]
-            self.size[elements] = s
-            self.row[elements] = np.arange(len(elements))
-            self.tables[int(s)] = (members, coeffs)
+        self.n_terms = len(monomial_basis(m, mesh.dim))
         # quadrature carriers: every sub-simplex with its owner, every face
         self.sub_simplices = self.geometry.sub_simplices
         self.sub_owner = self.geometry.sub_owner
@@ -200,14 +197,10 @@ class ReconstructedSpace:
 
     @cached_property
     def support(self):
-        j, K = [], []
-        for s, (members, _) in self.tables.items():
-            j.append(members.ravel())
-            K.append(np.repeat(np.nonzero(self.size == s)[0], s))
-        j, K = np.concatenate(j), np.concatenate(K)
-        order = np.lexsort((K, j))
-        counts = np.bincount(j, minlength=self.num_dofs)
-        return [ks.tolist() for ks in np.split(K[order], np.cumsum(counts)[:-1])]
+        R = self.R
+        by_dof = sp.csr_matrix((np.ones(len(R.indices)), R.indices, R.indptr),
+                               shape=(self.num_dofs, self.num_dofs)).tocsc()
+        return [ks.tolist() for ks in np.split(by_dof.indices, by_dof.indptr[1:-1])]
 
     @cached_property
     def patches(self):
@@ -222,27 +215,13 @@ class ReconstructedSpace:
         return self.mesh.num_elements
 
     def members(self, K):
-        members, _ = self.tables[int(self.size[K])]
-        return members[self.row[K]].tolist()
-
-    def shape_tables(self, elements, points, kinds=("val",)):
-        """:func:`tabulate` for elements that all have one patch size.
-
-        Returns the (B, s) member ids and the dict of tables.
-        """
-        members, coeffs = self.tables[int(self.size[elements[0]])]
-        rows = self.row[elements]
-        tables = tabulate(coeffs[rows], self.origin[elements], self.scale[elements],
-                          points, self.m, kinds)
-        return members[rows], tables
+        return self.R.indices[self.R.indptr[K]:self.R.indptr[K + 1]].tolist()
 
     def coefficients(self, X):
         """(N, fields, n_terms) coefficients of R x in each element's monomial
         frame, for every column x of X (N, fields), as :func:`tabulate` takes."""
-        C = np.empty((self.num_dofs, X.shape[1], len(monomial_basis(self.m, self.mesh.dim))))
-        for s, (members, coeffs) in self.tables.items():
-            C[self.size == s] = X[members].transpose(0, 2, 1) @ coeffs
-        return C
+        C = self.R @ np.asarray(X, dtype=float)
+        return C.reshape(self.num_dofs, self.n_terms, -1).transpose(0, 2, 1)
 
     def evaluate(self, vector, K, points, deriv=0):
         """Evaluate the reconstructed field with DOF samples ``vector`` on
@@ -255,33 +234,28 @@ class ReconstructedSpace:
         if deriv not in (0, 1, 2):
             raise ValueError("deriv must be 0, 1 or 2")
         kind = ("val", "grad", "lap")[deriv]
-        vector = np.asarray(vector, dtype=float)
         single = np.ndim(K) == 0
         elements = np.atleast_1d(np.asarray(K, dtype=int))
         points = np.asarray(points, dtype=float)
         if single:
             points = points[None]
-        out = np.empty(points.shape[:2] + ((points.shape[2],) if deriv == 1 else ()))
-        for s in np.unique(self.size[elements]):
-            pos = np.nonzero(self.size[elements] == s)[0]
-            ids, T = self.shape_tables(elements[pos], points[pos], (kind,))
-            out[pos] = np.einsum("bqs...,bs->bq...", T[kind], vector[ids])
+        C = self.coefficients(np.asarray(vector, dtype=float)[:, None])[elements]
+        out = tabulate(C, self.origin[elements], self.scale[elements], points, self.m,
+                       (kind,))[kind][:, :, 0]
         return out[0] if single else out
 
     def dump_coefficients_csv(self, path):
         """Debug dump: element id, node id, monomial exponents, coefficient."""
         exponents = monomial_basis(self.m, self.mesh.dim).exponents
+        R = self.R
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["element", "node", "exponents", "coefficient"])
             for K in range(self.num_dofs):
-                members, coeffs = self.tables[int(self.size[K])]
-                for j, dof in enumerate(members[self.row[K]]):
+                for j in range(R.indptr[K], R.indptr[K + 1]):
                     for a, e in enumerate(exponents):
-                        writer.writerow(
-                            [K, dof, " ".join(map(str, e)),
-                             "%.17g" % coeffs[self.row[K], j, a]]
-                        )
+                        writer.writerow([K, R.indices[j], " ".join(map(str, e)),
+                                         "%.17g" % R.data[j, a, 0]])
 
 
 def _refit(mesh, topology, patch, m, retries=3):
@@ -308,7 +282,7 @@ def _refit(mesh, topology, patch, m, retries=3):
 
 
 def build_space(mesh, topology, m, t=None):
-    """Fit one shape table per element and build the support map.
+    """Fit one shape table per element and build the reconstruction operator.
 
     All patches grow and are fitted in one batch.  Rank-deficient patches
     are then grown by a full neighbor ring up to three times before the
@@ -327,14 +301,20 @@ def build_space(mesh, topology, m, t=None):
     grown = {}
     for K in np.nonzero(~ok[:stop])[0]:
         table, scale[K], members = _refit(mesh, topology, patches.take([K]), m)
-        grown.setdefault(len(members), []).append((K, members, table))
+        grown[K] = (members, table)
     if stop < n:
         raise patches.exhausted_error(stop)
-    groups = {t: (np.nonzero(ok)[0], patches.members[ok], coeffs[ok])} if ok.any() else {}
-    for s, rows in grown.items():
-        elements, members, tables = zip(*rows)
-        groups[s] = (np.array(elements), np.array(members), np.stack(tables))
-    return ReconstructedSpace(mesh, topology, m, t, groups, origin, scale)
+    # block row K of R lists K's patch members, each with its coefficients
+    sizes = np.full(n, t)
+    sizes[list(grown)] = [len(members) for members, _ in grown.values()]
+    indptr = np.r_[0, np.cumsum(sizes)]
+    indices, data = np.empty(indptr[-1], dtype=int), np.empty((indptr[-1], coeffs.shape[2], 1))
+    at = indptr[:-1][ok, None] + np.arange(t)
+    indices[at], data[at, :, 0] = patches.members[ok], coeffs[ok]
+    for K, (members, table) in grown.items():
+        indices[indptr[K]:indptr[K + 1]], data[indptr[K]:indptr[K + 1], :, 0] = members, table
+    R = sp.bsr_matrix((data, indices, indptr), shape=(n * coeffs.shape[2], n))
+    return ReconstructedSpace(mesh, topology, m, t, R, origin, scale)
 
 
 def interpolate(space, g):

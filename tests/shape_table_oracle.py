@@ -1,0 +1,255 @@
+"""Test-local oracle: the shape-table, entry-level assembly that the
+element-monomial path (A = R^T A_DG R) replaced.
+
+``ShapeTableSpace`` rebuilds a space the way ``build_space`` used to store
+it: per-element coefficient tables stacked by patch size, ``tables[s] =
+(members (G, s), coeffs (G, s, n_terms))`` with element K in row
+``row[K]`` of the table of size ``size[K]``.  Every form tabulates the
+patch shape functions themselves, batch by batch with one patch size per
+side, and every matrix comes out of one lower-triangle build from
+entry-level triplets.  The package's fitting, kernel and quadrature are
+shared; the bookkeeping, the traces and the scatter are not.
+"""
+
+import csv
+
+import numpy as np
+import scipy.sparse as sp
+
+from patchdg import assembly
+from patchdg.assembly import AnalyticField, SymSparseMatrix, _dim_factor, _pair
+from patchdg.patch import Patch, build_patch, default_patch_size
+from patchdg.quadrature import MAX_ORDER, face_rule, map_rule, simplex_rule
+from patchdg.reconstruction import _refit, fit_local, monomial_basis, tabulate
+
+CHUNK = 256
+
+
+class ShapeTableSpace:
+    def __init__(self, mesh, topology, m, t=None):
+        if t is None:
+            t = default_patch_size(m, mesh.dim) if m >= 1 else 1
+        n = mesh.num_elements
+        patches = build_patch(mesh, topology, np.arange(n), t)
+        coeffs, origin, scale, ok = fit_local(patches, m)
+        grown = {}
+        for K in np.nonzero(~ok)[0]:
+            table, scale[K], members = _refit(mesh, topology, patches.take([K]), m)
+            grown.setdefault(len(members), []).append((K, members, table))
+        groups = {t: (np.nonzero(ok)[0], patches.members[ok], coeffs[ok])} if ok.any() else {}
+        for s, rows in grown.items():
+            elements, members, tables = zip(*rows)
+            groups[s] = (np.array(elements), np.array(members), np.stack(tables))
+        self.mesh, self.topology, self.m, self.t = mesh, topology, m, t
+        self.origin, self.scale = origin, scale
+        self.size, self.row, self.tables = np.zeros(n, dtype=int), np.zeros(n, dtype=int), {}
+        for s in sorted(groups):
+            elements, members, coeffs = groups[s]
+            self.size[elements] = s
+            self.row[elements] = np.arange(len(elements))
+            self.tables[int(s)] = (members, coeffs)
+        geometry = topology.geometry
+        self.sub_simplices, self.sub_owner = geometry.sub_simplices, geometry.sub_owner
+        self.face_coords = mesh.vertices[topology.faces]
+        self.num_dofs = n
+
+    @classmethod
+    def like(cls, space):
+        return cls(space.mesh, space.topology, space.m, space.t)
+
+    def members(self, K):
+        members, _ = self.tables[int(self.size[K])]
+        return members[self.row[K]].tolist()
+
+    def support(self):
+        j, K = [], []
+        for s, (members, _) in self.tables.items():
+            j.append(members.ravel())
+            K.append(np.repeat(np.nonzero(self.size == s)[0], s))
+        j, K = np.concatenate(j), np.concatenate(K)
+        order = np.lexsort((K, j))
+        counts = np.bincount(j, minlength=self.num_dofs)
+        return [ks.tolist() for ks in np.split(K[order], np.cumsum(counts)[:-1])]
+
+    def patches(self):
+        barycenters = self.topology.geometry.barycenters
+        return [Patch(K, members, barycenters[members], float(self.scale[K]))
+                for K, members in enumerate(map(self.members, range(self.num_dofs)))]
+
+    def shape_tables(self, elements, points, kinds=("val",)):
+        members, coeffs = self.tables[int(self.size[elements[0]])]
+        rows = self.row[elements]
+        tables = tabulate(coeffs[rows], self.origin[elements], self.scale[elements],
+                          points, self.m, kinds)
+        return members[rows], tables
+
+    def dump_coefficients_csv(self, path):
+        exponents = monomial_basis(self.m, self.mesh.dim).exponents
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["element", "node", "exponents", "coefficient"])
+            for K in range(self.num_dofs):
+                members, coeffs = self.tables[int(self.size[K])]
+                for j, dof in enumerate(members[self.row[K]]):
+                    for a, e in enumerate(exponents):
+                        writer.writerow([K, dof, " ".join(map(str, e)),
+                                         "%.17g" % coeffs[self.row[K], j, a]])
+
+
+def lower_triangle(n, batches):
+    """One SymSparseMatrix from batches of (ids (B, s), blocks (B, s, s)),
+    each block symmetrized and scattered entry by entry."""
+    rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
+    for ids, blocks in batches:
+        blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+        R = np.broadcast_to(ids[:, :, None], blocks.shape)
+        C = np.broadcast_to(ids[:, None, :], blocks.shape)
+        keep = R >= C
+        part = sp.coo_matrix((blocks[keep], (R[keep], C[keep])), shape=(n, n)).tocsr().tocoo()
+        rows.append(part.row)
+        cols.append(part.col)
+        vals.append(part.data)
+    lower = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return SymSparseMatrix(n, sp.coo_matrix(lower, shape=(n, n)))
+
+
+def chunks(keys, items):
+    for key in np.unique(keys):
+        group = items[keys == key]
+        for i in range(0, len(group), CHUNK):
+            yield group[i:i + CHUNK]
+
+
+def volume_batches(space, order, kinds):
+    owner = space.sub_owner
+    rule = simplex_rule(space.mesh.dim, order)
+    for batch in chunks(space.size[owner], np.arange(len(owner))):
+        pts, wts = map_rule(rule, space.sub_simplices[batch])
+        ids, tables = space.shape_tables(owner[batch], pts, kinds)
+        yield ids, pts, wts, tables
+
+
+def face_batches(space, order, kinds):
+    """(ids, points, weights, normals, h, on_boundary, jumps, averages) per
+    batch of faces with one patch size on each side; columns are the plus
+    patch, then the minus patch."""
+    topo = space.topology
+    sel = np.arange(topo.num_faces)
+    kp, km = topo.sides[:, 0], topo.sides[:, 1]
+    size_m = np.where(km >= 0, space.size[km], 0)
+    for batch in chunks(space.size[kp] * (space.size.max() + 1) + size_m, sel):
+        pts, wts = face_rule(space.mesh.dim, order, space.face_coords[batch])
+        n = topo.normals[batch]
+        plus, minus = topo.sides[batch, 0], topo.sides[batch, 1]
+        boundary = minus[0] < 0
+        sides = [(plus, 1.0, 1.0)] if boundary else [(plus, 1.0, 0.5), (minus, -1.0, 0.5)]
+        ids, jumps, avgs = [], {k: [] for k in kinds}, {k: [] for k in kinds}
+        for elements, sign, weight in sides:
+            members, tables = space.shape_tables(elements, pts, kinds)
+            ids.append(members)
+            for kind, T in tables.items():
+                if T.ndim == 4:
+                    T = np.einsum("fqsd,fd->fqs", T, n)
+                jumps[kind].append(sign * T)
+                avgs[kind].append(weight * T)
+        yield (np.concatenate(ids, axis=1), pts, wts, n, topo.h_e[batch], boundary,
+               {k: np.concatenate(v, axis=2) for k, v in jumps.items()},
+               {k: np.concatenate(v, axis=2) for k, v in avgs.items()})
+
+
+def assemble_laplace(space, config):
+    order = 2 * space.m
+    eta = config.eta * config.m ** 2 * _dim_factor(space)
+
+    def blocks():
+        for ids, _, wts, T in volume_batches(space, order, ("grad",)):
+            yield ids, _pair(T["grad"], wts, T["grad"])
+        for ids, _, wts, _, h, _, jump, avg in face_batches(space, order, ("val", "grad")):
+            J = jump["val"]
+            E = _pair(avg["grad"], wts, J)
+            yield ids, (eta / h)[:, None, None] * _pair(J, wts, J) - (E + E.transpose(0, 2, 1))
+
+    return lower_triangle(space.num_dofs, blocks())
+
+
+def assemble_biharmonic(space, config):
+    order = 2 * space.m
+    alpha = config.alpha * config.m ** 4 * _dim_factor(space)
+    beta = config.beta * config.m ** 2 * _dim_factor(space)
+    simply_supported = config.bc == "simply_supported"
+    kinds = ("val", "grad", "lap", "gradlap")
+
+    def blocks():
+        for ids, _, wts, T in volume_batches(space, order, ("lap",)):
+            yield ids, _pair(T["lap"], wts, T["lap"])
+        for ids, _, wts, _, h, boundary, jump, avg in face_batches(space, order, kinds):
+            J, JG = jump["val"], jump["grad"]
+            E1 = _pair(J, wts, avg["gradlap"])
+            block = (E1 + E1.transpose(0, 2, 1)) + (alpha / h ** 3)[:, None, None] * _pair(J, wts, J)
+            if not (boundary and simply_supported):
+                E2 = _pair(avg["lap"], wts, JG)
+                block -= E2 + E2.transpose(0, 2, 1)
+                block += (beta / h)[:, None, None] * _pair(JG, wts, JG)
+            yield ids, block
+
+    return lower_triangle(space.num_dofs, blocks())
+
+
+def assemble_mass(space):
+    batches = volume_batches(space, 2 * space.m, ("val",))
+    return lower_triangle(space.num_dofs,
+                          ((ids, _pair(T["val"], wts, T["val"])) for ids, _, wts, T in batches))
+
+
+def load_vector(space, f):
+    order = min(2 * space.m + 2, MAX_ORDER[space.mesh.dim])
+    b = np.zeros(space.num_dofs)
+    for ids, pts, wts, T in volume_batches(space, order, ("val",)):
+        fv = np.asarray(f(pts.reshape(-1, pts.shape[2])), dtype=float).reshape(wts.shape)
+        b += np.bincount(ids.ravel(), np.einsum("bqs,bq->bs", T["val"], wts * fv).ravel(),
+                         minlength=space.num_dofs)
+    return b
+
+
+def shape_table_product(space, p, fields):
+    """Oracle for energy_product: the broken energy Gram matrix from the
+    patch shape tables of every batch, each field evaluated as the sum over
+    its patch's shape functions, not from per-element coefficients."""
+    space = ShapeTableSpace.like(space)
+    exact, X = [], np.zeros((space.num_dofs, len(fields)))
+    for i, field in enumerate(fields):
+        if isinstance(field, AnalyticField):
+            exact.append(field)
+        elif isinstance(field, tuple):
+            exact.append(field[0])
+            X[:, i] = -np.asarray(field[1], dtype=float)
+        else:
+            exact.append(None)
+            X[:, i] = field
+    order = min(2 * space.m + 2, MAX_ORDER[space.mesh.dim])
+    volume, face_terms = assembly._PAIRINGS[p]
+
+    def values(T, ids, pts, kind, normals=None):
+        F = np.einsum("bqs...,bsk->kbq...", T, X[ids])
+        for i, u in enumerate(exact):
+            if u is not None:
+                flat = assembly._ANALYTIC[kind](u, pts.reshape(-1, pts.shape[2]))
+                if normals is not None:
+                    flat = np.einsum("bqd,bd->bq", flat.reshape(pts.shape), normals)
+                F[i] += flat.reshape(F.shape[1:])
+        return F.reshape(F.shape[:3] + (-1,))
+
+    G = np.zeros((len(fields), len(fields)))
+    for ids, pts, wts, T in volume_batches(space, order, (volume,)):
+        F = values(T[volume], ids, pts, volume)
+        G += np.einsum("kbqc,bq,lbqc->kl", F, wts, F)
+    kinds = tuple(kind for kind, _ in face_terms)
+    for ids, pts, wts, n, h, boundary, jump, _ in (
+            face_batches(space, order, kinds) if kinds else ()):
+        for kind, power in face_terms:
+            if boundary:
+                F = values(jump[kind], ids, pts, kind, n if kind == "grad" else None)
+            else:
+                F = np.einsum("fqs,fsk->kfq", jump[kind], X[ids])[..., None]
+            G += np.einsum("kfqc,fq,lfqc->kl", F, wts / h[:, None] ** power, F)
+    return G

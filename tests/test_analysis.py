@@ -214,7 +214,7 @@ class TestOnePass:
     def errors_by_shape_tables(space, p, exact, index, result, M, matched):
         # the formula measured before one pass per mesh: load-vector sign,
         # unit M norm, then the energy norm of the difference on shape tables
-        from test_assembly import shape_table_product
+        from shape_table_oracle import shape_table_product
 
         u = exact.eigenfunction(exact.labels[index - 1])
         x = _normalized(matched.vector, M, space, u)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from patchdg.errors import DegreeTooLow
 from patchdg.mesh import build_topology, generate_square_tri
 from patchdg.quadrature import face_rule
 from patchdg.reconstruction import build_space, interpolate
+
+import shape_table_oracle as oracle
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +229,7 @@ class TestBatching:
 
         mesh = generate_cube_tet(2)
         space = build_space(mesh, build_topology(mesh), 2)
-        assert len(space.tables) > 1
+        assert len({patch.size for patch in space.patches}) > 1
         u = sine_product_field((1, 1, 1), np.pi, 1.0)
         v = interpolate(space, lambda x, y, z: x * y + z ** 2)
 
@@ -245,52 +249,6 @@ class TestBatching:
         assert np.allclose(norms, small_norms, rtol=1e-12, atol=0.0)
 
 
-def shape_table_product(space, p, fields):
-    """Oracle for energy_product: the broken energy Gram matrix from the
-    patch shape tables of every batch, each field evaluated as the sum over
-    its patch's shape functions, not from per-element coefficients."""
-    from patchdg import assembly
-    from patchdg.quadrature import MAX_ORDER
-
-    exact, X = [], np.zeros((space.num_dofs, len(fields)))
-    for i, field in enumerate(fields):
-        if isinstance(field, AnalyticField):
-            exact.append(field)
-        elif isinstance(field, tuple):
-            exact.append(field[0])
-            X[:, i] = -np.asarray(field[1], dtype=float)
-        else:
-            exact.append(None)
-            X[:, i] = field
-    order = min(2 * space.m + 2, MAX_ORDER[space.mesh.dim])
-    volume, face_terms = assembly._PAIRINGS[p]
-
-    def values(T, ids, pts, kind, normals=None):
-        F = np.einsum("bqs...,bsk->kbq...", T, X[ids])
-        for i, u in enumerate(exact):
-            if u is not None:
-                flat = assembly._ANALYTIC[kind](u, pts.reshape(-1, pts.shape[2]))
-                if normals is not None:
-                    flat = np.einsum("bqd,bd->bq", flat.reshape(pts.shape), normals)
-                F[i] += flat.reshape(F.shape[1:])
-        return F.reshape(F.shape[:3] + (-1,))
-
-    G = np.zeros((len(fields), len(fields)))
-    for ids, pts, wts, T in assembly._volume_batches(space, order, (volume,)):
-        F = values(T[volume], ids, pts, volume)
-        G += np.einsum("kbqc,bq,lbqc->kl", F, wts, F)
-    kinds = tuple(kind for kind, _ in face_terms)
-    for ids, pts, wts, n, h, boundary, jump, _ in (
-            assembly._face_batches(space, order, kinds) if kinds else ()):
-        for kind, power in face_terms:
-            if boundary:
-                F = values(jump[kind], ids, pts, kind, n if kind == "grad" else None)
-            else:
-                F = np.einsum("fqs,fsk->kfq", jump[kind], X[ids])[..., None]
-            G += np.einsum("kfqc,fq,lfqc->kl", F, wts / h[:, None] ** power, F)
-    return G
-
-
 class TestMeasurement:
     @pytest.mark.parametrize("p", [0, 1, 2])
     def test_energy_product_matches_shape_tables(self, p):
@@ -302,13 +260,70 @@ class TestMeasurement:
 
         mesh = generate_cube_tet(2)
         space = build_space(mesh, build_topology(mesh), 2)
-        assert len(space.tables) == 2
+        assert len({patch.size for patch in space.patches}) == 2
         u = sine_product_field((1, 1, 1), np.pi, 1.0)
         v = interpolate(space, lambda x, y, z: np.sin(np.pi * x) * y * (1 - z) + z ** 3)
         fields = [v, u, (u, v)]
-        G, oracle = energy_product(space, p, fields), shape_table_product(space, p, fields)
-        assert np.max(np.abs(G - oracle)) <= 1e-12 * np.max(np.abs(oracle))
-        assert np.allclose(np.diag(G), np.diag(oracle), rtol=1e-12, atol=0.0)
+        G, ref = energy_product(space, p, fields), oracle.shape_table_product(space, p, fields)
+        assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.allclose(np.diag(G), np.diag(ref), rtol=1e-12, atol=0.0)
+
+
+@functools.lru_cache(maxsize=None)
+def pull_back_case(spec, m):
+    """The space and its shape-table oracle."""
+    from patchdg.mesh import generate_cube_tet
+    from test_batched_setup import polygon_mesh
+
+    kind, _, n = spec.partition(":")
+    mesh = {"square": lambda: generate_square_tri(int(n or 0)),
+            "cube": lambda: generate_cube_tet(int(n or 0)), "polygon": polygon_mesh}[kind]()
+    space = build_space(mesh, build_topology(mesh), m)
+    return space, oracle.ShapeTableSpace.like(space)
+
+
+PULL_BACK_CASES = [("square:8", m) for m in (1, 2, 3, 4)] + [
+    ("cube:2", 2), ("cube:4", 3), ("polygon", 2)]
+
+
+class TestPullBack:
+    """R^T A_DG R with slot-accumulated monomial blocks against the
+    shape-table, entry-level assembly it replaced (test-local oracle)."""
+
+    @staticmethod
+    def same_matrix(A, ref):
+        assert A.nnz == ref.nnz
+        assert np.array_equal(A.lower.indptr, ref.lower.indptr)
+        assert np.array_equal(A.lower.indices, ref.lower.indices)
+        assert np.max(np.abs(A.lower.data - ref.lower.data)) <= 1e-13 * np.max(np.abs(ref.lower.data))
+
+    @pytest.mark.parametrize("spec, m", PULL_BACK_CASES)
+    def test_forms_match_shape_tables(self, spec, m):
+        space, ref = pull_back_case(spec, m)
+        cfg = FormConfig(problem="laplace", m=m)
+        self.same_matrix(assemble_laplace(space, cfg), oracle.assemble_laplace(ref, cfg))
+        for bc in ("clamped", "simply_supported") if m >= 2 else ():
+            cfg = FormConfig(problem="biharmonic", bc=bc, m=m)
+            self.same_matrix(assemble_biharmonic(space, cfg), oracle.assemble_biharmonic(ref, cfg))
+        self.same_matrix(assemble_mass(space), oracle.assemble_mass(ref))
+
+        def f(pts):
+            return np.sin(pts[:, 0]) + pts[:, 1] ** 2
+
+        b, b_ref = load_vector(space, f), oracle.load_vector(ref, f)
+        assert np.max(np.abs(b - b_ref)) <= 1e-13 * np.max(np.abs(b_ref))
+
+    @pytest.mark.parametrize("spec, m", PULL_BACK_CASES)
+    def test_space_matches_shape_tables(self, spec, m, tmp_path):
+        space, ref = pull_back_case(spec, m)
+        assert space.support == ref.support()
+        for patch, expect in zip(space.patches, ref.patches(), strict=True):
+            assert (patch.center, patch.members, patch.diameter) == \
+                (expect.center, expect.members, expect.diameter)
+            assert np.array_equal(patch.nodes, expect.nodes)
+        space.dump_coefficients_csv(tmp_path / "new.csv")
+        ref.dump_coefficients_csv(tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestMatrixExport:

@@ -1,8 +1,8 @@
-"""The benchmark's study workloads, run through ``cli.main`` and compared
-with the committed references by the benchmark's own output check
-(``perfbench/check.py``), loaded as it is.  A change that moves an error
-column beyond the check's tolerances fails here, not only in a benchmark
-run."""
+"""The benchmark's workloads, run through ``cli.main`` and compared with the
+committed references by the benchmark's own output check
+(``perfbench/check.py``), loaded as it is.  A change that moves an
+eigenvalue, an error column or a VTK field beyond the check's tolerances
+fails here, not only in a benchmark run."""
 
 import importlib.util
 from pathlib import Path
@@ -21,9 +21,19 @@ def load(name):
     return module
 
 
-@pytest.mark.parametrize("workload", ["study-square-laplace", "study-cube-biharmonic"])
-def test_study_outputs_match_reference(tmp_path, workload):
+def problems(workload, outdir, capsys):
+    """The output check's complaints about one run of ``workload``."""
     argv = load("workloads").WORKLOADS[workload]
-    assert cli.main(argv + ["--output", str(tmp_path)]) == cli.EXIT_OK
+    assert cli.main(argv + ["--output", str(outdir)]) == cli.EXIT_OK
     refdir = PERFBENCH / "reference" / workload
-    assert load("check").check_outputs(argv, str(tmp_path), "", str(refdir)) == []
+    return load("check").check_outputs(argv, str(outdir), capsys.readouterr().out, str(refdir))
+
+
+@pytest.mark.parametrize("workload", ["study-square-laplace", "study-cube-biharmonic"])
+def test_study_outputs_match_reference(tmp_path, capsys, workload):
+    assert problems(workload, tmp_path, capsys) == []
+
+
+def test_solve_outputs_match_reference(tmp_path, capsys):
+    # eigenvalues, the above-exact line and the VTK fields of the solve run
+    assert problems("solve-square-laplace", tmp_path, capsys) == []

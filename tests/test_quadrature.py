@@ -28,6 +28,33 @@ def monomials_up_to(dim, order):
     ]
 
 
+class TestFrozenJacobi:
+    def test_table_is_roots_jacobi(self):
+        # every Gauss-Jacobi rule the conical products use, bit for bit
+        from scipy.special import roots_jacobi
+
+        from patchdg.quadrature import _JACOBI01, _jacobi01
+
+        needed = {(1, (order + 2) // 2) for order in range(MAX_ORDER[2] + 1)}
+        needed |= {(alpha, (order + 2) // 2) for alpha in (1, 2) for order in range(MAX_ORDER[3] + 1)}
+        for alpha, (nodes, weights) in _JACOBI01.items():  # rules n = 1 .. top, nothing more
+            top = max(n for a, n in needed if a == alpha)
+            assert len(nodes) == len(weights) == top * (top + 1) // 2
+        for alpha, n in needed:
+            x, w = roots_jacobi(n, float(alpha), 0.0)
+            nodes, weights = _jacobi01(n, alpha)
+            assert np.array_equal(nodes, (x + 1.0) / 2.0), (alpha, n)
+            assert np.array_equal(weights, w / 2.0 ** (alpha + 1)), (alpha, n)
+
+    def test_package_import_skips_scipy_special(self):
+        import subprocess
+        import sys
+
+        code = "import sys, patchdg.cli; print('scipy.special' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+
 class TestSimplexRules:
     def test_centroid_rule(self):
         rule = simplex_rule(2, 1)

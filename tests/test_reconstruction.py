@@ -70,6 +70,18 @@ def reference_tabulate(coeffs, origin, scale, points, m, kind):
     return T[..., 0] if kind in ("val", "lap") else T
 
 
+def patch_tables(space):
+    """{s: (elements, coeffs (G, s, n_terms))}: R's element blocks, grouped
+    by patch size."""
+    sizes = np.diff(space.R.indptr)
+    tables = {}
+    for s in np.unique(sizes):
+        elements = np.nonzero(sizes == s)[0]
+        blocks = space.R.indptr[elements][:, None] + np.arange(s)
+        tables[int(s)] = (elements, space.R.data[blocks, :, 0])
+    return tables
+
+
 class TestKernelBits:
     """The kernel skips only arithmetic whose result is known exactly, so it
     must reproduce the earlier formulas bit for bit."""
@@ -89,13 +101,12 @@ class TestKernelBits:
         mesh = (generate_square_tri if kind == "square" else generate_cube_tet)(int(n))
         space = build_space(mesh, build_topology(mesh), m)
         barycenters = space.geometry.barycenters
-        for s, (_, coeffs) in space.tables.items():
-            elements = np.nonzero(space.size == s)[0]
+        for s, (elements, coeffs) in patch_tables(space).items():
             # each element's vertices and barycenter, and points outside it
             points = np.concatenate([mesh.vertices[np.array(mesh.elements)[elements]],
                                      barycenters[elements, None],
                                      barycenters[elements, None] + 0.3], axis=1)
-            args = (coeffs[space.row[elements]], space.origin[elements],
+            args = (coeffs, space.origin[elements],
                     space.scale[elements], points, m)
             kinds = ("val", "grad", "lap", "gradlap")
             tables = tabulate(*args, kinds)
@@ -183,9 +194,9 @@ class TestEvalShape:
         rng = np.random.default_rng(1)
         for K in (0, 7, 31):
             pts = rng.random((20, 2)) * np.pi
-            _, T = space.shape_tables([K], pts[None], ("val", "grad"))
-            assert np.max(np.abs(T["val"][0].sum(axis=1) - 1.0)) < 1e-12
-            assert np.max(np.abs(T["grad"][0].sum(axis=1))) < 1e-10
+            one = np.ones(space.num_dofs)  # the sum of all shape functions
+            assert np.max(np.abs(space.evaluate(one, K, pts) - 1.0)) < 1e-12
+            assert np.max(np.abs(space.evaluate(one, K, pts, deriv=1))) < 1e-10
 
     def test_linear_gradient(self, space):
         data = interpolate(space, lambda x, y: 2 * x + 3 * y)
@@ -200,9 +211,10 @@ class TestEvalShape:
         space = build_space(mesh, build_topology(mesh), 3)
         data = interpolate(space, lambda x, y: x ** 3 + x * y ** 2)  # grad Lap = (8, 0)
         pts = np.random.default_rng(3).random((1, 4, 2))
+        C = space.coefficients(data[:, None])
         for K in (2, 21):
-            ids, T = space.shape_tables([K], pts, ("gradlap",))
-            grad_lap = np.einsum("bqsd,bs->bqd", T["gradlap"], data[ids])
+            T = tabulate(C[[K]], space.origin[[K]], space.scale[[K]], pts, 3, ("gradlap",))
+            grad_lap = T["gradlap"][:, :, 0]
             assert np.allclose(grad_lap, [8.0, 0.0], atol=1e-6)
 
     def test_laplacian_of_quadratic(self, space):
@@ -250,8 +262,8 @@ class TestBuildSpace:
         space = build_space(mesh, build_topology(mesh), 0, t=1)
         # characteristic functions: identity support map
         assert all(space.support[j] == [j] for j in range(mesh.num_elements))
-        _, T = space.shape_tables([3], np.array([[[0.1, 0.2]]]))
-        assert np.allclose(T["val"], 1.0)
+        chi = np.eye(mesh.num_elements)[3]
+        assert np.allclose(space.evaluate(chi, 3, np.array([[0.1, 0.2]])), 1.0)
 
     def test_support_map_consistency(self):
         mesh = generate_square_tri(4)
@@ -271,10 +283,8 @@ class TestBuildSpace:
         mesh = generate_square_tri(3)
         a = build_space(mesh, build_topology(mesh), 2)
         b = build_space(mesh, build_topology(mesh), 2)
-        assert a.tables.keys() == b.tables.keys()
-        for s in a.tables:
-            assert np.array_equal(a.tables[s][0], b.tables[s][0])
-            assert np.array_equal(a.tables[s][1], b.tables[s][1])
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a.R, name), getattr(b.R, name))
 
     def test_rank_retry_via_ring_growth(self):
         # a 3x2 grid of tall rectangles: the three nearest sampling nodes of
