@@ -41,7 +41,7 @@ import scipy.sparse as sp
 
 from .errors import DegreeTooLow
 from .quadrature import MAX_ORDER, face_rule, map_rule, simplex_rule
-from .reconstruction import tabulate
+from .reconstruction import int_power, tabulate
 
 # Sub-simplices or faces per batch.  The batch's tables and local blocks
 # set the peak memory of assembly: 2048 faces of 3D fourth-order blocks
@@ -146,7 +146,7 @@ def _volume_batches(space, order, kinds, elements=None):
         yield K, pts, wts, tabulate(None, space.origin[K], space.scale[K], pts, space.m, kinds)
 
 
-def _face_batches(space, order, kinds, faces):
+def _face_batches(space, order, kinds, faces, averages=False):
     """Per batch of the interior ``faces``, then of the boundary ones:
     (faces, points, weights, normals, h, on_boundary, jumps, averages).
 
@@ -154,7 +154,8 @@ def _face_batches(space, order, kinds, faces):
     trace of the monomials of the k sides, taking the normal component of
     gradients; the normal is the plus side's outward one.  On interior faces
     the jump is plus minus minus and the average weighs each side by 1/2; on
-    boundary faces both are the plus-side trace.
+    boundary faces both are the plus-side trace.  Only assembly pairs
+    averages, so unless ``averages`` is set that dict is empty.
     """
     topo = space.topology
     boundary = topo.sides[faces, 1] < 0
@@ -171,10 +172,11 @@ def _face_batches(space, order, kinds, faces):
                     if T.ndim == 4:
                         T = np.einsum("fqsd,fd->fqs", T, n)
                     jumps[kind].append(sign * T)
-                    avgs[kind].append(weight * T)
+                    if averages:
+                        avgs[kind].append(weight * T)
             yield (batch, pts, wts, n, topo.h_e[batch], on_boundary,
                    {k: np.concatenate(v, axis=2) for k, v in jumps.items()},
-                   {k: np.concatenate(v, axis=2) for k, v in avgs.items()})
+                   {k: np.concatenate(v, axis=2) for k, v in avgs.items() if v})
 
 
 def _assemble(space, volume, elements=None, face_kinds=(), face_block=None, faces=None):
@@ -203,7 +205,8 @@ def _assemble(space, volume, elements=None, face_kinds=(), face_block=None, face
     order = 2 * space.m
     for K, _, wts, T in _volume_batches(space, order, (volume,), elements):
         add(diag[K], _pair(T[volume], wts, T[volume]))
-    for batch, _, wts, _, h, boundary, jump, avg in _face_batches(space, order, face_kinds, sel):
+    face_batches = _face_batches(space, order, face_kinds, sel, averages=True)
+    for batch, _, wts, _, h, boundary, jump, avg in face_batches:
         k = 1 if boundary else 2
         local = face_block(wts, h, boundary, jump, avg).reshape(len(batch), k, nt, k, nt)
         add(face_slots[batch, :k, :k], local.transpose(0, 1, 3, 2, 4))
@@ -246,7 +249,8 @@ def assemble_biharmonic(space, config, elements=None, faces=None):
     def face_block(wts, h, boundary, jump, avg):
         J, JG = jump["val"], jump["grad"]
         E1 = _pair(J, wts, avg["gradlap"])
-        block = (E1 + E1.transpose(0, 2, 1)) + (alpha / h ** 3)[:, None, None] * _pair(J, wts, J)
+        block = E1 + E1.transpose(0, 2, 1)
+        block += (alpha / int_power(h, 3))[:, None, None] * _pair(J, wts, J)
         if not (boundary and simply_supported):
             E2 = _pair(avg["lap"], wts, JG)
             block -= E2 + E2.transpose(0, 2, 1)
@@ -371,7 +375,7 @@ def measure(space, p, fields, quad_order=None, l2=False):
         sides = C[plus] if boundary else np.concatenate([C[plus], C[minus]], axis=2)
         faces.append((values(jump, sides, pts, boundary, n), wts, h[:, None]))
     terms = [_stack([T[volume] for T, _ in vol], [w for _, w in vol])]
-    terms += [_stack([J[kind] for J, _, _ in faces], [w / h ** power for _, w, h in faces])
+    terms += [_stack([J[kind] for J, _, _ in faces], [w / int_power(h, power) for _, w, h in faces])
               for kind, power in face_terms]
     if l2:
         terms.append(_stack([T["val"] for T, _ in vol], [w for _, w in vol]))

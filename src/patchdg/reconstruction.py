@@ -39,11 +39,17 @@ class MonomialBasis:
     Ordering is graded lexicographic: ascending total degree, and inside a
     degree descending lexicographic exponent tuples (so 1; x, y; x^2, xy,
     y^2; ...).  The ordering is part of the coefficient-table contract.
+
+    ``steps[j - 1]`` is the pair (parent, d) of monomial j >= 1: its parent
+    has the same exponents with the last nonzero one lowered by one, so
+    monomial j is monomial ``parent`` times coordinate d, and the parent
+    comes earlier in the ordering.
     """
 
     m: int
     dim: int
     exponents: np.ndarray  # (n_terms, dim) int
+    steps: tuple  # ((parent, d), ...) for monomials 1 .. n_terms - 1
 
     def __len__(self):
         return len(self.exponents)
@@ -62,31 +68,38 @@ def monomial_basis(m, dim):
             for i in range(deg, -1, -1):
                 for j in range(deg - i, -1, -1):
                     exps.append((i, j, deg - i - j))
-    return MonomialBasis(m, dim, np.array(exps, dtype=int))
+    index = {e: i for i, e in enumerate(exps)}
+    steps = []
+    for e in exps[1:]:
+        d = max(i for i, a in enumerate(e) if a)
+        steps.append((index[e[:d] + (e[d] - 1,) + e[d + 1:]], d))
+    return MonomialBasis(m, dim, np.array(exps, dtype=int), tuple(steps))
 
 
 def vandermonde(basis, points):
     """V[..., j] = y ** alpha_j for points y of shape (..., dim).
 
-    Powers 0 and 1 are exact (1 and y).  Higher powers keep numpy's vector
-    ``pow``, called with an exponent array of the data's own shape:
-    products, and the ``y * y`` fast path numpy takes for a lone or
-    broadcast exponent 2, round differently and would change the last
-    digits of every table.
+    Column 0 is 1 and every other column is its parent column times one
+    coordinate (``basis.steps``), so each monomial is the fixed chain
+    ((y_0 y_0) ... y_1) ... y_2 of correctly rounded IEEE multiplications:
+    the same bits on every CPU and numpy build, with no call to the
+    CPU-dispatched vector ``pow``.
     """
     y = np.asarray(points, dtype=float)
-    powers = np.empty(y.shape + (basis.m + 1,))
-    powers[..., 0] = 1.0
-    if basis.m >= 1:
-        powers[..., 1] = y
-    exponent = np.empty_like(y)
-    for k in range(2, basis.m + 1):
-        exponent.fill(k)
-        np.power(y, exponent, out=powers[..., k])
-    V = powers[..., 0, basis.exponents[:, 0]]
-    for d in range(1, basis.dim):
-        V = V * powers[..., d, basis.exponents[:, d]]
+    V = np.empty(y.shape[:-1] + (len(basis),))
+    V[..., 0] = 1.0
+    for j, (parent, d) in enumerate(basis.steps, 1):
+        np.multiply(V[..., parent], y[..., d], out=V[..., j])
     return V
+
+
+def int_power(x, k):
+    """x ** k for an integer k >= 0 as the product ((x x) x) ..., the same
+    chain of IEEE multiplications as :func:`vandermonde`'s, never ``pow``."""
+    out = np.ones_like(x)
+    for _ in range(k):
+        out = out * x
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -133,7 +146,7 @@ def tabulate(coeffs, origin, scale, points, m, kinds=("val",)):
         if coeffs is not None:
             T = T @ coeffs.transpose(0, 2, 1)[:, None]     # (B, 1 or dim, q, s)
         if power:
-            T /= scale[:, None, None, None] ** power
+            T /= int_power(scale, power)[:, None, None, None]
         T = np.moveaxis(T, 1, -1)
         out[kind] = T[..., 0] if kind in ("val", "lap") else T
     return out

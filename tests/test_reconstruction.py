@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -46,18 +48,26 @@ class TestMonomialBasis:
 
 
 def reference_vandermonde(basis, points):
-    """The kernel's earlier Vandermonde: every power, 0 and 1 included,
-    through one broadcast ``pow``."""
-    powers = np.asarray(points, dtype=float)[..., None] ** np.arange(basis.m + 1)
-    V = powers[..., 0, basis.exponents[:, 0]]
-    for d in range(1, basis.dim):
-        V = V * powers[..., d, basis.exponents[:, d]]
-    return V
+    """Every monomial of every point as a scalar loop over Python floats:
+    1.0 times y_0 alpha_0 times, then y_1 alpha_1 times, then y_2 (the
+    kernel's recurrence order)."""
+    y = np.asarray(points, dtype=float)
+    flat = y.reshape(-1, basis.dim)
+    V = np.empty((len(flat), len(basis)))
+    for i, point in enumerate(flat.tolist()):
+        for j, e in enumerate(basis.exponents.tolist()):
+            v = 1.0
+            for d, a in enumerate(e):
+                for _ in range(a):
+                    v *= point[d]
+            V[i, j] = v
+    return V.reshape(y.shape[:-1] + (len(basis),))
 
 
 def reference_tabulate(coeffs, origin, scale, points, m, kind):
-    """The kernel's earlier table: the values through the identity map and
-    every table divided by ``scale ** power``, power 0 included."""
+    """The kernel's table with nothing skipped: the values through the
+    identity map and every table divided by the scale power, power 0
+    included, with the powers built as products."""
     dim = origin.shape[1]
     basis = monomial_basis(m, dim)
     y = (points - origin[:, None, :]) / scale[:, None, None]
@@ -66,7 +76,10 @@ def reference_tabulate(coeffs, origin, scale, points, m, kind):
     ops, power = _table_operators(m, dim)[kind]
     if kind == "val":
         ops = np.eye(len(basis))[None]
-    T = np.moveaxis((V @ ops) @ C, 1, -1) / scale[:, None, None, None] ** power
+    scale_power = np.ones_like(scale)
+    for _ in range(power):
+        scale_power = scale_power * scale
+    T = np.moveaxis((V @ ops) @ C, 1, -1) / scale_power[:, None, None, None]
     return T[..., 0] if kind in ("val", "lap") else T
 
 
@@ -83,8 +96,9 @@ def patch_tables(space):
 
 
 class TestKernelBits:
-    """The kernel skips only arithmetic whose result is known exactly, so it
-    must reproduce the earlier formulas bit for bit."""
+    """The kernel builds every monomial and scale power from exact products
+    and skips only arithmetic whose result is known exactly, so it must
+    reproduce a plain product loop bit for bit."""
 
     @pytest.mark.parametrize("m, dim", [(m, dim) for dim in (1, 2, 3) for m in range(7)
                                         if 2 * m <= MAX_ORDER[dim]])
@@ -285,6 +299,22 @@ class TestBuildSpace:
         b = build_space(mesh, build_topology(mesh), 2)
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(a.R, name), getattr(b.R, name))
+
+    @pytest.mark.parametrize("n, grown, digest", [
+        (3, 15, "bd7f110715b63b4c3e68ba8f2d4e0423a6edcc0a382c38ea7d715bb2c4651b75"),
+        (6, 18, "0a58cff15682199cd1b30499666468a8f40c337d9809fc5075533e344d10da3e"),
+    ], ids=["cube:3", "cube:6"])
+    def test_rank_test_pinned(self, n, grown, digest):
+        # fit_local's rank test decides which patches grow, so a change to
+        # the kernel's rounding that moves a singular value ratio across
+        # RCOND would change R's pattern, and with it every matrix's nnz
+        mesh = generate_cube_tet(n)
+        space = build_space(mesh, build_topology(mesh), 2)
+        assert np.count_nonzero(np.diff(space.R.indptr) > space.t) == grown
+        pattern = hashlib.sha256()
+        for name in ("indptr", "indices"):
+            pattern.update(np.asarray(getattr(space.R, name), dtype=np.int64).tobytes())
+        assert pattern.hexdigest() == digest
 
     def test_rank_retry_via_ring_growth(self):
         # a 3x2 grid of tall rectangles: the three nearest sampling nodes of
