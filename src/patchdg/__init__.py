@@ -28,7 +28,6 @@ from .assembly import (
     l2_norm,
     AnalyticField,
     FormConfig,
-    SymSparseMatrix,
     assemble_biharmonic,
     assemble_laplace,
     assemble_mass,

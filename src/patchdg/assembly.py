@@ -21,8 +21,9 @@ Norms and Gram matrices go through :func:`measure`, which contracts the same
 monomial tables with each field's per-element coefficients and keeps its
 values at every point.
 
-Only the lower triangle is stored (SymSparseMatrix), which makes symmetry
-exact by construction.
+Every matrix is a plain symmetric ``scipy.sparse`` CSR matrix.  Symmetry is
+exact by construction: only the lower triangle of R^T A_DG R is kept, then
+mirrored once.  ``scipy.io.mmwrite`` writes one as a coordinate file.
 
 Boundary faces use one-sided traces and enforce the essential conditions
 weakly (Nitsche style): v = 0 for the second-order form, v = dv/dn = 0 for
@@ -87,38 +88,6 @@ class FormConfig:
         return 1 if self.problem == "laplace" else 2
 
 
-class SymSparseMatrix:
-    """Symmetric sparse matrix stored as its lower triangle."""
-
-    def __init__(self, n, lower):
-        self.n = n
-        self.lower = lower.tocsr()
-        self.lower.sum_duplicates()
-
-    def full(self):
-        """Expand to a symmetric CSR matrix."""
-        up = self.lower.T.tocsr()
-        return self.lower + up - sp.diags(self.lower.diagonal())
-
-    def dense(self):
-        return self.full().toarray()
-
-    def quadratic_form(self, v):
-        return float(v @ (self.full() @ v))
-
-    @property
-    def nnz(self):
-        return self.lower.nnz
-
-    def export_text(self, path):
-        """Coordinate text export: one 0-based "row col value" per line for
-        every stored entry of the full symmetric matrix."""
-        full = self.full().tocoo()
-        with open(path, "w") as fh:
-            for r, c, v in zip(full.row, full.col, full.data):
-                fh.write(f"{r} {c} %.17g\n" % v)
-
-
 def _pair(X, wts, Y):
     """Per batch entry b: sum over points q (and components) of
     X[b, q, a, ...] wts[b, q] Y[b, q, c, ...], a (B, a, c) array."""
@@ -180,13 +149,13 @@ def _face_batches(space, order, kinds, faces, averages=False):
 
 
 def _assemble(space, volume, elements=None, face_kinds=(), face_block=None, faces=None):
-    """The lower triangle of R^T A_DG R, for the volume pairing of the table
-    kind ``volume`` plus, if given, the face terms ``face_block(weights, h,
-    on_boundary, jumps, averages)`` (F, k n_terms, k n_terms) over each face's
-    k sides, plus first, from the ``face_kinds`` traces.  Each block is added
-    in place into its slot of A_DG, block diagonal without face terms.  Block
-    products keep every structural entry (explicit zeros too), so the pattern
-    is the union of the local blocks' patterns."""
+    """R^T A_DG R as a symmetric CSR matrix, for the volume pairing of the
+    table kind ``volume`` plus, if given, the face terms ``face_block(weights,
+    h, on_boundary, jumps, averages)`` (F, k n_terms, k n_terms) over each
+    face's k sides, plus side first, from the ``face_kinds`` traces.  Each
+    block is added in place into its slot of A_DG, block diagonal without
+    face terms.  Only the lower triangle of the product is kept and then
+    mirrored once, so the result is exactly symmetric."""
     n, nt, topo = space.num_dofs, space.n_terms, space.topology
     sel = _selection(faces, topo.num_faces) if face_block else np.zeros(0, dtype=int)
     plus, minus = topo.sides[sel].T
@@ -213,7 +182,9 @@ def _assemble(space, volume, elements=None, face_kinds=(), face_block=None, face
     A_dg = sp.bsr_matrix((blocks, keys % n, np.searchsorted(keys, np.arange(n + 1) * n)),
                          shape=(n * nt, n * nt))
     R = space.R
-    return SymSparseMatrix(n, sp.tril(R.T @ (A_dg @ R), format="csr"))
+    L = sp.tril(R.T @ (A_dg @ R), format="csr")
+    L.sum_duplicates()
+    return L + L.T.tocsr() - sp.diags(L.diagonal())
 
 
 # --------------------------------------------------------------------------
@@ -260,18 +231,22 @@ def assemble_biharmonic(space, config, elements=None, faces=None):
     return _assemble(space, "lap", elements, ("val", "grad", "lap", "gradlap"), face_block, faces)
 
 
-def assemble_mass(space, elements=None):
+def assemble_mass(space):
     """Mass matrix of the reconstructed space (L2 Gram of the shape set):
     R^T M_DG R with M_DG block diagonal."""
-    return _assemble(space, "val", elements)
+    return _assemble(space, "val")
 
 
-def load_vector(space, f, quad_order=None):
+def _smooth_order(space):
+    """Quadrature order for integrands with a smooth (non-polynomial) factor:
+    two above the discrete products, capped by the shipped rules."""
+    return min(2 * space.m + 2, MAX_ORDER[space.mesh.dim])
+
+
+def load_vector(space, f):
     """b[j] = integral of f against shape function j: R^T b_DG."""
-    order = quad_order if quad_order is not None else 2 * space.m + 2
-    order = min(order, MAX_ORDER[space.mesh.dim])
     b = np.zeros((space.num_dofs, space.n_terms))
-    for K, pts, wts, T in _volume_batches(space, order, ("val",)):
+    for K, pts, wts, T in _volume_batches(space, _smooth_order(space), ("val",)):
         fv = np.asarray(f(pts.reshape(-1, pts.shape[2])), dtype=float).reshape(wts.shape)
         np.add.at(b, K, np.einsum("bqa,bq->ba", T["val"], wts * fv))
     return space.R.T @ b.ravel()
@@ -326,28 +301,25 @@ _PAIRINGS = {
 }
 
 
-def measure(space, p, fields, quad_order=None, l2=False):
+def measure(space, p, fields, l2=False):
     """Values of ``fields`` at every quadrature point of the broken energy
     pairing p, from one pass over sub-simplices and faces in CHUNKs.
 
-    A field is a DOF vector, an AnalyticField, or a pair (exact, vector) for
-    the pointwise difference exact - R vector (either part may be None);
-    discrete parts come from R's per-element monomial coefficients.  Returns
+    A field is a DOF vector, whose values come from R's per-element monomial
+    coefficients, or an AnalyticField.  A difference of fields is integrated
+    from the difference of their values (see :func:`energy_norm`).  Returns
     one (values (fields, points, components), weights (points,)) pair per
     term of the pairing: the volume term, then each face jump, weighted by
     h^-power (smooth fields do not jump across interior faces).  With
     ``l2``, a last pair holds the volume values of the L2 pairing.
     """
-    exact = [f if isinstance(f, AnalyticField) else f[0] if isinstance(f, tuple) else None
-             for f in fields]
+    exact = [f if isinstance(f, AnalyticField) else None for f in fields]
     X = np.zeros((space.num_dofs, len(fields)))
     for i, field in enumerate(fields):
-        if isinstance(field, tuple) and field[1] is not None:
-            X[:, i] = -np.asarray(field[1], dtype=float)
-        elif not isinstance(field, (tuple, AnalyticField)):
+        if exact[i] is None:
             X[:, i] = field
     C = space.coefficients(X)
-    order = quad_order if quad_order is not None else min(2 * space.m + 2, MAX_ORDER[space.mesh.dim])
+    order = _smooth_order(space)
     volume, face_terms = _PAIRINGS[p]
 
     def values(T, coeffs, pts, analytic, normals=None):
@@ -394,28 +366,31 @@ def gram(terms):
     return sum((F * w[:, None]).reshape(len(F), -1) @ F.reshape(len(F), -1).T for F, w in terms)
 
 
-def energy_product(space, p, fields, quad_order=None):
-    """Gram matrix of ``fields`` (as in :func:`measure`) in the broken
-    energy inner product; its diagonal holds the squared broken energy
-    norms.
+def energy_product(space, p, fields):
+    """Gram matrix of ``fields`` (DOF vectors or AnalyticFields, as in
+    :func:`measure`) in the broken energy inner product; its diagonal holds
+    the squared broken energy norms.
 
     p=1: broken grad L2 pairing plus h^-1-weighted value-jump terms over all
     faces.  p=2: broken Laplacian pairing plus h^-3 value jumps and h^-1
     gradient (normal) jumps.  p=0: the element-wise L2 pairing.  The fields
-    are evaluated at the quadrature points and their products integrated,
-    so the norm of a difference is a direct integral of the difference.
+    are evaluated at the quadrature points and their products integrated.
     """
-    return gram(measure(space, p, fields, quad_order))
+    return gram(measure(space, p, fields))
 
 
-def energy_norm(space, p, exact=None, vector=None, quad_order=None):
+def energy_norm(space, p, exact=None, vector=None):
     """Broken energy norm of a discrete field, an analytic field, or their
-    difference (pass both exact= and vector=)."""
+    difference exact - R vector (pass both exact= and vector=): the direct
+    integral of the pointwise difference of their measured values."""
     if exact is None and vector is None:
         raise ValueError("need at least one of exact=, vector=")
-    return float(np.sqrt(max(energy_product(space, p, [(exact, vector)], quad_order)[0, 0], 0.0)))
+    zero = np.zeros(space.num_dofs)
+    fields = [zero if exact is None else exact, zero if vector is None else vector]
+    G = gram([(F[:1] - F[1:], w) for F, w in measure(space, p, fields)])
+    return float(np.sqrt(max(G[0, 0], 0.0)))
 
 
-def l2_norm(space, exact=None, vector=None, quad_order=None):
+def l2_norm(space, exact=None, vector=None):
     """Element-wise L2 norm of a field or a difference (no face terms)."""
-    return energy_norm(space, 0, exact, vector, quad_order)
+    return energy_norm(space, 0, exact, vector)

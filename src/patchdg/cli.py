@@ -65,11 +65,26 @@ class RunConfig:
             raise ConfigError("patch size t must be >= 1")
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
-        meshes = len(_mesh_specs(self.mesh))
-        if self.command in ("convergence", "reliable") and meshes < 2:
+        specs = _mesh_specs(self.mesh)
+        if self.command in ("convergence", "reliable") and len(specs) < 2:
             raise ConfigError(f"{self.command} needs at least two meshes")
-        if self.command in ("solve", "mesh-info") and meshes > 1:
+        if self.command in ("solve", "mesh-info") and len(specs) > 1:
             raise ConfigError(f"{self.command} takes one mesh")
+        if self.command in ("convergence", "reliable", "source") and self.domain() is None:
+            raise ConfigError(f"{self.command} measures against an exact spectrum, known only "
+                              "on generated square:/cube: meshes and not for the clamped plate")
+        if self.command == "convergence":
+            sizes = [int(s.split(":")[1]) for s in specs]  # h is proportional to 1/n
+            if not all(map(analysis.halves, sizes[1:], sizes)):
+                raise ConfigError(f"convergence mesh sizes must double at each step: {self.mesh}")
+
+    def domain(self):
+        """The model domain whose exact spectrum this run is measured
+        against, or None: generated meshes only, and no closed form is
+        known for the clamped plate."""
+        if self.bc == "clamped" or not self.mesh.startswith(("square:", "cube:")):
+            return None
+        return "square_pi" if self.mesh.startswith("square:") else "cube_unit"
 
     def form(self):
         return FormConfig(
@@ -108,14 +123,6 @@ def _load_mesh_one(spec):
 def _load_mesh_seq(spec):
     """A refinement sequence: 'square:4,8,16' or comma-separated paths."""
     return [_load_mesh_one(s) for s in _mesh_specs(spec)]
-
-
-def _domain_of(spec):
-    if spec.startswith("square:"):
-        return "square_pi"
-    if spec.startswith("cube:"):
-        return "cube_unit"
-    raise ConfigError("convergence/reliable/source need a generated square:/cube: mesh")
 
 
 def _check_degree(cfg, mesh):
@@ -227,9 +234,9 @@ def _cmd_solve(cfg):
     for j in range(min(cfg.vtk, len(result.values))):
         export_vtk(mesh, space, result.vectors[:, j],
                    os.path.join(cfg.output, f"eigenfunction_{j + 1:03d}.vtk"))
-    if cfg.mesh.startswith(("square:", "cube:")):
+    if cfg.domain():
         # per-run diagnostic against the known model spectrum
-        exact = analysis.exact_spectrum(_domain_of(cfg.mesh), cfg.form().p,
+        exact = analysis.exact_spectrum(cfg.domain(), cfg.form().p,
                                         min(10, len(result.values)))
         flags = analysis.above_exact_flags(exact, result, 10)
         print(f"above-exact diagnostic (first {len(flags)}): "
@@ -240,8 +247,7 @@ def _cmd_solve(cfg):
 def _cmd_convergence(cfg):
     meshes = _load_mesh_seq(cfg.mesh)
     _check_degree(cfg, meshes[0])
-    domain = _domain_of(cfg.mesh)
-    study = analysis.convergence_study(meshes, cfg.form(), domain, cfg.target, t=cfg.t)
+    study = analysis.convergence_study(meshes, cfg.form(), cfg.domain(), cfg.target, t=cfg.t)
     os.makedirs(cfg.output, exist_ok=True)
     _write_csv(
         os.path.join(cfg.output, "errors.csv"),
@@ -259,7 +265,6 @@ def _cmd_convergence(cfg):
 def _cmd_reliable(cfg):
     meshes = _load_mesh_seq(cfg.mesh)
     _check_degree(cfg, meshes[0])
-    domain = _domain_of(cfg.mesh)
     form = cfg.form()
     results, sizes = [], []
     for mesh in meshes:
@@ -270,7 +275,7 @@ def _cmd_reliable(cfg):
         sizes.append(topo.geometry.h)
     rows = []
     for (coarse, fine), h_coarse in zip(zip(results, results[1:]), sizes):
-        exact = analysis.exact_spectrum(domain, form.p, len(coarse.values))
+        exact = analysis.exact_spectrum(cfg.domain(), form.p, len(coarse.values))
         count, pct = analysis.reliable_count(
             exact, fine, coarse, cfg.rate_threshold, error_cap=h_coarse / 4.0
         )
@@ -283,9 +288,8 @@ def _cmd_reliable(cfg):
 def _cmd_source(cfg):
     meshes = _load_mesh_seq(cfg.mesh)
     _check_degree(cfg, meshes[0])
-    domain = _domain_of(cfg.mesh)
     form = cfg.form()
-    if domain == "square_pi":
+    if cfg.domain() == "square_pi":
         u = analysis.sine_product_field((1, 1), 1.0, 1.0)
         lam = 2.0
     else:
@@ -408,14 +412,10 @@ def run(cfg):
 def main(argv=None):
     try:
         cfg = build_config(argv if argv is not None else sys.argv[1:])
-    except (ConfigError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return run(cfg)
     except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
         return exc.code
-    try:
-        return run(cfg)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:  # also a request the run finds it cannot meet
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PatchDGError as exc:

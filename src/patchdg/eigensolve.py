@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import MassNotSPD, NoConvergence, PenaltyTooSmall
@@ -27,10 +26,6 @@ class EigenResult:
     values: np.ndarray     # ascending
     vectors: np.ndarray    # (n, k), M-orthonormal columns
     residuals: np.ndarray  # ||A x - lambda M x|| / ||A x|| per pair
-
-
-def _full(mat):
-    return mat.full() if hasattr(mat, "full") else sp.csr_matrix(mat)
 
 
 def _fix_signs(vectors):
@@ -50,8 +45,7 @@ def _residuals(A, M, values, vectors):
 
 
 def solve_dense(A, M):
-    """All eigenpairs of the pencil (A, M); M must be SPD."""
-    A, M = _full(A), _full(M)
+    """All eigenpairs of the sparse pencil (A, M); M must be SPD."""
     n = A.shape[0]
     if n > DENSE_THRESHOLD:
         raise ValueError(f"dense path limited to n <= {DENSE_THRESHOLD}, got {n}")
@@ -91,7 +85,7 @@ def _factor_spd(A):
     return lu
 
 
-def solve_smallest(A, M, k, tol=1e-9, maxiter=None):
+def solve_smallest(A, M, k, tol=1e-9):
     """The k smallest eigenpairs by shift-invert at zero.
 
     Small pencils (n <= 32) and requests for more than a quarter of the
@@ -102,7 +96,6 @@ def solve_smallest(A, M, k, tol=1e-9, maxiter=None):
         raise ValueError("k must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    A, M = _full(A), _full(M)
     n = A.shape[0]
     if k > n:
         raise ValueError(f"requested {k} pairs from an n = {n} pencil")
@@ -120,7 +113,7 @@ def solve_smallest(A, M, k, tol=1e-9, maxiter=None):
             which="LM",
             v0=np.random.default_rng(0).standard_normal(n),
             tol=0.0,
-            maxiter=maxiter if maxiter is not None else 50 * k,
+            maxiter=50 * k,
             OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
         )
     except spla.ArpackNoConvergence as exc:

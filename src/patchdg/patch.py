@@ -148,13 +148,13 @@ def grow_patch(mesh, topology, patch):
     return Patches(patch.centers, members, barycenters[members], patch_diameters(mesh, members))
 
 
-def lambda_constant(mesh, patch, m, sample_order=None):
+def lambda_constant(mesh, patch, m):
     """Estimate the patch stability constant: the worst-case ratio of a
     degree-m polynomial's sup on the patch to its sampled node values.
 
-    Sampling uses quadrature points plus vertices of every member element;
-    the estimate is the infinity operator norm of the node-values-to-sample
-    -values map.  Diagnostic only.
+    Sampling uses quadrature points (exact to order max(2m, 2)) plus the
+    vertices of every member element; the estimate is the infinity operator
+    norm of the node-values-to-sample-values map.  Diagnostic only.
     """
     from .reconstruction import monomial_basis, vandermonde
 
@@ -162,8 +162,7 @@ def lambda_constant(mesh, patch, m, sample_order=None):
     origin = patch.nodes[0]
     scale = patch.diameter if patch.diameter > 0 else 1.0
 
-    order = sample_order if sample_order is not None else max(2 * m, 2)
-    pts, _ = element_rule(_geometry(mesh, patch.members), order)
+    pts, _ = element_rule(_geometry(mesh, patch.members), max(2 * m, 2))
     vertices = mesh.vertices[np.concatenate([mesh.elements[K] for K in patch.members])]
     Y = (np.concatenate([patch.nodes, pts, vertices]) - origin) / scale
 

@@ -271,12 +271,12 @@ class ReconstructedSpace:
                                          "%.17g" % R.data[j, a, 0]])
 
 
-def _refit(mesh, topology, patch, m, retries=3):
+def _refit(mesh, topology, patch, m):
     """Grow a patch (a batch of one) whose fit was rank deficient by one
-    neighbor ring and refit, up to ``retries`` times.  Returns the table,
+    neighbor ring and refit, up to three times.  Returns the table,
     its scale and the grown patch's members; the last failure raises."""
     center = patch.centers[0]
-    for _ in range(retries):
+    for _ in range(3):
         try:
             patch = grow_patch(mesh, topology, patch)
         except PatchExhausted:

@@ -7,8 +7,9 @@ it: per-element coefficient tables stacked by patch size, ``tables[s] =
 ``row[K]`` of the table of size ``size[K]``.  Every form tabulates the
 patch shape functions themselves, batch by batch with one patch size per
 side, and every matrix comes out of one lower-triangle build from
-entry-level triplets.  The package's fitting, kernel and quadrature are
-shared; the bookkeeping, the traces and the scatter are not.
+entry-level triplets, mirrored into the full symmetric matrix.  The
+package's fitting, kernel and quadrature are shared; the bookkeeping, the
+traces and the scatter are not.
 """
 
 import csv
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from patchdg import assembly
-from patchdg.assembly import AnalyticField, SymSparseMatrix, _dim_factor, _pair
+from patchdg.assembly import AnalyticField, _dim_factor, _pair
 from patchdg.patch import Patch, build_patch, default_patch_size
 from patchdg.quadrature import MAX_ORDER, face_rule, map_rule, simplex_rule
 from patchdg.reconstruction import _refit, fit_local, monomial_basis, tabulate
@@ -96,9 +97,10 @@ class ShapeTableSpace:
                                          "%.17g" % coeffs[self.row[K], j, a]])
 
 
-def lower_triangle(n, batches):
-    """One SymSparseMatrix from batches of (ids (B, s), blocks (B, s, s)),
-    each block symmetrized and scattered entry by entry."""
+def symmetric(n, batches):
+    """One symmetric CSR matrix from batches of (ids (B, s), blocks (B, s,
+    s)), each block symmetrized and its lower triangle scattered entry by
+    entry, then mirrored."""
     rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
     for ids, blocks in batches:
         blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
@@ -110,7 +112,9 @@ def lower_triangle(n, batches):
         cols.append(part.col)
         vals.append(part.data)
     lower = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-    return SymSparseMatrix(n, sp.coo_matrix(lower, shape=(n, n)))
+    L = sp.coo_matrix(lower, shape=(n, n)).tocsr()
+    L.sum_duplicates()
+    return L + L.T.tocsr() - sp.diags(L.diagonal())
 
 
 def chunks(keys, items):
@@ -169,7 +173,7 @@ def assemble_laplace(space, config):
             E = _pair(avg["grad"], wts, J)
             yield ids, (eta / h)[:, None, None] * _pair(J, wts, J) - (E + E.transpose(0, 2, 1))
 
-    return lower_triangle(space.num_dofs, blocks())
+    return symmetric(space.num_dofs, blocks())
 
 
 def assemble_biharmonic(space, config):
@@ -192,13 +196,13 @@ def assemble_biharmonic(space, config):
                 block += (beta / h)[:, None, None] * _pair(JG, wts, JG)
             yield ids, block
 
-    return lower_triangle(space.num_dofs, blocks())
+    return symmetric(space.num_dofs, blocks())
 
 
 def assemble_mass(space):
     batches = volume_batches(space, 2 * space.m, ("val",))
-    return lower_triangle(space.num_dofs,
-                          ((ids, _pair(T["val"], wts, T["val"])) for ids, _, wts, T in batches))
+    return symmetric(space.num_dofs,
+                     ((ids, _pair(T["val"], wts, T["val"])) for ids, _, wts, T in batches))
 
 
 def load_vector(space, f):

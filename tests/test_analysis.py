@@ -184,7 +184,7 @@ class TestMatching:
         result = EigenResult(values, np.eye(space.num_dofs)[:, :6], np.zeros(6))
         calls = []
 
-        def measure(space, p, fields, quad_order=None, l2=False):
+        def measure(space, p, fields, l2=False):
             # one unit-weighted term per field: an identity Gram, then the L2 term
             calls.append(len(fields))
             term = (np.eye(len(fields))[:, :, None], np.ones(len(fields)))
@@ -203,8 +203,7 @@ class TestMatching:
 def _normalized(x, M, space, u):
     from patchdg.assembly import load_vector
 
-    Mfull = M.full()
-    x = x / math.sqrt(float(x @ (Mfull @ x)))
+    x = x / math.sqrt(float(x @ (M @ x)))
     b = load_vector(space, lambda pts: u.value(pts))
     return x if float(b @ x) >= 0 else -x
 

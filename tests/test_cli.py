@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from patchdg import cli
+from patchdg import cli, eigensolve
 from patchdg.cli import export_vtk, main
 from patchdg.mesh import build_topology, generate_cube_tet, generate_square_tri, write_msh
 from patchdg.reconstruction import build_space, interpolate
@@ -89,6 +89,13 @@ class TestSolveCommand:
         assert code == 0
         assert "above-exact diagnostic" in capsys.readouterr().out
 
+    def test_no_diagnostic_for_the_clamped_plate(self, tmp_path, capsys):
+        # no exact spectrum is known for it, so there is nothing to compare
+        code = main(["solve", "--problem", "biharmonic", "--bc", "clamped", "--mesh", "square:4",
+                     "--m", "2", "--k", "3", "--output", str(tmp_path / "out")])
+        assert code == 0
+        assert "above-exact" not in capsys.readouterr().out
+
 
 class TestConfigFile:
     def test_file_values_and_flag_override(self, tmp_path):
@@ -110,6 +117,9 @@ class TestConfigFile:
         ["solve", "--mesh", "square:0"],
         ["solve", "--mesh", "square:4", "--problem", "laplace", "--bc", "clamped"],
         ["convergence", "--mesh", "square:4"],
+        ["convergence", "--mesh", "square:4,12", "--m", "1"],
+        *([cmd, "--problem", "biharmonic", "--bc", "clamped", "--mesh", "square:4,8", "--m", "2"]
+          for cmd in ("convergence", "source", "reliable")),
         ["solve", "--mesh", "square:4", "--t", "0"],
         ["solve", "--mesh", "square:4", "--tol", "0"],
     ])
@@ -117,6 +127,19 @@ class TestConfigFile:
         monkeypatch.setattr(cli, "_load_mesh_one", lambda spec: pytest.fail("mesh loaded"))
         out = tmp_path / "run"
         assert main(argv + ["--output", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["convergence", "--mesh", "square:2,4", "--m", "1", "--target", "10"],
+        ["solve", "--mesh", "square:4", "--m", "1", "--k", "20"],
+    ])
+    def test_late_value_error_exit_2_no_artifacts(self, tmp_path, monkeypatch, capsys, argv):
+        # square:2 holds 8 pairs, fewer than target 10 needs; square:4 has
+        # 32 elements, past a lowered dense-path limit
+        monkeypatch.setattr(eigensolve, "DENSE_THRESHOLD", 16)
+        out = tmp_path / "run"
+        assert main(argv + ["--output", str(out)]) == 2
+        assert "configuration error:" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
