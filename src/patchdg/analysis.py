@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .assembly import (
     AnalyticField,
@@ -27,7 +26,7 @@ from .assembly import (
     load_vector,
     measure,
 )
-from .eigensolve import solve_dense, solve_smallest
+from .eigensolve import _factor_spd, solve_dense, solve_smallest
 from .errors import ClusterAmbiguous
 from .reconstruction import build_space
 
@@ -345,11 +344,13 @@ def solve_source(space, config, f, exact=None):
     """Solve the discrete source problem A x = (f, shape functions).
 
     ``f`` maps an (n, dim) point array to values.  When an exact solution
-    field is supplied, its broken energy-norm distance is reported.
+    field is supplied, its broken energy-norm distance is reported.  The
+    stiffness is solved through the eigensolver's SPD factor, so an
+    indefinite or singular one raises PenaltyTooSmall.
     """
     A = _assemble(space, config)
     b = load_vector(space, f)
-    x = spla.spsolve(A.tocsc(), b)
+    x = _factor_spd(A).solve(b)
     err = None
     if exact is not None:
         err = energy_norm(space, config.p, exact=exact, vector=x)

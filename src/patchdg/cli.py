@@ -73,10 +73,10 @@ class RunConfig:
         if self.command in ("convergence", "reliable", "source") and self.domain() is None:
             raise ConfigError(f"{self.command} measures against an exact spectrum, known only "
                               "on generated square:/cube: meshes and not for the clamped plate")
-        if self.command == "convergence":
+        if self.command in ("convergence", "reliable", "source"):  # rates compare h with 2h
             sizes = [int(s.split(":")[1]) for s in specs]  # h is proportional to 1/n
             if not all(map(analysis.halves, sizes[1:], sizes)):
-                raise ConfigError(f"convergence mesh sizes must double at each step: {self.mesh}")
+                raise ConfigError(f"{self.command} mesh sizes must double at each step: {self.mesh}")
 
     def domain(self):
         """The model domain whose exact spectrum this run is measured

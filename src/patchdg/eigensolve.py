@@ -3,9 +3,10 @@
 Two routes: a dense full-spectrum path (Cholesky reduction to a standard
 symmetric problem, used by the reliable-count experiment which consumes
 large spectrum fractions) and a shift-invert Lanczos path for the k
-smallest pairs (A factored once, Krylov iteration with M inner products
-and full reorthogonalization via ARPACK).  :func:`solve_smallest` is the
-one place that picks between them.
+smallest pairs (A factored once by a band Cholesky after a reverse
+Cuthill-McKee ordering, Krylov iteration with M inner products and full
+reorthogonalization via ARPACK).  :func:`solve_smallest` is the one place
+that picks between them.  The same SPD factor solves the source problem.
 """
 
 from __future__ import annotations
@@ -64,33 +65,59 @@ def solve_dense(A, M):
     return EigenResult(values, vectors, _residuals(A, M, values, vectors)[0])
 
 
-def _factor_spd(A):
-    """Sparse LU of A with equal row and column permutations.
+class _BandCholesky:
+    """A = P^T L L^T P in LAPACK upper band storage; ``solve`` applies A^-1."""
 
-    Then P A P^T = L U with U = D L^T, so by Sylvester's law of inertia A
-    has as many negative eigenvalues as U has negative diagonal entries.
-    An indefinite or singular stiffness raises PenaltyTooSmall, like the
+    def __init__(self, perm, factor):
+        self.perm, self.factor = perm, factor
+        self.pbtrs = la.get_lapack_funcs("pbtrs", (factor,))
+
+    def solve(self, b):
+        x, _ = self.pbtrs(self.factor, b[self.perm])
+        out = np.empty_like(x)
+        out[self.perm] = x
+        return out
+
+
+def _factor_spd(A):
+    """Band Cholesky of A after a reverse Cuthill-McKee ordering.
+
+    The DOFs are elements and the stencil is a patch, so RCM packs the
+    symmetric CSR matrix A into a narrow band, which LAPACK's blocked band
+    Cholesky (pbtrf) factors.  The factor exists only for an SPD matrix:
+    an indefinite or singular stiffness raises PenaltyTooSmall, like the
     dense path.
     """
-    try:
-        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError as exc:  # SuperLU reports an exactly singular factor
-        raise PenaltyTooSmall(f"stiffness is singular ({exc}); raise the penalties") from None
-    negative = int(np.sum(lu.U.diagonal() <= 0.0))
-    if negative or not np.array_equal(lu.perm_r, lu.perm_c):
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    perm = reverse_cuthill_mckee(A, symmetric_mode=True)
+    where = np.empty_like(perm)
+    where[perm] = np.arange(len(perm))
+    C = A.tocoo()
+    i, j = where[C.row], where[C.col]
+    upper = i <= j
+    i, j = i[upper], j[upper]
+    u = int(np.max(j - i, initial=0))
+    band = np.zeros((u + 1, A.shape[0]), order="F")
+    band[u + i - j, j] = C.data[upper]
+    pbtrf = la.get_lapack_funcs("pbtrf", (band,))
+    factor, info = pbtrf(band, overwrite_ab=True)
+    if info > 0:
         raise PenaltyTooSmall(
-            f"stiffness is indefinite ({negative} non-positive pivots); raise the penalties"
+            f"stiffness is not positive definite (leading minor {info} of the RCM "
+            f"ordering, DOF {perm[info - 1]}); raise the penalties"
         )
-    return lu
+    return _BandCholesky(perm, factor)
 
 
 def solve_smallest(A, M, k, tol=1e-9):
     """The k smallest eigenpairs by shift-invert at zero.
 
     Small pencils (n <= 32) and requests for more than a quarter of the
-    spectrum take the dense path instead.  The Lanczos start vector
-    is seeded, so reruns give identical results.
+    spectrum take the dense path instead.  Otherwise A is factored once
+    by :func:`_factor_spd`, which refuses an indefinite or singular
+    stiffness, and each Lanczos step applies A^-1 through that factor.
+    The Lanczos start vector is seeded, so reruns give identical results.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -17,7 +17,7 @@ from patchdg.analysis import (
 )
 from patchdg.assembly import FormConfig, energy_norm
 from patchdg.eigensolve import EigenResult
-from patchdg.errors import ClusterAmbiguous
+from patchdg.errors import ClusterAmbiguous, PenaltyTooSmall
 from patchdg.mesh import build_topology, generate_square_tri
 from patchdg.reconstruction import build_space
 
@@ -308,6 +308,15 @@ class TestSolveSource:
             res = solve_source(space, cfg, lambda pts: 4.0 * u.value(pts), exact=u)
             errs.append(res.energy_error)
         assert abs(rate(errs[0], errs[1]) - 1.0) < 0.5
+
+    def test_indefinite_stiffness_raises(self):
+        # with a vanishing penalty the stiffness is indefinite; a pivoting
+        # solve would return an answer, the SPD factor refuses
+        mesh = generate_square_tri(8)
+        space = build_space(mesh, build_topology(mesh), 2)
+        cfg = FormConfig(problem="laplace", m=2, eta=1e-9)
+        with pytest.raises(PenaltyTooSmall):
+            solve_source(space, cfg, lambda pts: np.ones(len(pts)))
 
 
 class TestAboveExact:

@@ -122,6 +122,8 @@ class TestConfigFile:
           for cmd in ("convergence", "source", "reliable")),
         ["solve", "--mesh", "square:4", "--t", "0"],
         ["solve", "--mesh", "square:4", "--tol", "0"],
+        ["source", "--mesh", "square:4,12", "--m", "1"],
+        ["reliable", "--mesh", "square:4,12", "--m", "1"],
     ])
     def test_bad_values_exit_2_before_mesh_work(self, tmp_path, monkeypatch, argv):
         monkeypatch.setattr(cli, "_load_mesh_one", lambda spec: pytest.fail("mesh loaded"))

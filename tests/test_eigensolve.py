@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from patchdg.assembly import FormConfig, assemble_laplace, assemble_mass
-from patchdg.eigensolve import solve_dense, solve_smallest
+from patchdg.assembly import FormConfig, assemble_biharmonic, assemble_laplace, assemble_mass
+from patchdg.eigensolve import _factor_spd, solve_dense, solve_smallest
 from patchdg.errors import MassNotSPD, PenaltyTooSmall
-from patchdg.mesh import build_topology, generate_square_tri
+from patchdg.mesh import build_topology, generate_cube_tet, generate_square_tri
 from patchdg.reconstruction import build_space
 
 
@@ -99,7 +99,8 @@ class TestSmallest:
 
     def test_indefinite_stiffness_raises(self):
         # shift-invert at 0 finds only the eigenvalues nearest 0, so the
-        # negative ones must be caught from the factor's pivots
+        # negative ones must be caught by the factor, which exists only
+        # for an SPD stiffness
         mesh = generate_square_tri(8)
         space = build_space(mesh, build_topology(mesh), 2)
         A = assemble_laplace(space, FormConfig(problem="laplace", m=2, eta=1e-9))
@@ -110,20 +111,54 @@ class TestSmallest:
             solve_smallest(A, M, 5)
 
 
+class TestFactor:
+    @pytest.mark.parametrize("spec, form", [
+        ("square:8", FormConfig(problem="laplace", m=2)),
+        ("cube:2", FormConfig(problem="biharmonic", bc="simply_supported", m=2)),
+    ])
+    def test_matches_dense_solve(self, spec, form):
+        mesh = generate_square_tri(8) if spec == "square:8" else generate_cube_tet(2)
+        space = build_space(mesh, build_topology(mesh), 2)
+        A = (assemble_laplace if form.p == 1 else assemble_biharmonic)(space, form)
+        b = np.random.default_rng(3).standard_normal(A.shape[0])
+        x = _factor_spd(A).solve(b)
+        y = np.linalg.solve(A.toarray(), b)
+        assert x.shape == b.shape
+        assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+
+    def test_singular_raises(self):
+        # an SPD pattern with one zero row and column: the factor must stop
+        # at that pivot instead of dividing by zero
+        A = sp.diags([[-1.0] * 9, [2.0] * 10, [-1.0] * 9], [-1, 0, 1]).tolil()
+        A[4, :] = 0.0
+        A[:, 4] = 0.0
+        with pytest.raises(PenaltyTooSmall):
+            _factor_spd(sp.csr_matrix(A))
+
+
 class TestInvariances:
     def test_permutation_invariance(self):
-        mesh = generate_square_tri(4)
-        space = build_space(mesh, build_topology(mesh), 1)
-        A = assemble_laplace(space, FormConfig(problem="laplace", m=1))
-        M = assemble_mass(space)
         rng = np.random.default_rng(5)
-        perm = rng.permutation(A.shape[0])
-        P = sp.csr_matrix((np.ones(len(perm)), (np.arange(len(perm)), perm)))
-        Ap = P @ A @ P.T
-        Mp = P @ M @ P.T
+
+        def permuted(n):
+            mesh = generate_square_tri(n)
+            space = build_space(mesh, build_topology(mesh), 1)
+            A = assemble_laplace(space, FormConfig(problem="laplace", m=1))
+            M = assemble_mass(space)
+            perm = rng.permutation(A.shape[0])
+            P = sp.csr_matrix((np.ones(len(perm)), (np.arange(len(perm)), perm)))
+            return A, M, P @ A @ P.T, P @ M @ P.T
+
+        A, M, Ap, Mp = permuted(4)
         v0 = solve_dense(A, M).values
         v1 = solve_dense(Ap, Mp).values
         assert np.max(np.abs(v0 - v1) / np.maximum(np.abs(v0), 1e-12)) < 1e-9
+        # the sparse path (n > 32) orders the DOFs itself, so element
+        # numbering does not reach its eigenvalues
+        A, M, Ap, Mp = permuted(8)
+        s0 = solve_smallest(A, M, 5).values
+        s1 = solve_smallest(Ap, Mp, 5).values
+        assert np.max(np.abs(s0 - s1) / np.abs(s0)) < 1e-12
 
     def test_rayleigh_identity(self):
         mesh = generate_square_tri(4)

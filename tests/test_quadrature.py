@@ -50,9 +50,11 @@ class TestFrozenJacobi:
         import subprocess
         import sys
 
-        code = "import sys, patchdg.cli; print('scipy.special' in sys.modules)"
+        # scipy.sparse.csgraph (the RCM ordering) is imported by the factor
+        code = ("import sys, patchdg.cli; "
+                "print([m in sys.modules for m in ('scipy.special', 'scipy.sparse.csgraph')])")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[False, False]"
 
 
 class TestSimplexRules:
