@@ -248,6 +248,8 @@ def convergence_study(meshes, config, domain, target, t=None):
     """
     if len(meshes) < 2:
         raise ValueError("need at least two meshes")
+    if target < 1:
+        raise ValueError(f"target is a 1-based rank, got {target}")
     exact = exact_spectrum(domain, config.p, target + 8)
     k_need = exact.cluster_start(target) + exact.multiplicity(target) + 4
     hs, eig_errs, fun_errs, values, dofs = [], [], [], [], []

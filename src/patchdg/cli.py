@@ -19,8 +19,7 @@ import numpy as np
 from . import analysis
 from .assembly import FormConfig
 from .errors import PatchDGError
-from .mesh import (build_topology, cell_table, generate_cube_tet, generate_square_tri,
-                   parse_msh, parse_poly)
+from .mesh import build_topology, generate_cube_tet, generate_square_tri, parse_msh, parse_poly
 from .quadrature import MAX_ORDER
 from .reconstruction import build_space
 
@@ -65,6 +64,10 @@ class RunConfig:
             raise ConfigError("patch size t must be >= 1")
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
+        if self.target < 1:
+            raise ConfigError("target must be >= 1")
+        if self.vtk < 0:
+            raise ConfigError("vtk must be >= 0")
         specs = _mesh_specs(self.mesh)
         if self.command in ("convergence", "reliable") and len(specs) < 2:
             raise ConfigError(f"{self.command} needs at least two meshes")
@@ -182,10 +185,10 @@ def export_vtk(mesh, space, vector, path):
     vector = np.asarray(vector, dtype=float)
     if len(vector) != mesh.num_elements:
         raise ValueError("vector length must equal the element count")
-    # one batch: every element at its own vertices, short polygon loops
-    # padded by repeating their first vertex; the padding is dropped again
+    # one batch: every element at the vertices of its padded table row; the
+    # padding is dropped again
     n = mesh.num_elements
-    table, lengths = cell_table(mesh.elements)
+    table, lengths = mesh.elements, mesh.lengths
     vals = space.evaluate(vector, np.arange(n), mesh.vertices[table])
     present = np.arange(table.shape[1]) < lengths[:, None]
     n_points = int(lengths.sum())

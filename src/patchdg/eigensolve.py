@@ -50,12 +50,12 @@ def solve_dense(A, M):
     n = A.shape[0]
     if n > DENSE_THRESHOLD:
         raise ValueError(f"dense path limited to n <= {DENSE_THRESHOLD}, got {n}")
-    Ad, Md = A.toarray(), M.toarray()
     try:
-        np.linalg.cholesky(Md)
-    except np.linalg.LinAlgError:
-        raise MassNotSPD("mass matrix is not positive definite") from None
-    values, vectors = la.eigh(Ad, Md)
+        values, vectors = la.eigh(A.toarray(), M.toarray())  # factors M itself
+    except np.linalg.LinAlgError as exc:
+        if "B is not positive definite" in str(exc):
+            raise MassNotSPD("mass matrix is not positive definite") from None
+        raise NoConvergence(f"dense eigensolve failed: {exc}") from None
     norm_a = spla.norm(A, np.inf)
     if values[0] <= -1e-8 * norm_a:
         raise PenaltyTooSmall(

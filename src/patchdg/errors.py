@@ -7,35 +7,43 @@ class PatchDGError(Exception):
 
 # --- mesh ---------------------------------------------------------------
 
-class UnsupportedVersion(PatchDGError):
+class MeshError(PatchDGError, ValueError):
+    """A mesh or mesh file the package cannot use (a configuration error)."""
+
+
+class UnsupportedVersion(MeshError):
     """MSH file header declares a version other than 2.2."""
 
 
-class DanglingNode(PatchDGError):
+class DanglingNode(MeshError):
     """An element references a node id that is not in the file."""
 
 
-class MixedDimension(PatchDGError):
+class MixedDimension(MeshError):
     """A mesh file contains both triangles and tetrahedra."""
 
 
-class NonCCW(PatchDGError):
+class NonFiniteVertex(MeshError):
+    """A vertex has an infinite or NaN coordinate."""
+
+
+class NonCCW(MeshError):
     """A polygon was given with clockwise (negative-area) orientation."""
 
 
-class NotStarShaped(PatchDGError):
+class NotStarShaped(MeshError):
     """A polygon is not star-shaped with respect to its centroid."""
 
 
-class BadCount(PatchDGError):
+class BadCount(MeshError):
     """A mesh file's counts line disagrees with its contents."""
 
 
-class NonManifold(PatchDGError):
+class NonManifold(MeshError):
     """A facet is shared by more than two elements."""
 
 
-class DegenerateElement(PatchDGError):
+class DegenerateElement(MeshError):
     """An element has (numerically) zero measure."""
 
 
@@ -76,7 +84,7 @@ class PenaltyTooSmall(PatchDGError):
 
 
 class NoConvergence(PatchDGError):
-    """The iterative eigensolver hit its restart cap before converging."""
+    """Lanczos hit its restart cap, or dense LAPACK failed other than on M."""
 
 
 # --- analysis -----------------------------------------------------------

@@ -1,6 +1,6 @@
 """Meshes of simplices and polygons with face topology and sub-triangulations.
 
-A mesh stores vertices and element connectivity only.  Everything derived
+A mesh stores vertices and one int cell table only.  Everything derived
 (face adjacency, normals, barycenters, sub-simplices) is computed in
 stacked arrays for all elements at once: :func:`all_geometries` once per
 mesh, kept by :func:`build_topology` on the topology for every later stage.
@@ -23,6 +23,7 @@ from .errors import (
     DegenerateElement,
     MixedDimension,
     NonCCW,
+    NonFiniteVertex,
     NonManifold,
     NotStarShaped,
     UnsupportedVersion,
@@ -33,19 +34,29 @@ from .errors import (
 class Mesh:
     """A conforming partition into simplices or (2D) polygons.
 
-    ``vertices`` is an (nv, dim) float array, ``elements`` a list of vertex
-    index tuples.  Simplex elements have dim+1 vertices; polygon elements
-    (2D only) are counter-clockwise vertex loops of any length >= 3.
+    ``vertices`` is an (nv, dim) float array.  ``elements``, given as any
+    sequence of vertex-id loops, is kept as an (N, w) int table: row K holds
+    element K's ``lengths[K]`` ids, padded by repeating its first vertex.
+    Simplex elements have dim+1 vertices; polygon elements (2D only) are
+    counter-clockwise loops of any length >= 3.
     """
 
     dim: int
     vertices: np.ndarray
-    elements: list
+    elements: np.ndarray
     element_kind: str = "simplex"
+    lengths: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
-        self.elements = [tuple(int(i) for i in el) for el in self.elements]
+        loops = self.elements
+        self.lengths = np.fromiter(map(len, loops), dtype=int, count=len(loops))
+        w = int(self.lengths.max(initial=0))
+        if (self.lengths == w).all():
+            self.elements = np.array(loops, dtype=int).reshape(len(loops), w)
+        else:
+            self.elements = np.array([list(el) + list(el[:1]) * (w - len(el)) for el in loops],
+                                     dtype=int)
 
     @property
     def num_vertices(self):
@@ -56,22 +67,22 @@ class Mesh:
         return len(self.elements)
 
     def element_coords(self, K):
-        return self.vertices[list(self.elements[K])]
+        """Coordinates of element K's vertex loop, without padding."""
+        return self.vertices[self.elements[K, :self.lengths[K]]]
 
     def validate(self):
-        """Check index bounds, orientation and element uniqueness.
+        """Check coordinates, index bounds, orientation and uniqueness.
 
-        Reports the lowest offending element, and for it the first failing
-        check in the order: index bounds, duplicate vertex set, vertex count,
-        signed volume.
+        Reports the lowest non-finite vertex, or else the lowest offending
+        element, and for it the first failing check in the order: index
+        bounds, duplicate vertex set, vertex count, signed volume.
         """
         n, nv = self.num_elements, self.num_vertices
-        table, lengths = cell_table(self.elements)
-        present = np.arange(table.shape[1]) < lengths[:, None]
-        out_of_range = (present & ((table < 0) | (table >= nv))).any(axis=1)
+        _check_finite(self.vertices, range(nv))
+        table = self.elements  # padding repeats a vertex: it changes no check
+        out_of_range = ((table < 0) | (table >= nv)).any(axis=1)
         # vertex sets as sorted rows, repeated ids dropped
-        rows = np.where(present, table, -1)
-        rows.sort(axis=1)
+        rows = np.sort(table, axis=1)
         rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
         rows.sort(axis=1)
         _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
@@ -79,7 +90,7 @@ class Mesh:
                   (first[inverse.reshape(-1)] < np.arange(n),
                    "duplicates another element's vertex set")]
         if self.element_kind == "simplex":
-            arity = lengths != self.dim + 1
+            arity = self.lengths != self.dim + 1
             ok = ~out_of_range & ~arity
             nonpositive = np.zeros(n, dtype=bool)
             if ok.any():
@@ -181,14 +192,14 @@ def diameters(coords):
     return np.sqrt(sq.max(axis=(1, 2)))
 
 
-def cell_table(elements):
-    """(n, w) vertex-id table of possibly ragged elements, short rows padded
-    by repeating their first vertex, and the row lengths."""
-    lengths = np.fromiter(map(len, elements), dtype=int, count=len(elements))
-    w = int(lengths.max(initial=0))
-    if (lengths == w).all():
-        return np.array(elements, dtype=int).reshape(len(elements), w), lengths
-    return np.array([el + el[:1] * (w - len(el)) for el in elements], dtype=int), lengths
+def _check_finite(vertices, ids):
+    """Raise NonFiniteVertex for the first vertex with an inf or nan
+    coordinate, named by its entry in ``ids``."""
+    bad = ~np.isfinite(vertices).all(axis=-1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonFiniteVertex(f"vertex {ids[i]} has a non-finite coordinate "
+                              f"{tuple(vertices[i].tolist())}")
 
 
 def _orient(cells, vertices):
@@ -198,11 +209,6 @@ def _orient(cells, vertices):
     flip = _volumes(vertices[cells]) < 0.0
     cells[flip, -2:] = cells[flip, :-3:-1]
     return cells
-
-
-def _polygon_area(coords):
-    x, y = coords[:, 0], coords[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
 
 
 # --------------------------------------------------------------------------
@@ -221,26 +227,17 @@ def generate_square_tri(n, side=math.pi):
     if side <= 0:
         raise ValueError("side must be positive")
     xs = np.linspace(0.0, side, n + 1)
-    verts = np.array([[xs[i], xs[j]] for j in range(n + 1) for i in range(n + 1)])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    elements = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            if (i + j) % 2 == 0:
-                elements.append((v00, v10, v11))
-                elements.append((v00, v11, v01))
-            else:
-                elements.append((v00, v10, v01))
-                elements.append((v10, v11, v01))
-    return Mesh(2, verts, elements).validate()
+    x, y = np.meshgrid(xs, xs)  # vertex j (n+1) + i sits at (xs[i], xs[j])
+    j, i = np.divmod(np.arange(n * n), n)
+    # cell (i, j)'s corners (i, j), (i+1, j), (i+1, j+1), (i, j+1), and its two
+    # triangles as corner positions, the diagonal alternating with i + j
+    corners = (j * (n + 1) + i)[:, None] + np.array([0, 1, n + 2, n + 1])
+    split = np.where((i + j)[:, None, None] % 2, [[0, 1, 3], [1, 2, 3]], [[0, 1, 2], [0, 2, 3]])
+    cells = np.take_along_axis(corners[:, None], split, axis=2).reshape(-1, 3)
+    return Mesh(2, np.column_stack([x.ravel(), y.ravel()]), cells).validate()
 
 
-_KUHN_PERMS = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+_KUHN_PERMS = np.array([(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
 
 
 def generate_cube_tet(n):
@@ -252,26 +249,14 @@ def generate_cube_tet(n):
     if n < 1:
         raise ValueError("n must be >= 1")
     xs = np.linspace(0.0, 1.0, n + 1)
-    verts = np.array(
-        [[xs[i], xs[j], xs[k]] for k in range(n + 1) for j in range(n + 1) for i in range(n + 1)]
-    )
-
-    def vid(i, j, k):
-        return (k * (n + 1) + j) * (n + 1) + i
-
-    elements = []
-    for k in range(n):
-        for j in range(n):
-            for i in range(n):
-                for perm in _KUHN_PERMS:
-                    # walk from the low corner to the high corner along perm
-                    corner = [i, j, k]
-                    path = [vid(*corner)]
-                    for axis in perm:
-                        corner[axis] += 1
-                        path.append(vid(*corner))
-                    elements.append(path)
-    return Mesh(3, verts, _orient(elements, verts)).validate()
+    z, y, x = np.meshgrid(xs, xs, xs, indexing="ij")  # vertex (k (n+1) + j) (n+1) + i
+    verts = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
+    k, j, i = np.unravel_index(np.arange(n ** 3), (n, n, n))
+    # the six paths from a cell's low corner to its high corner, one axis step
+    # at a time, as vertex-id offsets
+    paths = np.pad(np.array([1, n + 1, (n + 1) ** 2])[_KUHN_PERMS].cumsum(axis=1), ((0, 0), (1, 0)))
+    cells = (((k * (n + 1) + j) * (n + 1) + i)[:, None, None] + paths).reshape(-1, 4)
+    return Mesh(3, verts, _orient(cells, verts)).validate()
 
 
 # --------------------------------------------------------------------------
@@ -318,14 +303,10 @@ def parse_msh(text):
     n_nodes = int(node_lines[0])
     if len(node_lines) - 1 != n_nodes:
         raise BadCount("node count disagrees with $Nodes body")
-    id_map = {}
-    coords = []
-    for ln in node_lines[1:]:
-        parts = ln.split()
-        nid = int(parts[0])
-        id_map[nid] = len(coords)
-        coords.append([float(p) for p in parts[1:4]])
-    coords = np.array(coords)
+    nodes = [ln.split() for ln in node_lines[1:]]
+    node_ids = [int(parts[0]) for parts in nodes]
+    id_map = {nid: i for i, nid in enumerate(node_ids)}
+    coords = np.array([[float(p) for p in parts[1:4]] for parts in nodes])
 
     elem_lines = sections["Elements"]
     n_elems = int(elem_lines[0])
@@ -353,6 +334,7 @@ def parse_msh(text):
     except KeyError as missing:
         raise DanglingNode(f"element references missing node {missing}") from None
     verts = coords[:, :dim]
+    _check_finite(verts, node_ids)
     return Mesh(dim, verts, _orient(elements, verts)).validate()
 
 
@@ -366,8 +348,8 @@ def write_msh(mesh):
         xyz = list(v) + [0.0] * (3 - mesh.dim)
         out.append(f"{i + 1} " + " ".join("%.17g" % c for c in xyz))
     out += ["$EndNodes", "$Elements", str(mesh.num_elements)]
-    for K, el in enumerate(mesh.elements):
-        nodes = " ".join(str(i + 1) for i in el)
+    for K, (el, k) in enumerate(zip(mesh.elements.tolist(), mesh.lengths.tolist())):
+        nodes = " ".join(str(i + 1) for i in el[:k])
         out.append(f"{K + 1} {etype} 2 0 1 {nodes}")
     out.append("$EndElements")
     return "\n".join(out) + "\n"
@@ -399,11 +381,9 @@ def parse_poly(text):
         el = tuple(int(i) for i in r[1:])
         if any(i < 0 or i >= nv for i in el):
             raise DanglingNode("polygon references a vertex out of range")
-        if _polygon_area(verts[list(el)]) <= 0.0:
-            raise NonCCW("polygon has non-positive (clockwise) area")
         elements.append(el)
     mesh = Mesh(2, verts, elements, element_kind="polygon").validate()
-    all_geometries(mesh)  # raises NotStarShaped / DegenerateElement
+    all_geometries(mesh)  # raises NonCCW / NotStarShaped / DegenerateElement
     return mesh
 
 
@@ -414,8 +394,8 @@ def write_poly(mesh):
     out = [f"{mesh.num_vertices} {mesh.num_elements}"]
     for v in mesh.vertices:
         out.append("%.17g %.17g" % (v[0], v[1]))
-    for el in mesh.elements:
-        out.append(f"{len(el)} " + " ".join(str(i) for i in el))
+    for el, k in zip(mesh.elements.tolist(), mesh.lengths.tolist()):
+        out.append(f"{k} " + " ".join(str(i) for i in el[:k]))
     return "\n".join(out) + "\n"
 
 
@@ -423,25 +403,23 @@ def write_poly(mesh):
 # topology and per-element geometry
 # --------------------------------------------------------------------------
 
-# local vertex positions of each facet of a triangle / tetrahedron
-_SIMPLEX_FACETS = {2: [[0, 1], [1, 2], [2, 0]],
-                   3: [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]}
+# local vertex positions of each facet of a tetrahedron
+_TET_FACETS = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
 
 
 def _facet_rows(mesh):
     """Every element's facets as sorted vertex-id rows, element by element,
     and the element owning each row."""
-    if mesh.element_kind == "polygon":
-        table, lengths = cell_table(mesh.elements)
+    if mesh.dim == 2:  # the edges (v_i, v_i+1) of each loop, triangles included
+        table, lengths = mesh.elements, mesh.lengths
         pos = np.arange(table.shape[1])
         ends = table[np.arange(len(table))[:, None], (pos + 1) % lengths[:, None]]
         keep = pos < lengths[:, None]
         rows = np.stack([table[keep], ends[keep]], axis=1)
         owner = np.repeat(np.arange(mesh.num_elements), lengths)
     else:
-        local = _SIMPLEX_FACETS[mesh.dim]
-        rows = cell_table(mesh.elements)[0][:, local].reshape(-1, mesh.dim)
-        owner = np.repeat(np.arange(mesh.num_elements), len(local))
+        rows = mesh.elements[:, _TET_FACETS].reshape(-1, 3)
+        owner = np.repeat(np.arange(mesh.num_elements), len(_TET_FACETS))
     return np.sort(rows, axis=1), owner
 
 
@@ -488,13 +466,13 @@ def _geometry(mesh, elements):
     """:class:`Geometry` of the given elements (an id array), in its order.
 
     Simplices tile themselves; polygons are fanned from their area
-    centroid, which requires (and checks) star-shapedness with respect to
-    it.  Raises for the first listed element that fails a check.
+    centroid, which requires (and checks) counter-clockwise orientation and
+    star-shapedness with respect to it.  Raises for the first listed
+    element that fails a check.
     """
     elements = np.asarray(elements, dtype=int)
-    cells = [mesh.elements[K] for K in elements]
-    table, lengths = cell_table(cells)
-    coords = mesh.vertices[table]
+    lengths = mesh.lengths[elements]
+    coords = mesh.vertices[mesh.elements[elements]]
     h = diameters(coords)
     if mesh.element_kind == "simplex":
         vol = _volumes(coords)
@@ -505,11 +483,11 @@ def _geometry(mesh, elements):
         return Geometry(coords.mean(axis=1), h, vol, coords, elements)
 
     # polygons, one batch per vertex count
-    area = np.empty(len(cells))
-    centroid = np.empty((len(cells), 2))
+    area = np.empty(len(elements))
+    centroid = np.empty((len(elements), 2))
     fans = np.empty((int(lengths.sum()), 3, 2))
     starts = np.cumsum(lengths) - lengths
-    not_star = np.zeros(len(cells), dtype=bool)
+    not_star = np.zeros(len(elements), dtype=bool)
     for k in np.unique(lengths):
         rows = np.nonzero(lengths == k)[0]
         xy = coords[rows, :k]
@@ -534,6 +512,8 @@ def _geometry(mesh, elements):
     failed = degenerate | not_star
     if failed.any():
         i = int(np.argmax(failed))
+        if area[i] < 0.0:
+            raise NonCCW(f"polygon {elements[i]} is clockwise (area {area[i]:g})")
         if degenerate[i]:
             raise DegenerateElement(f"polygon {elements[i]} has area {area[i]:g}")
         raise NotStarShaped(f"polygon {elements[i]} is not star-shaped about its centroid")

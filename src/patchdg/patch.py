@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PatchExhausted, RankDeficient
-from .mesh import _geometry, cell_table, diameters, rowdot
+from .mesh import _geometry, diameters, rowdot
 from .quadrature import element_rule
 
 # patches per batch of the pairwise-distance array behind patch diameters
@@ -87,7 +87,7 @@ def _distances(barycenters, ids, centers):
 def patch_diameters(mesh, members):
     """Diameter of the union of each row's member elements, (B, s) -> (B,)."""
     # each row's distinct vertex ids first, padded with its lowest one
-    vids = np.sort(cell_table(mesh.elements)[0][members].reshape(len(members), -1), axis=1)
+    vids = np.sort(mesh.elements[members].reshape(len(members), -1), axis=1)
     last = np.iinfo(int).max
     vids[:, 1:][vids[:, 1:] == vids[:, :-1]] = last
     vids.sort(axis=1)
@@ -163,7 +163,7 @@ def lambda_constant(mesh, patch, m):
     scale = patch.diameter if patch.diameter > 0 else 1.0
 
     pts, _ = element_rule(_geometry(mesh, patch.members), max(2 * m, 2))
-    vertices = mesh.vertices[np.concatenate([mesh.elements[K] for K in patch.members])]
+    vertices = mesh.vertices[mesh.elements[patch.members].ravel()]  # padding repeats a vertex
     Y = (np.concatenate([patch.nodes, pts, vertices]) - origin) / scale
 
     V_nodes = vandermonde(basis, (patch.nodes - origin) / scale)

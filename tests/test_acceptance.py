@@ -264,6 +264,6 @@ def test_criterion_10_property_suites_standalone():
     # MSH round-trip
     mesh = pdg.generate_square_tri(3)
     back = pdg.parse_msh(pdg.write_msh(mesh))
-    assert back.elements == mesh.elements
+    assert np.array_equal(back.elements, mesh.elements)
     assert np.max(np.abs(back.vertices - mesh.vertices)) < 1e-12
     print("criterion 10 (property suites): PASS")

@@ -276,6 +276,13 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(meshes, FormConfig(problem="laplace", m=1), "square_pi", 1)
 
+    @pytest.mark.parametrize("target", [0, -2])
+    def test_rejects_target_below_one(self, target):
+        # a rank below 1 would index the exact spectrum from its end
+        meshes = [generate_square_tri(4), generate_square_tri(8)]
+        with pytest.raises(ValueError, match="1-based"):
+            convergence_study(meshes, FormConfig(problem="laplace", m=1), "square_pi", target)
+
 
 class TestSolveSource:
     def test_zero_source(self):

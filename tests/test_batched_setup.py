@@ -15,6 +15,11 @@ from patchdg.patch import build_patch, grow_patch
 from patchdg.reconstruction import build_space
 
 
+def loops(mesh):
+    """Each element's vertex ids, the cell table's padding dropped."""
+    return [el[:k] for el, k in zip(mesh.elements.tolist(), mesh.lengths.tolist())]
+
+
 def reference_barycenter(mesh, K):
     coords = mesh.element_coords(K)
     if mesh.element_kind == "simplex":
@@ -29,7 +34,7 @@ def reference_barycenter(mesh, K):
 def reference_topology(mesh):
     """(faces, sides, normals, h_e, neighbors) from a dict of sorted facets."""
     facet_map = {}
-    for K, el in enumerate(mesh.elements):
+    for K, el in enumerate(loops(mesh)):
         if mesh.element_kind == "polygon" or mesh.dim == 2:
             facets = [(el[i], el[(i + 1) % len(el)]) for i in range(len(el))]
         else:
@@ -38,7 +43,7 @@ def reference_topology(mesh):
         for facet in facets:
             facet_map.setdefault(tuple(sorted(facet)), []).append(K)
     faces, sides, normals, h_e = [], [], [], []
-    neighbors = [[] for _ in mesh.elements]
+    neighbors = [[] for _ in range(mesh.num_elements)]
     for key in sorted(facet_map):
         incident = facet_map[key]
         kp, km = min(incident), (max(incident) if len(incident) == 2 else -1)

@@ -5,7 +5,8 @@ from patchdg import cli, eigensolve
 from patchdg.cli import export_vtk, main
 from patchdg.mesh import build_topology, generate_cube_tet, generate_square_tri, write_msh
 from patchdg.reconstruction import build_space, interpolate
-from test_batched_setup import polygon_mesh
+from test_batched_setup import loops, polygon_mesh
+from test_mesh import MSH_FIXTURE
 
 
 def read_csv(path):
@@ -124,6 +125,8 @@ class TestConfigFile:
         ["solve", "--mesh", "square:4", "--tol", "0"],
         ["source", "--mesh", "square:4,12", "--m", "1"],
         ["reliable", "--mesh", "square:4,12", "--m", "1"],
+        ["convergence", "--mesh", "square:4,8", "--m", "1", "--target", "0"],
+        ["solve", "--mesh", "square:4", "--vtk", "-3"],
     ])
     def test_bad_values_exit_2_before_mesh_work(self, tmp_path, monkeypatch, argv):
         monkeypatch.setattr(cli, "_load_mesh_one", lambda spec: pytest.fail("mesh loaded"))
@@ -214,6 +217,22 @@ class TestMeshInfo:
         assert "elements:         32" in out
         assert "vertices:         25" in out
 
+    @pytest.mark.parametrize("name, text", [
+        ("dangling.poly", "4 1\n0 0\n1 0\n1 1\n0 1\n4 0 1 2 9\n"),
+        ("clockwise.poly", "4 1\n0 0\n1 0\n1 1\n0 1\n4 3 2 1 0\n"),
+        ("nonfinite.poly", "4 1\n0 0\n1 0\n1 inf\n0 1\n4 0 1 2 3\n"),
+        ("version.msh", MSH_FIXTURE.replace("2.2 0 8", "4.1 0 8")),
+        ("mixed.msh", MSH_FIXTURE.replace("3 2 2 0 1 1 3 4", "3 4 2 0 1 1 2 3 4")),
+    ], ids=["dangling", "clockwise", "nonfinite", "version", "mixed"])
+    def test_mesh_file_defects_exit_2_no_artifacts(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        out = tmp_path / "run"
+        for argv in (["mesh-info"], ["solve", "--m", "1", "--output", str(out)]):
+            assert main(argv + ["--mesh", str(path)]) == 2
+            assert "configuration error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVtkExport:
     @pytest.fixture()
@@ -263,11 +282,12 @@ class TestVtkExport:
 def reference_vtk(mesh, space, vector):
     """The per-element VTK writer that the array-built one replaced."""
     fmt = lambda x: f"{x:.12g}"
-    width = max(len(el) for el in mesh.elements)
-    loops = np.array([el + el[:1] * (width - len(el)) for el in mesh.elements])
-    vals = space.evaluate(vector, np.arange(mesh.num_elements), mesh.vertices[loops])
+    elements = loops(mesh)
+    width = max(len(el) for el in elements)
+    padded = np.array([el + el[:1] * (width - len(el)) for el in elements])
+    vals = space.evaluate(vector, np.arange(mesh.num_elements), mesh.vertices[padded])
     points, cells, types, pdata = [], [], [], []
-    for K, el in enumerate(mesh.elements):
+    for K, el in enumerate(elements):
         start = len(points)
         for c, v in zip(mesh.vertices[list(el)], vals[K]):
             points.append(list(c) + [0.0] * (3 - mesh.dim))

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from patchdg import eigensolve
 from patchdg.assembly import FormConfig, assemble_biharmonic, assemble_laplace, assemble_mass
 from patchdg.eigensolve import _factor_spd, solve_dense, solve_smallest
-from patchdg.errors import MassNotSPD, PenaltyTooSmall
+from patchdg.errors import MassNotSPD, NoConvergence, PenaltyTooSmall
 from patchdg.mesh import build_topology, generate_cube_tet, generate_square_tri
 from patchdg.reconstruction import build_space
 
@@ -29,6 +30,14 @@ class TestDense:
     def test_mass_not_spd(self):
         with pytest.raises(MassNotSPD):
             solve_dense(sp.eye(2), sp.diags([1.0, -1.0]))
+
+    def test_other_lapack_failure_is_no_convergence(self, monkeypatch):
+        # LinAlgError is a ValueError, which the CLI would report as exit 2
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("the algorithm failed to converge")
+        monkeypatch.setattr(eigensolve.la, "eigh", fail)
+        with pytest.raises(NoConvergence):
+            solve_dense(sp.eye(2), sp.eye(2))
 
     def test_m_orthonormal(self):
         rng = np.random.default_rng(0)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from patchdg.errors import (
     DegenerateElement,
     MixedDimension,
     NonCCW,
+    NonFiniteVertex,
     NonManifold,
     NotStarShaped,
     UnsupportedVersion,
@@ -35,6 +38,63 @@ def signed_measures(coords):
 
 def element_coords(mesh):
     return mesh.vertices[np.array(mesh.elements)]
+
+
+def loop_square_tri(n, side=np.pi):
+    """The cell-by-cell loop that generate_square_tri replaced:
+    (vertices, cells) in the same numbering."""
+    xs = np.linspace(0.0, side, n + 1)
+    verts = np.array([[xs[i], xs[j]] for j in range(n + 1) for i in range(n + 1)])
+    vid = lambda i, j: j * (n + 1) + i
+    cells = []
+    for j in range(n):
+        for i in range(n):
+            v00, v10, v01, v11 = vid(i, j), vid(i + 1, j), vid(i, j + 1), vid(i + 1, j + 1)
+            if (i + j) % 2 == 0:
+                cells += [(v00, v10, v11), (v00, v11, v01)]
+            else:
+                cells += [(v00, v10, v01), (v10, v11, v01)]
+    return verts, cells
+
+
+def loop_cube_tet(n):
+    """The cell-by-cell Kuhn split that generate_cube_tet replaced, every
+    negatively oriented tetrahedron with its last two vertices swapped."""
+    xs = np.linspace(0.0, 1.0, n + 1)
+    verts = np.array([[xs[i], xs[j], xs[k]]
+                      for k in range(n + 1) for j in range(n + 1) for i in range(n + 1)])
+    vid = lambda i, j, k: (k * (n + 1) + j) * (n + 1) + i
+    cells = []
+    for k in range(n):
+        for j in range(n):
+            for i in range(n):
+                for perm in itertools.permutations(range(3)):
+                    corner = [i, j, k]
+                    path = [vid(*corner)]
+                    for axis in perm:
+                        corner[axis] += 1
+                        path.append(vid(*corner))
+                    if signed_measures(verts[path][None])[0] < 0.0:
+                        path[-2:] = path[:-3:-1]
+                    cells.append(path)
+    return verts, cells
+
+
+# a triangle pair, a quad and a pentagon: loops of three widths
+MIXED_POLY = """8 4
+0 0
+1 0
+2 0
+0 1
+1 1
+2 1
+0 2
+2 2
+4 0 1 4 3
+3 1 2 5
+3 1 5 4
+5 3 4 5 7 6
+"""
 
 MSH_FIXTURE = """$MeshFormat
 2.2 0 8
@@ -108,6 +168,19 @@ class TestGenerators:
         generate_square_tri(5).validate()
         generate_cube_tet(2).validate()
 
+    @pytest.mark.parametrize("generate, oracle, sizes",
+                             [(generate_square_tri, loop_square_tri, range(1, 17)),
+                              (generate_cube_tet, loop_cube_tet, range(1, 7))],
+                             ids=["square", "cube"])
+    def test_generators_match_loop_oracle(self, generate, oracle, sizes):
+        # the numbering is part of the output: patch growth breaks ties by id
+        for n in sizes:
+            mesh = generate(n)
+            verts, cells = oracle(n)
+            assert mesh.vertices.tobytes() == verts.tobytes()
+            assert np.array_equal(mesh.elements, cells)
+            assert (mesh.lengths == mesh.dim + 1).all()
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             generate_square_tri(0)
@@ -144,6 +217,14 @@ class TestValidate:
         self.check(E[:4] + [(0, 1), (0, 1, 99)], "element 4 is not a 2-simplex")
 
 
+    def test_non_finite_vertex(self):
+        mesh = Mesh(2, np.array([[0.0, 0], [1, 0], [0, np.nan]]), [(0, 1, 2)])
+        with pytest.raises(NonFiniteVertex) as info:
+            mesh.validate()
+        assert str(info.value) == "vertex 2 has a non-finite coordinate (0.0, nan)"
+        assert isinstance(info.value, ValueError)
+
+
 class TestMshIO:
     def test_parse_fixture(self):
         mesh = parse_msh(MSH_FIXTURE.encode())
@@ -168,26 +249,33 @@ class TestMshIO:
         with pytest.raises(MixedDimension):
             parse_msh(bad)
 
+    def test_non_finite_node_rejected_before_geometry(self):
+        bad = MSH_FIXTURE.replace("3 1 1 0", "3 1 nan 0")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteVertex, match="^vertex 3 "):
+                parse_msh(bad)
+
     def test_round_trip_2d(self):
         mesh = generate_square_tri(2)
         back = parse_msh(write_msh(mesh))
         assert np.max(np.abs(back.vertices - mesh.vertices)) < 1e-12
-        assert back.elements == mesh.elements
+        assert np.array_equal(back.elements, mesh.elements)
 
     @pytest.mark.parametrize("mesh", [generate_square_tri(3), generate_cube_tet(2)])
     def test_negative_elements_reoriented(self, mesh):
         # every other element written with its last two vertices swapped
         # comes back with them swapped back, the others unchanged
-        flipped = [el[:-2] + (el[-1], el[-2]) if K % 2 else el
-                   for K, el in enumerate(mesh.elements)]
+        flipped = mesh.elements.copy()
+        flipped[1::2, -2:] = flipped[1::2, :-3:-1]
         text = write_msh(Mesh(mesh.dim, mesh.vertices, flipped))
-        assert parse_msh(text).elements == mesh.elements
+        assert np.array_equal(parse_msh(text).elements, mesh.elements)
 
     def test_round_trip_3d(self):
         mesh = generate_cube_tet(1)
         back = parse_msh(write_msh(mesh))
         assert np.max(np.abs(back.vertices - mesh.vertices)) < 1e-12
-        assert back.elements == mesh.elements
+        assert np.array_equal(back.elements, mesh.elements)
 
 
 class TestPolyIO:
@@ -201,6 +289,14 @@ class TestPolyIO:
         text = "4 1\n0 0\n1 0\n1 1\n0 1\n4 3 2 1 0\n"
         with pytest.raises(NonCCW):
             parse_poly(text)
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_non_finite_vertex_rejected(self, bad):
+        text = f"4 1\n0 0\n1 0\n1 {bad}\n0 1\n4 0 1 2 3\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteVertex, match="^vertex 2 "):
+                parse_poly(text)
 
     def test_quad_grid(self):
         # 2x2 quads on [-1,1]^2: 9 vertices, 4 elements, 4 interior faces
@@ -230,7 +326,21 @@ class TestPolyIO:
         text = "4 1\n0 0\n1 0\n1 1\n0 1\n4 0 1 2 3\n"
         mesh = parse_poly(text)
         again = parse_poly(write_poly(mesh))
-        assert again.elements == mesh.elements
+        assert np.array_equal(again.elements, mesh.elements)
+
+    def test_mixed_round_trip(self):
+        mesh = parse_poly(MIXED_POLY)
+        assert mesh.lengths.tolist() == [4, 3, 3, 5]
+        assert mesh.elements[1].tolist() == [1, 2, 5, 1, 1]  # padded by its first vertex
+        assert write_poly(mesh) == MIXED_POLY  # each loop written without padding
+        again = parse_poly(write_poly(mesh))
+        assert np.array_equal(again.elements, mesh.elements)
+        assert np.array_equal(again.lengths, mesh.lengths)
+
+    def test_element_coords_unpadded(self):
+        mesh = parse_poly(MIXED_POLY)
+        assert mesh.element_coords(1).tolist() == [[1.0, 0.0], [2.0, 0.0], [2.0, 1.0]]
+        assert mesh.element_coords(3).shape == (5, 2)
 
 
 class TestTopology:
@@ -304,6 +414,12 @@ class TestElementGeometry:
         geom = all_geometries(mesh)
         total = signed_measures(geom.sub_simplices).sum()
         assert abs(total - geom.measures[0]) < 1e-12 * geom.measures[0]
+
+    def test_clockwise_polygon_built_in_code(self):
+        verts = np.array([[0.0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [2, 1]])
+        mesh = Mesh(2, verts, [(0, 1, 2, 3), (1, 2, 5, 4)], element_kind="polygon")
+        with pytest.raises(NonCCW, match="^polygon 1 is clockwise"):
+            all_geometries(mesh)
 
     def test_degenerate_rejected(self):
         mesh = Mesh(2, np.array([[0.0, 0], [1, 0], [2, 0]]), [(0, 1, 2)])
