@@ -2,11 +2,12 @@
 
 Two routes: a dense full-spectrum path (Cholesky reduction to a standard
 symmetric problem, used by the reliable-count experiment which consumes
-large spectrum fractions) and a shift-invert Lanczos path for the k
-smallest pairs (A factored once by a band Cholesky after a reverse
-Cuthill-McKee ordering, Krylov iteration with M inner products and full
-reorthogonalization via ARPACK).  :func:`solve_smallest` is the one place
-that picks between them.  The same SPD factor solves the source problem.
+large spectrum fractions) and a Lanczos path for the k smallest pairs (A
+factored once as P^T A P = U^T U by a band Cholesky, ARPACK's Lanczos
+with full reorthogonalization on the standard symmetric operator
+U^-T P^T M P U^-1, whose largest eigenvalues are the reciprocals of the
+smallest lambda).  :func:`solve_smallest` is the one place that picks
+between them.  The same SPD factor solves the source problem.
 """
 
 from __future__ import annotations
@@ -66,57 +67,91 @@ def solve_dense(A, M):
 
 
 class _BandCholesky:
-    """A = P^T L L^T P in LAPACK upper band storage; ``solve`` applies A^-1."""
+    """P^T A P = U^T U with U upper triangular in LAPACK band storage.
+
+    ``perm[i]`` is the input DOF at position i of the band ordering P.
+    """
 
     def __init__(self, perm, factor):
         self.perm, self.factor = perm, factor
-        self.pbtrs = la.get_lapack_funcs("pbtrs", (factor,))
+        self.pbtrs, self.tbtrs = la.get_lapack_funcs(("pbtrs", "tbtrs"), (factor,))
+        self.tbsv = la.get_blas_funcs("tbsv", (factor,))
 
     def solve(self, b):
+        """A^-1 b."""
         x, _ = self.pbtrs(self.factor, b[self.perm])
         out = np.empty_like(x)
         out[self.perm] = x
         return out
 
+    def congruence(self, M):
+        """The symmetric operator U^-T P^T M P U^-1, applied in place of A^-1 M."""
+        u = self.factor.shape[0] - 1
+        x = np.empty(self.factor.shape[1])
+
+        def matvec(y):
+            x[self.perm] = self.tbsv(u, self.factor, y.ravel())
+            return self.tbsv(u, self.factor, (M @ x)[self.perm], trans=1, overwrite_x=1)
+
+        return spla.LinearOperator(M.shape, matvec=matvec, dtype=float)
+
+    def back(self, Y):
+        """P U^-1 Y, the eigenvectors of (A, M) from those of the congruence."""
+        Z, _ = self.tbtrs(self.factor, Y)
+        out = np.empty_like(Z)
+        out[self.perm] = Z
+        return out
+
 
 def _factor_spd(A):
-    """Band Cholesky of A after a reverse Cuthill-McKee ordering.
+    """Band Cholesky of A, in the narrower of the input and RCM orderings.
 
-    The DOFs are elements and the stencil is a patch, so RCM packs the
-    symmetric CSR matrix A into a narrow band, which LAPACK's blocked band
-    Cholesky (pbtrf) factors.  The factor exists only for an SPD matrix:
-    an indefinite or singular stiffness raises PenaltyTooSmall, like the
-    dense path.
+    The DOFs are elements and the stencil is a patch, so the symmetric CSR
+    matrix A is a band in a good element numbering, which LAPACK's blocked
+    band Cholesky (pbtrf) factors.  Reverse Cuthill-McKee finds such a
+    numbering for any mesh; the input numbering is kept when its measured
+    half-bandwidth is strictly smaller (the generated squares, whose
+    row-by-row numbering beats RCM), and RCM is used otherwise (the cubes).
+    The factor exists only for an SPD matrix: an indefinite or singular
+    stiffness raises PenaltyTooSmall, like the dense path.
     """
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+    n = A.shape[0]
+    C = A.tocoo()
     perm = reverse_cuthill_mckee(A, symmetric_mode=True)
     where = np.empty_like(perm)
-    where[perm] = np.arange(len(perm))
-    C = A.tocoo()
+    where[perm] = np.arange(n)
     i, j = where[C.row], where[C.col]
+    if np.max(np.abs(C.row - C.col), initial=0) < np.max(np.abs(i - j), initial=0):
+        perm, i, j = np.arange(n), C.row, C.col
     upper = i <= j
     i, j = i[upper], j[upper]
     u = int(np.max(j - i, initial=0))
-    band = np.zeros((u + 1, A.shape[0]), order="F")
+    band = np.zeros((u + 1, n), order="F")
     band[u + i - j, j] = C.data[upper]
     pbtrf = la.get_lapack_funcs("pbtrf", (band,))
     factor, info = pbtrf(band, overwrite_ab=True)
     if info > 0:
         raise PenaltyTooSmall(
-            f"stiffness is not positive definite (leading minor {info} of the RCM "
+            f"stiffness is not positive definite (leading minor {info} of the band "
             f"ordering, DOF {perm[info - 1]}); raise the penalties"
         )
     return _BandCholesky(perm, factor)
 
 
 def solve_smallest(A, M, k, tol=1e-9):
-    """The k smallest eigenpairs by shift-invert at zero.
+    """The k smallest eigenpairs, by Lanczos on the Cholesky-symmetrised inverse.
 
     Small pencils (n <= 32) and requests for more than a quarter of the
     spectrum take the dense path instead.  Otherwise A is factored once
-    by :func:`_factor_spd`, which refuses an indefinite or singular
-    stiffness, and each Lanczos step applies A^-1 through that factor.
+    by :func:`_factor_spd` as P^T A P = U^T U, which refuses an indefinite
+    or singular stiffness.  The k largest eigenvalues mu of the standard
+    symmetric operator U^-T P^T M P U^-1 are the reciprocals of the k
+    smallest lambda (Ericsson and Ruhe's spectral transformation at zero),
+    so each Lanczos step is a triangular band sweep, a product with M and
+    a transposed sweep, with plain Euclidean inner products.  A unit
+    eigenvector y gives x = P U^-1 y sqrt(lambda), of unit M-norm.
     The Lanczos start vector is seeded, so reruns give identical results.
     """
     if k < 1:
@@ -130,25 +165,25 @@ def solve_smallest(A, M, k, tol=1e-9):
         res = solve_dense(A, M)
         return EigenResult(res.values[:k], res.vectors[:, :k], res.residuals[:k])
 
-    lu = _factor_spd(A)
+    chol = _factor_spd(A)
     try:
-        values, vectors = spla.eigsh(
-            A,
+        mu, Y = spla.eigsh(
+            chol.congruence(M),
             k=k,
-            M=M,
-            sigma=0.0,
-            which="LM",
+            which="LA",
             v0=np.random.default_rng(0).standard_normal(n),
             tol=0.0,
             maxiter=50 * k,
-            OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=float),
         )
     except spla.ArpackNoConvergence as exc:
-        raise NoConvergence(f"shift-invert Lanczos did not converge: {exc}") from None
+        raise NoConvergence(f"Lanczos did not converge: {exc}") from None
 
-    order = np.argsort(values)
-    values, vectors = values[order], vectors[:, order]
-    vectors = _fix_signs(vectors)
+    if mu.min() <= 0.0:
+        # U^-T P^T M P U^-1 has the inertia of M
+        raise MassNotSPD("mass matrix is not positive definite")
+    order = np.argsort(-mu)
+    values = 1.0 / mu[order]
+    vectors = _fix_signs(chol.back(Y[:, order]) * np.sqrt(values))
     res, den = _residuals(A, M, values, vectors)
     # the roundoff floor of the relative residual: evaluating A x - lambda M x
     # cancels to eps * ||A|| * ||x||, so for small eigenvalues the quotient

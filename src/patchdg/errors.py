@@ -19,6 +19,10 @@ class DanglingNode(MeshError):
     """An element references a node id that is not in the file."""
 
 
+class DuplicateNode(MeshError):
+    """A mesh file defines the same node id twice."""
+
+
 class MixedDimension(MeshError):
     """A mesh file contains both triangles and tetrahedra."""
 

@@ -21,6 +21,7 @@ from .errors import (
     BadCount,
     DanglingNode,
     DegenerateElement,
+    DuplicateNode,
     MixedDimension,
     NonCCW,
     NonFiniteVertex,
@@ -37,6 +38,8 @@ class Mesh:
     ``vertices`` is an (nv, dim) float array.  ``elements``, given as any
     sequence of vertex-id loops, is kept as an (N, w) int table: row K holds
     element K's ``lengths[K]`` ids, padded by repeating its first vertex.
+    Trailing repeats of a loop's first vertex are read as padding, so
+    another mesh's table builds the same mesh.
     Simplex elements have dim+1 vertices; polygon elements (2D only) are
     counter-clockwise loops of any length >= 3.
     """
@@ -50,13 +53,15 @@ class Mesh:
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
         loops = self.elements
-        self.lengths = np.fromiter(map(len, loops), dtype=int, count=len(loops))
-        w = int(self.lengths.max(initial=0))
-        if (self.lengths == w).all():
-            self.elements = np.array(loops, dtype=int).reshape(len(loops), w)
+        lengths = np.fromiter(map(len, loops), dtype=int, count=len(loops))
+        w = int(lengths.max(initial=0))
+        if (lengths == w).all():
+            table = np.array(loops, dtype=int).reshape(len(loops), w)
         else:
-            self.elements = np.array([list(el) + list(el[:1]) * (w - len(el)) for el in loops],
-                                     dtype=int)
+            table = np.array([list(el) + list(el[:1]) * (w - len(el)) for el in loops], dtype=int)
+        padding = np.cumprod(table[:, :0:-1] == table[:, :1], axis=1).sum(axis=1)
+        self.lengths = w - padding
+        self.elements = table[:, :self.lengths.max(initial=0)]
 
     @property
     def num_vertices(self):
@@ -306,6 +311,9 @@ def parse_msh(text):
     nodes = [ln.split() for ln in node_lines[1:]]
     node_ids = [int(parts[0]) for parts in nodes]
     id_map = {nid: i for i, nid in enumerate(node_ids)}
+    if len(id_map) != len(node_ids):
+        twice = next(nid for i, nid in enumerate(node_ids) if id_map[nid] != i)
+        raise DuplicateNode(f"node {twice} is defined twice")
     coords = np.array([[float(p) for p in parts[1:4]] for parts in nodes])
 
     elem_lines = sections["Elements"]

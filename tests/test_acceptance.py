@@ -220,7 +220,7 @@ def test_criterion_8_above_exact():
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_criterion_9_solver_cross_check(m):
-    """Dense and shift-invert eigenvalues agree to 1e-8 relative for k=10."""
+    """Dense and Lanczos eigenvalues agree to 1e-8 relative for k=10."""
     space = get_space("square", 8, m)
     cfg = pdg.FormConfig(problem="laplace", m=m)
     A = pdg.assemble_laplace(space, cfg)

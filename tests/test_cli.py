@@ -61,7 +61,7 @@ class TestSolveCommand:
         assert code == 2
 
     def test_byte_identical_reruns(self, tmp_path):
-        # square:4 takes the dense path, square:16 shift-invert Lanczos
+        # square:4 takes the dense path, square:16 the Lanczos path
         for mesh, m, k in (("square:4", "1", "5"), ("square:16", "2", "10")):
             a, b = tmp_path / mesh / "a", tmp_path / mesh / "b"
             for out in (a, b):
@@ -223,7 +223,9 @@ class TestMeshInfo:
         ("nonfinite.poly", "4 1\n0 0\n1 0\n1 inf\n0 1\n4 0 1 2 3\n"),
         ("version.msh", MSH_FIXTURE.replace("2.2 0 8", "4.1 0 8")),
         ("mixed.msh", MSH_FIXTURE.replace("3 2 2 0 1 1 3 4", "3 4 2 0 1 1 2 3 4")),
-    ], ids=["dangling", "clockwise", "nonfinite", "version", "mixed"])
+        ("duplicate.msh", MSH_FIXTURE.replace("4\n1 0 0 0", "5\n1 0 0 0").replace(
+            "4 0 1 0\n", "4 0 1 0\n3 5 5 0\n")),
+    ], ids=["dangling", "clockwise", "nonfinite", "version", "mixed", "duplicate"])
     def test_mesh_file_defects_exit_2_no_artifacts(self, tmp_path, capsys, name, text):
         path = tmp_path / name
         path.write_text(text)

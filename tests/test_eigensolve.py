@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from patchdg import eigensolve
 from patchdg.assembly import FormConfig, assemble_biharmonic, assemble_laplace, assemble_mass
@@ -73,7 +74,24 @@ class TestSmallest:
         dense = solve_dense(A, M)
         it = solve_smallest(A, M, 10)
         rel = np.abs(it.values - dense.values[:10]) / np.abs(dense.values[:10])
-        assert rel.max() < 1e-8
+        assert rel.max() < 1e-12
+
+    def test_biharmonic_cube_agrees_with_dense(self, monkeypatch):
+        mesh = generate_cube_tet(2)
+        space = build_space(mesh, build_topology(mesh), 2)
+        A = assemble_biharmonic(space, FormConfig(problem="biharmonic", bc="simply_supported", m=2))
+        M = assemble_mass(space)
+        assert A.shape[0] == 48
+        dense = solve_dense(A, M)
+
+        def refuse(*args):
+            raise AssertionError("k = n/4 must take the Lanczos path")
+        monkeypatch.setattr(eigensolve, "solve_dense", refuse)
+        it = solve_smallest(A, M, 12)
+        rel = np.abs(it.values - dense.values[:12]) / np.abs(dense.values[:12])
+        assert rel.max() < 1e-12
+        G = it.vectors.T @ (M @ it.vectors)
+        assert np.max(np.abs(G - np.eye(12))) < 1e-12
 
     def test_variational_bound(self, pencil):
         A, M = pencil
@@ -99,7 +117,7 @@ class TestSmallest:
         res = solve_smallest(A, M, 6)
         assert np.all(np.diff(res.values) >= -1e-12)
         G = res.vectors.T @ (M @ res.vectors)
-        assert np.max(np.abs(G - np.eye(6))) < 1e-8
+        assert np.max(np.abs(G - np.eye(6))) < 1e-12
 
     def test_residual_tolerance(self, pencil):
         A, M = pencil
@@ -107,8 +125,8 @@ class TestSmallest:
         assert np.all(res.residuals <= 1e-8)
 
     def test_indefinite_stiffness_raises(self):
-        # shift-invert at 0 finds only the eigenvalues nearest 0, so the
-        # negative ones must be caught by the factor, which exists only
+        # Lanczos on the inverse finds only the eigenvalues nearest 0, so
+        # the negative ones must be caught by the factor, which exists only
         # for an SPD stiffness
         mesh = generate_square_tri(8)
         space = build_space(mesh, build_topology(mesh), 2)
@@ -118,6 +136,12 @@ class TestSmallest:
             solve_dense(A, M)
         with pytest.raises(PenaltyTooSmall):
             solve_smallest(A, M, 5)
+
+    def test_negative_mass_raises(self, pencil):
+        # U^-T P^T M P U^-1 has the inertia of M: no positive mu, no pair
+        A, M = pencil
+        with pytest.raises(MassNotSPD):
+            solve_smallest(A, -M, 3)
 
 
 class TestFactor:
@@ -134,6 +158,29 @@ class TestFactor:
         y = np.linalg.solve(A.toarray(), b)
         assert x.shape == b.shape
         assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["generated", "permuted"])
+    def test_narrower_ordering(self, shuffle):
+        mesh = generate_square_tri(16)
+        space = build_space(mesh, build_topology(mesh), 2)
+        A = assemble_laplace(space, FormConfig(problem="laplace", m=2))
+        if shuffle:
+            p = np.random.default_rng(7).permutation(A.shape[0])
+            A = A[p][:, p].tocsr()
+
+        def half_bandwidth(perm):
+            where = np.empty_like(perm)
+            where[perm] = np.arange(len(perm))
+            C = A.tocoo()
+            return int(np.max(np.abs(where[C.row] - where[C.col])))
+
+        natural = half_bandwidth(np.arange(A.shape[0]))
+        rcm = half_bandwidth(reverse_cuthill_mckee(A, symmetric_mode=True))
+        chol = _factor_spd(A)
+        assert half_bandwidth(chol.perm) == chol.factor.shape[0] - 1 <= min(natural, rcm)
+        b = np.random.default_rng(3).standard_normal(A.shape[0])
+        y = np.linalg.solve(A.toarray(), b)
+        assert np.max(np.abs(chol.solve(b) - y)) <= 1e-12 * np.max(np.abs(y))
 
     def test_singular_raises(self):
         # an SPD pattern with one zero row and column: the factor must stop

@@ -9,6 +9,7 @@ from patchdg.errors import (
     BadCount,
     DanglingNode,
     DegenerateElement,
+    DuplicateNode,
     MixedDimension,
     NonCCW,
     NonFiniteVertex,
@@ -242,6 +243,12 @@ class TestMshIO:
         with pytest.raises(DanglingNode):
             parse_msh(bad)
 
+    def test_duplicate_node(self):
+        bad = MSH_FIXTURE.replace("4\n1 0 0 0", "5\n1 0 0 0").replace(
+            "4 0 1 0\n", "4 0 1 0\n3 5 5 0\n")
+        with pytest.raises(DuplicateNode, match="^node 3 "):
+            parse_msh(bad)
+
     def test_mixed_dimension(self):
         bad = MSH_FIXTURE.replace(
             "3 2 2 0 1 1 3 4", "3 4 2 0 1 1 2 3 4"
@@ -336,6 +343,23 @@ class TestPolyIO:
         again = parse_poly(write_poly(mesh))
         assert np.array_equal(again.elements, mesh.elements)
         assert np.array_equal(again.lengths, mesh.lengths)
+
+    def test_rebuilt_from_padded_table(self):
+        # a table's padding is not read as vertices: the mesh is the same
+        mesh = parse_poly(MIXED_POLY)
+        again = Mesh(2, mesh.vertices, mesh.elements, element_kind="polygon")
+        assert np.array_equal(again.lengths, mesh.lengths)
+        assert np.array_equal(again.elements, mesh.elements)
+        g, h = all_geometries(mesh), all_geometries(again)
+        for name in ("barycenters", "diameters", "measures", "sub_simplices", "sub_owner"):
+            assert np.array_equal(getattr(g, name), getattr(h, name))
+
+    @pytest.mark.parametrize("mesh", [generate_square_tri(3), generate_cube_tet(2)],
+                             ids=["triangles", "tetrahedra"])
+    def test_simplex_table_unchanged(self, mesh):
+        again = Mesh(mesh.dim, mesh.vertices, mesh.elements)
+        assert np.array_equal(again.elements, mesh.elements)
+        assert again.lengths.tolist() == [mesh.dim + 1] * mesh.num_elements
 
     def test_element_coords_unpadded(self):
         mesh = parse_poly(MIXED_POLY)
