@@ -26,7 +26,7 @@ from .assembly import (
     load_vector,
     measure,
 )
-from .eigensolve import _factor_spd, solve_dense, solve_smallest
+from .eigensolve import _factor_spd, solve_smallest
 from .errors import ClusterAmbiguous
 from .reconstruction import build_space
 
@@ -105,23 +105,16 @@ def exact_spectrum(domain, p, count):
     dim = 2 if domain == "square_pi" else 3
     bound = max(2, math.isqrt(2 * count) + 2)
     while True:
-        pairs = []
-        ranges = [range(1, bound + 1)] * dim
-        if dim == 2:
-            for i in ranges[0]:
-                for j in ranges[1]:
-                    pairs.append((i * i + j * j, (i, j)))
-        else:
-            for i in ranges[0]:
-                for j in ranges[1]:
-                    for k in ranges[2]:
-                        pairs.append((i * i + j * j + k * k, (i, j, k)))
-        pairs.sort(key=lambda t: (t[0], t[1]))
-        if len(pairs) >= count and pairs[count - 1][0] <= bound * bound:
+        # every label in 1..bound per axis, in ascending lexicographic order,
+        # so a stable sort on the value breaks ties by label
+        idx = np.indices((bound,) * dim).reshape(dim, -1) + 1
+        squares = (idx * idx).sum(axis=0)
+        order = np.argsort(squares, kind="stable")[:count]
+        if len(order) == count and squares[order[-1]] <= bound * bound:
             break
         bound *= 2
-    base = np.array([v for v, _ in pairs[:count]], dtype=float)
-    labels = [lab for _, lab in pairs[:count]]
+    base = squares[order].astype(float)
+    labels = list(map(tuple, idx[:, order].T.tolist()))
     if domain == "square_pi":
         values = base if p == 1 else base ** 2
     else:
@@ -233,11 +226,10 @@ def _assemble(space, config):
 
 def compute_spectrum(space, config, k=None, tol=1e-9):
     """Assemble and solve; full spectrum when k is None, else the
-    min(k, N) smallest pairs."""
+    min(k, N) smallest pairs.  :func:`solve_smallest` picks the path."""
     A, M = _assemble(space, config), assemble_mass(space)
-    if k is None:
-        return solve_dense(A, M), A, M
-    return solve_smallest(A, M, min(k, space.num_dofs), tol=tol), A, M
+    k = space.num_dofs if k is None else min(k, space.num_dofs)
+    return solve_smallest(A, M, k, tol=tol), A, M
 
 
 def convergence_study(meshes, config, domain, target, t=None):

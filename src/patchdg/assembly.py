@@ -57,11 +57,13 @@ class FormConfig:
 
     Effective penalties scale with the degree: eta * m^2 for the value jump
     of the second-order form, alpha * m^4 and beta * m^2 for the value and
-    gradient jumps of the fourth-order form.
+    gradient jumps of the fourth-order form.  An empty ``bc`` is the
+    problem's default: homogeneous_dirichlet for laplace, simply_supported
+    for biharmonic.
     """
 
-    problem: str = "laplace"           # laplace | biharmonic
-    bc: str = "homogeneous_dirichlet"  # homogeneous_dirichlet | clamped | simply_supported
+    problem: str = "laplace"  # laplace | biharmonic
+    bc: str = ""              # homogeneous_dirichlet | clamped | simply_supported
     m: int = 1
     eta: float = 5.5
     alpha: float = 5.0
@@ -70,6 +72,8 @@ class FormConfig:
     def __post_init__(self):
         if self.problem not in ("laplace", "biharmonic"):
             raise ValueError(f"unknown problem {self.problem!r}")
+        if not self.bc:
+            self.bc = "homogeneous_dirichlet" if self.problem == "laplace" else "simply_supported"
         if self.problem == "laplace":
             if self.bc != "homogeneous_dirichlet":
                 raise ValueError("the second-order form supports homogeneous Dirichlet only")

@@ -1,10 +1,12 @@
 """Batch front end: solve / convergence / reliable / source / mesh-info.
 
 Configuration comes from command-line flags, optionally layered over a flat
-key=value text file (flags override the file).  Artifacts are CSV files
-with a header row and 12-significant-digit, locale-independent numbers,
-plus optional legacy-VTK eigenfunction exports.  Exit codes: 0 success,
-2 configuration error, 3 numerical failure.
+key=value text file whose keys are the flag names: its lines are parsed as
+flags placed before the command line's own, so flags override the file.
+Artifacts are CSV files with a header row and 12-significant-digit,
+locale-independent numbers, plus optional legacy-VTK eigenfunction
+exports.  Exit codes: 0 success, 2 configuration error, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from . import analysis
 from .assembly import FormConfig
 from .errors import PatchDGError
 from .mesh import build_topology, generate_cube_tet, generate_square_tri, parse_msh, parse_poly
+from .patch import required_dim
 from .quadrature import MAX_ORDER
 from .reconstruction import build_space
 
@@ -32,30 +35,23 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
+@dataclass(kw_only=True)
+class RunConfig(FormConfig):
+    """One run: the form settings it inherits, plus what to run it on."""
+
     command: str
-    problem: str = "laplace"
-    bc: str = ""
-    m: int = 1
     t: int | None = None
     mesh: str = ""
     k: int = 10
     target: int = 1
-    eta: float = 5.5
-    alpha: float = 5.0
-    beta: float = 2.5
     tol: float = 1e-9
     vtk: int = 0
     output: str = "."
-    rate_threshold: float = 1.0
 
     def __post_init__(self):
         """Reject bad values before any mesh work."""
-        if not self.bc:
-            self.bc = "homogeneous_dirichlet" if self.problem == "laplace" else "simply_supported"
         try:
-            self.form()
+            super().__post_init__()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.k < 1:
@@ -88,12 +84,6 @@ class RunConfig:
         if self.bc == "clamped" or not self.mesh.startswith(("square:", "cube:")):
             return None
         return "square_pi" if self.mesh.startswith("square:") else "cube_unit"
-
-    def form(self):
-        return FormConfig(
-            problem=self.problem, bc=self.bc, m=self.m,
-            eta=self.eta, alpha=self.alpha, beta=self.beta,
-        )
 
 
 def _mesh_specs(spec):
@@ -130,10 +120,15 @@ def _load_mesh_seq(spec):
 
 def _check_degree(cfg, mesh):
     """Stiffness integrands have degree 2m; reject degrees the shipped
-    quadrature cannot integrate before any expensive work."""
+    quadrature cannot integrate, and patches too small to fit P^m, before
+    any expensive work."""
     if 2 * cfg.m > MAX_ORDER[mesh.dim]:
         raise ConfigError(f"degree {cfg.m} needs quadrature order {2 * cfg.m}; "
                           f"{mesh.dim}D rules stop at order {MAX_ORDER[mesh.dim]}")
+    need = required_dim(cfg.m, mesh.dim)
+    if cfg.t is not None and cfg.t < need:
+        raise ConfigError(f"patch size t = {cfg.t} is below {need}, the dimension of "
+                          f"P^{cfg.m} in {mesh.dim}D")
 
 
 def _fmt(x):
@@ -230,7 +225,7 @@ def _cmd_solve(cfg):
     _check_degree(cfg, mesh)
     topo = build_topology(mesh)
     space = build_space(mesh, topo, cfg.m, t=cfg.t)
-    result, A, M = analysis.compute_spectrum(space, cfg.form(), k=cfg.k, tol=cfg.tol)
+    result, A, M = analysis.compute_spectrum(space, cfg, k=cfg.k, tol=cfg.tol)
     rows = [(i + 1, v, r) for i, (v, r) in enumerate(zip(result.values, result.residuals))]
     os.makedirs(cfg.output, exist_ok=True)
     _write_csv(os.path.join(cfg.output, "eigenvalues.csv"), ["index", "value", "residual"], rows)
@@ -239,8 +234,7 @@ def _cmd_solve(cfg):
                    os.path.join(cfg.output, f"eigenfunction_{j + 1:03d}.vtk"))
     if cfg.domain():
         # per-run diagnostic against the known model spectrum
-        exact = analysis.exact_spectrum(cfg.domain(), cfg.form().p,
-                                        min(10, len(result.values)))
+        exact = analysis.exact_spectrum(cfg.domain(), cfg.p, min(10, len(result.values)))
         flags = analysis.above_exact_flags(exact, result, 10)
         print(f"above-exact diagnostic (first {len(flags)}): "
               f"{'all above' if flags.all() else 'NOT all above'}")
@@ -250,7 +244,7 @@ def _cmd_solve(cfg):
 def _cmd_convergence(cfg):
     meshes = _load_mesh_seq(cfg.mesh)
     _check_degree(cfg, meshes[0])
-    study = analysis.convergence_study(meshes, cfg.form(), cfg.domain(), cfg.target, t=cfg.t)
+    study = analysis.convergence_study(meshes, cfg, cfg.domain(), cfg.target, t=cfg.t)
     os.makedirs(cfg.output, exist_ok=True)
     _write_csv(
         os.path.join(cfg.output, "errors.csv"),
@@ -268,20 +262,17 @@ def _cmd_convergence(cfg):
 def _cmd_reliable(cfg):
     meshes = _load_mesh_seq(cfg.mesh)
     _check_degree(cfg, meshes[0])
-    form = cfg.form()
     results, sizes = [], []
     for mesh in meshes:
         topo = build_topology(mesh)
         space = build_space(mesh, topo, cfg.m, t=cfg.t)
-        result, _, _ = analysis.compute_spectrum(space, form, k=None)
+        result, _, _ = analysis.compute_spectrum(space, cfg, k=None)
         results.append(result)
         sizes.append(topo.geometry.h)
     rows = []
     for (coarse, fine), h_coarse in zip(zip(results, results[1:]), sizes):
-        exact = analysis.exact_spectrum(cfg.domain(), form.p, len(coarse.values))
-        count, pct = analysis.reliable_count(
-            exact, fine, coarse, cfg.rate_threshold, error_cap=h_coarse / 4.0
-        )
+        exact = analysis.exact_spectrum(cfg.domain(), cfg.p, len(coarse.values))
+        count, pct = analysis.reliable_count(exact, fine, coarse, 1.0, error_cap=h_coarse / 4.0)
         rows.append((len(fine.values), count, pct))
     os.makedirs(cfg.output, exist_ok=True)
     _write_csv(os.path.join(cfg.output, "reliable.csv"), ["N", "count", "percentage"], rows)
@@ -291,20 +282,19 @@ def _cmd_reliable(cfg):
 def _cmd_source(cfg):
     meshes = _load_mesh_seq(cfg.mesh)
     _check_degree(cfg, meshes[0])
-    form = cfg.form()
     if cfg.domain() == "square_pi":
         u = analysis.sine_product_field((1, 1), 1.0, 1.0)
         lam = 2.0
     else:
         u = analysis.sine_product_field((1, 1, 1), np.pi, 1.0)
         lam = 3.0 * np.pi ** 2
-    factor = lam if form.p == 1 else lam ** 2
+    factor = lam if cfg.p == 1 else lam ** 2
     f = lambda pts: factor * u.value(pts)
     rows, prev_err = [], None
     for mesh in meshes:
         topo = build_topology(mesh)
         space = build_space(mesh, topo, cfg.m, t=cfg.t)
-        res = analysis.solve_source(space, form, f, exact=u)
+        res = analysis.solve_source(space, cfg, f, exact=u)
         order = analysis.rate(prev_err, res.energy_error) if prev_err is not None else None
         rows.append((topo.geometry.h, res.energy_error, res.energy_error, order))
         prev_err = res.energy_error
@@ -337,17 +327,11 @@ _COMMANDS = {
     "mesh-info": _cmd_mesh_info,
 }
 
-_FILE_KEYS = {
-    "problem": str, "bc": str, "m": int, "t": int, "mesh": str, "k": int,
-    "target": int, "eta": float, "alpha": float, "beta": float, "tol": float,
-    "vtk": int, "output": str, "rate_threshold": float,
-}
-
-
-def _read_config_file(path):
+def _file_flags(path):
+    """The ``key=value`` lines of a config file as ``--key=value`` flags."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    values = {}
+    flags = []
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -356,10 +340,8 @@ def _read_config_file(path):
             if "=" not in line:
                 raise ConfigError(f"bad config line (need key=value): {raw.rstrip()}")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key not in _FILE_KEYS:
-                raise ConfigError(f"unknown config key: {key}")
-            values[key] = _FILE_KEYS[key](val)
-    return values
+            flags.append(f"--{key}={val}")
+    return flags
 
 
 def _build_parser():
@@ -369,42 +351,42 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--problem", choices=["laplace", "biharmonic"], default=None)
-        p.add_argument("--bc", choices=["homogeneous_dirichlet", "clamped", "simply_supported"],
-                       default=None)
-        p.add_argument("--m", type=int, default=None, help="polynomial degree")
-        p.add_argument("--t", type=int, default=None, help="patch size override")
-        p.add_argument("--mesh", default=None,
+        # an unset flag is left out, so RunConfig's default applies
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", help="flat key=value config file")
+        p.add_argument("--problem", choices=["laplace", "biharmonic"])
+        p.add_argument("--bc", choices=["homogeneous_dirichlet", "clamped", "simply_supported"])
+        p.add_argument("--m", type=int, help="polynomial degree")
+        p.add_argument("--t", type=int, help="patch size override")
+        p.add_argument("--mesh",
                        help="square:n | cube:n | file.msh | file.poly (lists for sequences)")
-        p.add_argument("--k", type=int, default=None, help="eigenpairs requested")
-        p.add_argument("--target", type=int, default=None, help="tracked exact eigenvalue rank")
-        p.add_argument("--eta", type=float, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--vtk", type=int, default=None, help="export this many eigenfunctions")
-        p.add_argument("--output", default=None)
-        p.add_argument("--rate-threshold", dest="rate_threshold", type=float, default=None)
+        p.add_argument("--k", type=int, help="eigenpairs requested")
+        p.add_argument("--target", type=int, help="tracked exact eigenvalue rank")
+        p.add_argument("--eta", type=float)
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--beta", type=float)
+        p.add_argument("--tol", type=float)
+        p.add_argument("--vtk", type=int, help="export this many eigenfunctions")
+        p.add_argument("--output")
     return parser
 
 
 def build_config(argv):
-    args = _build_parser().parse_args(argv)
-    values = {}
-    if args.config:
-        values.update(_read_config_file(args.config))
-    for key in _FILE_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    if not values.get("mesh"):
+    """Flags, with a --config file's lines parsed as flags ahead of them;
+    argparse checks file values like flag values, and the last one wins."""
+    parser = _build_parser()
+    args = vars(parser.parse_args(argv))
+    path = args.pop("config", None)
+    if path:
+        flags = _file_flags(path)
+        if "config" in vars(parser.parse_args([args["command"], *flags])):
+            raise ConfigError(f"config file {path} names another config file")
+        rest = argv[argv.index(args["command"]) + 1:]
+        args = vars(parser.parse_args([args["command"], *flags, *rest]))
+        del args["config"]
+    if not args.get("mesh"):
         raise ConfigError("a mesh source is required (--mesh or mesh= in the config file)")
-    try:
-        return RunConfig(command=args.command, **values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return RunConfig(**args)
 
 
 def run(cfg):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,13 +17,32 @@ from patchdg.analysis import (
     solve_source,
 )
 from patchdg.assembly import FormConfig, energy_norm
-from patchdg.eigensolve import EigenResult
+from patchdg.eigensolve import EigenResult, solve_dense, solve_smallest
 from patchdg.errors import ClusterAmbiguous, PenaltyTooSmall
 from patchdg.mesh import build_topology, generate_square_tri
 from patchdg.reconstruction import build_space
 
 
+def exact_by_loops(dim, count):
+    """The first ``count`` (i^2 + j^2 [+ k^2], label) pairs, by enumerating
+    every label up to a bound and sorting the tuples."""
+    bound = math.isqrt(2 * count) + 2  # every label with i^2 + ... <= bound^2 is in
+    pairs = sorted((sum(i * i for i in lab), lab)
+                   for lab in itertools.product(range(1, bound + 1), repeat=dim))
+    assert pairs[count - 1][0] <= bound * bound
+    return pairs[:count]
+
+
 class TestExactSpectrum:
+    @pytest.mark.parametrize("domain", ["square_pi", "cube_unit"])
+    def test_matches_the_loop_oracle(self, domain):
+        dim, scale = (2, 1.0) if domain == "square_pi" else (3, np.pi ** 2)
+        oracle = exact_by_loops(dim, 500)
+        for count in range(1, 501):
+            spec = exact_spectrum(domain, 1, count)
+            assert spec.labels == [lab for _, lab in oracle[:count]], count
+            assert np.array_equal(spec.values, [v * scale for v, _ in oracle[:count]]), count
+
     def test_square_first_six(self):
         spec = exact_spectrum("square_pi", 1, 6)
         assert np.allclose(spec.values, [2, 5, 5, 8, 10, 10])
@@ -140,6 +160,18 @@ def square8_m2():
     cfg = FormConfig(problem="laplace", m=2)
     result, A, M = compute_spectrum(space, cfg, k=12)
     return space, cfg, result, M
+
+
+def test_full_spectrum_is_solve_smallest_of_all_pairs(monkeypatch, square8_m2):
+    space, cfg, _, _ = square8_m2
+    calls = []
+    monkeypatch.setattr(analysis, "solve_smallest",
+                        lambda A, M, k, tol: calls.append(k) or solve_smallest(A, M, k, tol))
+    result, A, M = compute_spectrum(space, cfg)
+    assert calls == [space.num_dofs]
+    dense = solve_dense(A, M)  # the path it picks for every pair
+    assert np.array_equal(result.values, dense.values)
+    assert np.array_equal(result.vectors, dense.vectors)
 
 
 class TestMatching:

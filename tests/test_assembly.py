@@ -111,6 +111,12 @@ class TestLaplace:
         assert abs(qa - qb) < 1e-12 * abs(qa)
 
 
+class TestFormConfig:
+    def test_empty_bc_is_the_problem_default(self):
+        assert FormConfig().bc == "homogeneous_dirichlet"
+        assert FormConfig(problem="biharmonic", m=2).bc == "simply_supported"
+
+
 class TestBiharmonic:
     def test_symmetry_both_bcs(self, space_m2):
         for bc in ("clamped", "simply_supported"):

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from patchdg import cli, eigensolve
-from patchdg.cli import export_vtk, main
+from patchdg.assembly import FormConfig, assemble_laplace
+from patchdg.cli import RunConfig, build_config, export_vtk, main
 from patchdg.mesh import build_topology, generate_cube_tet, generate_square_tri, write_msh
 from patchdg.reconstruction import build_space, interpolate
 from test_batched_setup import loops, polygon_mesh
@@ -75,6 +78,25 @@ class TestSolveCommand:
         assert main(["solve", "--mesh", mesh, "--m", m, "--output", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--mesh", "square:64", "--m", "2", "--t", "2"],
+        ["solve", "--mesh", "square:8", "--m", "2", "--t", "5"],
+        ["convergence", "--mesh", "cube:2,4", "--problem", "biharmonic", "--m", "2",
+         "--t", "9"],
+    ])
+    def test_patch_below_polynomial_dimension_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                     argv):
+        # t < dim P^m (6 in 2D, 10 in 3D at m = 2) cannot fit any patch
+        monkeypatch.setattr(cli, "build_space", lambda *a, **kw: pytest.fail("space built"))
+        out = tmp_path / "run"
+        assert main(argv + ["--output", str(out)]) == 2
+        assert "patch size t" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_patch_of_polynomial_dimension_accepted(self):
+        cfg = build_config(["solve", "--mesh", "square:2", "--m", "2", "--t", "6"])
+        cli._check_degree(cfg, generate_square_tri(2))
+
     def test_mesh_file_input(self, tmp_path):
         mesh_path = tmp_path / "mesh.msh"
         mesh_path.write_text(write_msh(generate_square_tri(4)))
@@ -113,6 +135,59 @@ class TestConfigFile:
         cfg.write_text("meshes=square:4\n")
         assert main(["solve", "--config", str(cfg)]) == 2
 
+    # a valid value per flag
+    FLAG_VALUES = {"problem": "biharmonic", "bc": "simply_supported", "m": "3", "t": "20",
+                   "mesh": "square:4,8", "k": "7", "target": "2", "eta": "6.5",
+                   "alpha": "4", "beta": "3", "tol": "1e-8", "vtk": "2", "output": "elsewhere"}
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_file_line_equals_flag(self, tmp_path, capsys, command):
+        assert main([command, "--help"]) == 0
+        flags = set(re.findall(r"--([a-z-]+)", capsys.readouterr().out))
+        assert flags == set(self.FLAG_VALUES) | {"config", "help"}
+        mesh = "square:2,4" if command in ("convergence", "reliable", "source") else "square:2"
+        for key, value in self.FLAG_VALUES.items():
+            if command in ("solve", "mesh-info") and key == "mesh":
+                value = "square:4"
+            base = [] if key == "m" else ["--m", "2"]  # biharmonic needs m >= 2
+            if key == "bc":
+                base += ["--problem", "biharmonic"]
+            if key != "mesh":
+                base += ["--mesh", mesh]
+            path = tmp_path / f"{key}.cfg"
+            path.write_text(f"{key} = {value}\n")
+            from_flag = build_config([command, *base, f"--{key}", value])
+            assert build_config([command, "--config", str(path), *base]) == from_flag, key
+            applied = getattr(from_flag, key)
+            assert applied == type(applied)(value), key
+
+    @pytest.mark.parametrize("line, key", [
+        ("config=other.cfg", "config"),
+        ("config=", "config"),
+        ("rate_threshold=2", "rate_threshold"),
+        ("problem=foo", "problem"),
+        ("m=two", "m"),
+    ])
+    def test_bad_file_lines_exit_2_before_mesh_work(self, tmp_path, monkeypatch, capsys,
+                                                   line, key):
+        monkeypatch.setattr(cli, "_load_mesh_one", lambda spec: pytest.fail("mesh loaded"))
+        path = tmp_path / "run.cfg"
+        path.write_text(f"mesh=square:4\n{line}\n")
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(path), "--output", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_config_is_a_form_config(self):
+        assert not set(RunConfig.__annotations__) & set(FormConfig.__annotations__)
+        cfg = build_config(["solve", "--mesh", "square:4", "--m", "2", "--eta", "7"])
+        assert isinstance(cfg, FormConfig)
+        assert cfg.bc == "homogeneous_dirichlet"
+        square = generate_square_tri(4)
+        space = build_space(square, build_topology(square), 2)
+        expected = assemble_laplace(space, FormConfig(m=2, eta=7.0))
+        assert (assemble_laplace(space, cfg) != expected).nnz == 0
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--mesh", "square:abc"],
         ["solve", "--mesh", "square:0"],
@@ -149,6 +224,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--mesh", "square:4", "--threads", "2"],
+        ["solve", "--mesh", "square:4", "--rate-threshold", "2"],
         ["solve", "--mesh", "square:4", "--m", "x"],
     ])
     def test_usage_errors_return_2_no_artifacts(self, tmp_path, capsys, argv):
