@@ -22,7 +22,7 @@ def main():
             topo = pdg.build_topology(mesh)
             space = pdg.build_space(mesh, topo, m)
             cfg = pdg.FormConfig(problem="laplace", m=m)
-            A = pdg.assemble_laplace(space, cfg)
+            A = pdg.assemble_stiffness(space, cfg)
             M = pdg.assemble_mass(space)
             result = pdg.solve_smallest(A, M, 1)
             err = abs(result.values[0] - lam1) / lam1

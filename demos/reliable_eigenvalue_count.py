@@ -30,7 +30,7 @@ def main():
             coarse, h_col = full_spectrum(n_col, m)
             fine, _ = full_spectrum(n_fine, m)
             exact = pdg.exact_spectrum("square_pi", 1, len(coarse.values))
-            count, _ = pdg.reliable_count(exact, fine, coarse, 1.0, error_cap=h_col / 4)
+            count, _ = pdg.reliable_count(exact, fine, coarse, error_cap=h_col / 4)
             share = 100.0 * count / len(coarse.values)
             print(f"{m:3d} {len(coarse.values):6d} {count:9d} {share:10.1f}%")
     print("\nthe degree-1 share shrinks as N grows; the high-order share")

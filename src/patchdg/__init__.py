@@ -31,6 +31,7 @@ from .assembly import (
     assemble_biharmonic,
     assemble_laplace,
     assemble_mass,
+    assemble_stiffness,
     energy_norm,
     energy_product,
     load_vector,

@@ -17,9 +17,8 @@ import numpy as np
 
 from .assembly import (
     AnalyticField,
-    assemble_biharmonic,
-    assemble_laplace,
     assemble_mass,
+    assemble_stiffness,
     energy_norm,
     energy_product,  # noqa: F401  (perfbench tests expect this binding)
     gram,
@@ -28,6 +27,7 @@ from .assembly import (
 )
 from .eigensolve import _factor_spd, solve_smallest
 from .errors import ClusterAmbiguous
+from .mesh import build_topology
 from .reconstruction import build_space
 
 
@@ -210,24 +210,11 @@ class StudyResult:
     eigenvalue_rows: list
     eigenfunction_rows: list
 
-    def eigenvalue_orders(self):
-        return [r.order for r in self.eigenvalue_rows if r.order is not None]
-
-    def eigenfunction_orders(self):
-        return [r.order for r in self.eigenfunction_rows if r.order is not None]
-
-
-def _assemble(space, config):
-    """Stiffness matrix of the configured form."""
-    if config.problem == "laplace":
-        return assemble_laplace(space, config)
-    return assemble_biharmonic(space, config)
-
 
 def compute_spectrum(space, config, k=None, tol=1e-9):
     """Assemble and solve; full spectrum when k is None, else the
     min(k, N) smallest pairs.  :func:`solve_smallest` picks the path."""
-    A, M = _assemble(space, config), assemble_mass(space)
+    A, M = assemble_stiffness(space, config), assemble_mass(space)
     k = space.num_dofs if k is None else min(k, space.num_dofs)
     return solve_smallest(A, M, k, tol=tol), A, M
 
@@ -235,8 +222,9 @@ def compute_spectrum(space, config, k=None, tol=1e-9):
 def convergence_study(meshes, config, domain, target, t=None):
     """Eigenvalue and eigenfunction convergence rows over a mesh sequence.
 
-    Meshes must refine by a factor of two in h; ``target`` is the 1-based
-    rank of the tracked exact eigenvalue.
+    Meshes must refine by a factor of two in h, which is checked on their
+    topologies before anything is solved; ``target`` is the 1-based rank of
+    the tracked exact eigenvalue.
     """
     if len(meshes) < 2:
         raise ValueError("need at least two meshes")
@@ -244,22 +232,20 @@ def convergence_study(meshes, config, domain, target, t=None):
         raise ValueError(f"target is a 1-based rank, got {target}")
     exact = exact_spectrum(domain, config.p, target + 8)
     k_need = exact.cluster_start(target) + exact.multiplicity(target) + 4
-    hs, eig_errs, fun_errs, values, dofs = [], [], [], [], []
-    for mesh in meshes:
-        from .mesh import build_topology
-
-        topo = build_topology(mesh)
+    topos = [build_topology(mesh) for mesh in meshes]
+    hs = [topo.geometry.h for topo in topos]
+    if not all(map(halves, hs, hs[1:])):
+        raise ValueError("mesh sequence must halve h at each step")
+    eig_errs, fun_errs, values, dofs = [], [], [], []
+    for mesh, topo in zip(meshes, topos):
         space = build_space(mesh, topo, config.m, t=t)
         result, A, M = compute_spectrum(space, config, k=min(k_need, space.num_dofs))
         matched = match_cluster(space, config.p, exact, target, result)
         ve, fe = eigen_errors(space, config.p, exact, target, result, M, matched)
-        hs.append(topo.geometry.h)
         values.append(result.values[target - 1])
         eig_errs.append(ve)
         fun_errs.append(fe)
         dofs.append(space.num_dofs)
-    if not all(map(halves, hs, hs[1:])):
-        raise ValueError("mesh sequence must halve h at each step")
     return StudyResult(
         _rows(hs, dofs, values, eig_errs),
         _rows(hs, dofs, values, fun_errs),
@@ -295,8 +281,8 @@ def rate(err_coarse, err_fine):
 # reliable eigenvalue counting
 # --------------------------------------------------------------------------
 
-def reliable_count(exact, result_h, result_2h, rate_threshold=1.0, error_cap=None):
-    """Count eigenvalues whose h-to-2h rate is at least the threshold.
+def reliable_count(exact, result_h, result_2h, *, error_cap=None):
+    """Count eigenvalues whose h-to-2h rate is at least 1.
 
     Discrete spectra are paired with the exact one by sorted rank.  A zero
     error on the fine mesh counts as converged (infinite rate).  Returns
@@ -317,7 +303,7 @@ def reliable_count(exact, result_h, result_2h, rate_threshold=1.0, error_cap=Non
         err_h = abs(lam - result_h.values[i]) / abs(lam)
         err_2h = abs(lam - result_2h.values[i]) / abs(lam)
         r = rate(err_2h, err_h)
-        if r >= rate_threshold and err_h <= err_2h:
+        if r >= 1.0 and err_h <= err_2h:
             if error_cap is None or err_h <= error_cap:
                 count += 1
     pct = 100.0 * count / len(result_h.values)
@@ -342,7 +328,7 @@ def solve_source(space, config, f, exact=None):
     stiffness is solved through the eigensolver's SPD factor, so an
     indefinite or singular one raises PenaltyTooSmall.
     """
-    A = _assemble(space, config)
+    A = assemble_stiffness(space, config)
     b = load_vector(space, f)
     x = _factor_spd(A).solve(b)
     err = None

@@ -1,5 +1,16 @@
 """Symmetric interior penalty assembly over the reconstructed space.
 
+One table states the broken energy pairing of order 2p: ``_PAIRINGS[p]``
+gives its volume table kind and its face jumps with their powers of 1/h
+(p = 0 is the L2 pairing, 1 the second-order and 2 the fourth-order one).
+:func:`measure` integrates exactly that pairing for norms and Gram
+matrices, and :func:`_assemble` builds every matrix from it: the volume
+pairing, each jump penalised by its ``FormConfig.penalties`` entry over
+h^power, plus the jump's symmetric consistency term from the parallel
+``_CONSISTENCY[p]`` (an ordered pair of traces and a sign, each average
+formed from the jump's columns).  The mass matrix is p = 0, and
+:func:`assemble_stiffness` is the one stiffness for both orders.
+
 One DOF per element: matrix row/column j is the sampled value on element j.
 The space is the image of the reconstruction operator R (see
 :class:`patchdg.reconstruction.ReconstructedSpace`) on the broken
@@ -17,9 +28,6 @@ Volume terms batch over element sub-simplices (each carrying its owner
 element, so polygons need no separate path), face terms over interior faces
 and then boundary faces, at most ``CHUNK`` carriers per batch.  Every element
 tabulates the same n_terms monomials, so nothing is grouped by patch size.
-Norms and Gram matrices go through :func:`measure`, which contracts the same
-monomial tables with each field's per-element coefficients and keeps its
-values at every point.
 
 Every matrix is a plain symmetric ``scipy.sparse`` CSR matrix.  Symmetry is
 exact by construction: only the lower triangle of R^T A_DG R is kept, then
@@ -28,9 +36,9 @@ mirrored once.  ``scipy.io.mmwrite`` writes one as a coordinate file.
 Boundary faces use one-sided traces and enforce the essential conditions
 weakly (Nitsche style): v = 0 for the second-order form, v = dv/dn = 0 for
 the clamped fourth-order form.  The simply supported fourth-order variant
-keeps only the value-jump consistency terms and the value-jump penalty on
-boundary faces, since the normal derivative is unconstrained there and the
-second Laplace trace is a natural condition.
+keeps only the value-jump consistency term and penalty on boundary faces,
+since the normal derivative is unconstrained there and the second Laplace
+trace is a natural condition.
 """
 
 from __future__ import annotations
@@ -91,6 +99,14 @@ class FormConfig:
     def p(self):
         return 1 if self.problem == "laplace" else 2
 
+    @property
+    def penalties(self):
+        """Effective penalty per face jump of the form, as ordered in
+        ``_PAIRINGS[p]``: (eta m^2,) or (alpha m^4, beta m^2)."""
+        if self.p == 1:
+            return (self.eta * self.m ** 2,)
+        return (self.alpha * self.m ** 4, self.beta * self.m ** 2)
+
 
 def _pair(X, wts, Y):
     """Per batch entry b: sum over points q (and components) of
@@ -119,16 +135,14 @@ def _volume_batches(space, order, kinds, elements=None):
         yield K, pts, wts, tabulate(None, space.origin[K], space.scale[K], pts, space.m, kinds)
 
 
-def _face_batches(space, order, kinds, faces, averages=False):
+def _face_batches(space, order, kinds, faces):
     """Per batch of the interior ``faces``, then of the boundary ones:
-    (faces, points, weights, normals, h, on_boundary, jumps, averages).
+    (faces, points, weights, normals, h, on_boundary, jumps).
 
-    ``jumps`` and ``averages`` map each table kind to a (F, q, k n_terms)
-    trace of the monomials of the k sides, taking the normal component of
-    gradients; the normal is the plus side's outward one.  On interior faces
-    the jump is plus minus minus and the average weighs each side by 1/2; on
-    boundary faces both are the plus-side trace.  Only assembly pairs
-    averages, so unless ``averages`` is set that dict is empty.
+    ``jumps`` maps each table kind to a (F, q, k n_terms) trace of the
+    monomials of the k sides, taking the normal component of gradients; the
+    normal is the plus side's outward one.  On interior faces the jump is
+    plus minus minus, on boundary faces the plus-side trace.
     """
     topo = space.topology
     boundary = topo.sides[faces, 1] < 0
@@ -137,31 +151,29 @@ def _face_batches(space, order, kinds, faces, averages=False):
             batch = part[i:i + CHUNK]
             pts, wts = face_rule(space.mesh.dim, order, space.face_coords[batch])
             n, (plus, minus) = topo.normals[batch], topo.sides[batch].T
-            sides = [(plus, 1.0, 1.0)] if on_boundary else [(plus, 1.0, 0.5), (minus, -1.0, 0.5)]
-            jumps, avgs = {k: [] for k in kinds}, {k: [] for k in kinds}
-            for K, sign, weight in sides:
+            sides = [(plus, 1.0)] if on_boundary else [(plus, 1.0), (minus, -1.0)]
+            jumps = {k: [] for k in kinds}
+            for K, sign in sides:
                 tables = tabulate(None, space.origin[K], space.scale[K], pts, space.m, kinds)
                 for kind, T in tables.items():
                     if T.ndim == 4:
                         T = np.einsum("fqsd,fd->fqs", T, n)
                     jumps[kind].append(sign * T)
-                    if averages:
-                        avgs[kind].append(weight * T)
             yield (batch, pts, wts, n, topo.h_e[batch], on_boundary,
-                   {k: np.concatenate(v, axis=2) for k, v in jumps.items()},
-                   {k: np.concatenate(v, axis=2) for k, v in avgs.items() if v})
+                   {k: np.concatenate(v, axis=2) for k, v in jumps.items()})
 
 
-def _assemble(space, volume, elements=None, face_kinds=(), face_block=None, faces=None):
-    """R^T A_DG R as a symmetric CSR matrix, for the volume pairing of the
-    table kind ``volume`` plus, if given, the face terms ``face_block(weights,
-    h, on_boundary, jumps, averages)`` (F, k n_terms, k n_terms) over each
-    face's k sides, plus side first, from the ``face_kinds`` traces.  Each
-    block is added in place into its slot of A_DG, block diagonal without
-    face terms.  Only the lower triangle of the product is kept and then
-    mirrored once, so the result is exactly symmetric."""
+def _assemble(space, p, config=None, elements=None, faces=None):
+    """R^T A_DG R as a symmetric CSR matrix for the interior penalty form of
+    order 2p: the volume pairing and the penalised jumps of ``_PAIRINGS[p]``
+    (penalties from ``config``) plus the consistency terms of
+    ``_CONSISTENCY[p]``, over each face's k sides, plus side first.  Each
+    block is added in place into its slot of A_DG, block diagonal for p = 0.
+    Only the lower triangle of the product is kept and then mirrored once,
+    so the result is exactly symmetric."""
     n, nt, topo = space.num_dofs, space.n_terms, space.topology
-    sel = _selection(faces, topo.num_faces) if face_block else np.zeros(0, dtype=int)
+    volume, jumps = _PAIRINGS[p]
+    sel = _selection(faces, topo.num_faces) if p else np.zeros(0, dtype=int)
     plus, minus = topo.sides[sel].T
     minus = np.where(minus >= 0, minus, plus)  # a boundary face has one side
     rows = np.concatenate([np.arange(n), plus, plus, minus, minus])
@@ -178,11 +190,24 @@ def _assemble(space, volume, elements=None, face_kinds=(), face_block=None, face
     order = 2 * space.m
     for K, _, wts, T in _volume_batches(space, order, (volume,), elements):
         add(diag[K], _pair(T[volume], wts, T[volume]))
-    face_batches = _face_batches(space, order, face_kinds, sel, averages=True)
-    for batch, _, wts, _, h, boundary, jump, avg in face_batches:
+    penalties = [c * _dim_factor(space) for c in config.penalties] if p else []
+    terms = list(zip(jumps, _CONSISTENCY[p], penalties))
+    kinds = tuple(dict.fromkeys(kind for a, b, _ in _CONSISTENCY[p] for _, kind in (a, b)))
+    simply_supported = p > 0 and config.bc == "simply_supported"
+    half = np.repeat([0.5, -0.5], nt)  # an interior average from the jump's plus and minus columns
+    for batch, _, wts, _, h, boundary, jump in _face_batches(space, order, kinds, sel):
         k = 1 if boundary else 2
-        local = face_block(wts, h, boundary, jump, avg).reshape(len(batch), k, nt, k, nt)
-        add(face_slots[batch, :k, :k], local.transpose(0, 1, 3, 2, 4))
+        local = np.zeros((len(batch), k * nt, k * nt))
+        for (kind, power), (a, b, sign), c in terms:
+            if boundary and simply_supported and kind != "val":
+                continue
+            X, Y = (jump[kd] * half if tr == "avg" and not boundary else jump[kd]
+                    for tr, kd in (a, b))
+            E = _pair(X, wts, Y)
+            local += sign * (E + E.transpose(0, 2, 1))
+            local += (c / int_power(h, power))[:, None, None] * _pair(jump[kind], wts, jump[kind])
+        local = local.reshape(len(batch), k, nt, k, nt).transpose(0, 1, 3, 2, 4)
+        add(face_slots[batch, :k, :k], local)
     A_dg = sp.bsr_matrix((blocks, keys % n, np.searchsorted(keys, np.arange(n + 1) * n)),
                          shape=(n * nt, n * nt))
     R = space.R
@@ -195,50 +220,22 @@ def _assemble(space, volume, elements=None, face_kinds=(), face_block=None, face
 # stiffness and mass
 # --------------------------------------------------------------------------
 
-def assemble_laplace(space, config, elements=None, faces=None):
-    """Stiffness matrix of the second-order interior penalty form."""
-    if config.problem != "laplace":
-        raise ValueError("config.problem must be 'laplace'")
-    _check_degree(space, config)
-    eta = config.eta * config.m ** 2 * _dim_factor(space)
-
-    def face_block(wts, h, boundary, jump, avg):
-        J = jump["val"]
-        E = _pair(avg["grad"], wts, J)
-        return (eta / h)[:, None, None] * _pair(J, wts, J) - (E + E.transpose(0, 2, 1))
-
-    return _assemble(space, "grad", elements, ("val", "grad"), face_block, faces)
+def assemble_stiffness(space, config, elements=None, faces=None):
+    """Stiffness matrix of the configured interior penalty form."""
+    if min(space.m, config.m) < config.p:
+        raise DegreeTooLow(f"the order-{2 * config.p} form needs degree >= {config.p}")
+    if config.m != space.m:
+        raise ValueError(f"config degree {config.m} != space degree {space.m}")
+    return _assemble(space, config.p, config, elements, faces)
 
 
-def assemble_biharmonic(space, config, elements=None, faces=None):
-    """Stiffness matrix of the fourth-order interior penalty form."""
-    if config.problem != "biharmonic":
-        raise ValueError("config.problem must be 'biharmonic'")
-    if space.m < 2 or config.m < 2:
-        raise DegreeTooLow("the fourth-order form needs degree >= 2")
-    _check_degree(space, config)
-    alpha = config.alpha * config.m ** 4 * _dim_factor(space)
-    beta = config.beta * config.m ** 2 * _dim_factor(space)
-    simply_supported = config.bc == "simply_supported"
-
-    def face_block(wts, h, boundary, jump, avg):
-        J, JG = jump["val"], jump["grad"]
-        E1 = _pair(J, wts, avg["gradlap"])
-        block = E1 + E1.transpose(0, 2, 1)
-        block += (alpha / int_power(h, 3))[:, None, None] * _pair(J, wts, J)
-        if not (boundary and simply_supported):
-            E2 = _pair(avg["lap"], wts, JG)
-            block -= E2 + E2.transpose(0, 2, 1)
-            block += (beta / h)[:, None, None] * _pair(JG, wts, JG)
-        return block
-
-    return _assemble(space, "lap", elements, ("val", "grad", "lap", "gradlap"), face_block, faces)
+assemble_laplace = assemble_biharmonic = assemble_stiffness
 
 
 def assemble_mass(space):
     """Mass matrix of the reconstructed space (L2 Gram of the shape set):
     R^T M_DG R with M_DG block diagonal."""
-    return _assemble(space, "val")
+    return _assemble(space, 0)
 
 
 def _smooth_order(space):
@@ -254,11 +251,6 @@ def load_vector(space, f):
         fv = np.asarray(f(pts.reshape(-1, pts.shape[2])), dtype=float).reshape(wts.shape)
         np.add.at(b, K, np.einsum("bqa,bq->ba", T["val"], wts * fv))
     return space.R.T @ b.ravel()
-
-
-def _check_degree(space, config):
-    if config.m != space.m:
-        raise ValueError(f"config degree {config.m} != space degree {space.m}")
 
 
 def _dim_factor(space):
@@ -304,6 +296,14 @@ _PAIRINGS = {
     2: ("lap", (("val", 3), ("grad", 1))),
 }
 
+# p -> per face jump of _PAIRINGS[p], its symmetric consistency term in the
+# stiffness: an ordered pair of (trace, table kind) operands and a sign
+_CONSISTENCY = {
+    0: (),
+    1: ((("avg", "grad"), ("jump", "val"), -1),),
+    2: ((("jump", "val"), ("avg", "gradlap"), +1), (("avg", "lap"), ("jump", "grad"), -1)),
+}
+
 
 def measure(space, p, fields, l2=False):
     """Values of ``fields`` at every quadrature point of the broken energy
@@ -346,7 +346,7 @@ def measure(space, p, fields, l2=False):
            _volume_batches(space, order, (volume, "val") if l2 and p else (volume,))]
     kinds, faces = tuple(kind for kind, _ in face_terms), []
     every = np.arange(space.topology.num_faces if kinds else 0)
-    for batch, pts, wts, n, h, boundary, jump, _ in _face_batches(space, order, kinds, every):
+    for batch, pts, wts, n, h, boundary, jump in _face_batches(space, order, kinds, every):
         plus, minus = space.topology.sides[batch].T
         sides = C[plus] if boundary else np.concatenate([C[plus], C[minus]], axis=2)
         faces.append((values(jump, sides, pts, boundary, n), wts, h[:, None]))

@@ -272,7 +272,7 @@ def _cmd_reliable(cfg):
     rows = []
     for (coarse, fine), h_coarse in zip(zip(results, results[1:]), sizes):
         exact = analysis.exact_spectrum(cfg.domain(), cfg.p, len(coarse.values))
-        count, pct = analysis.reliable_count(exact, fine, coarse, 1.0, error_cap=h_coarse / 4.0)
+        count, pct = analysis.reliable_count(exact, fine, coarse, error_cap=h_coarse / 4.0)
         rows.append((len(fine.values), count, pct))
     os.makedirs(cfg.output, exist_ok=True)
     _write_csv(os.path.join(cfg.output, "reliable.csv"), ["N", "count", "percentage"], rows)
@@ -348,11 +348,13 @@ def _build_parser():
     parser = argparse.ArgumentParser(
         prog="patchdg",
         description="Elliptic eigenvalue solver on a patch-reconstructed DG space.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        # an unset flag is left out, so RunConfig's default applies
-        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        # an unset flag is left out, so RunConfig's default applies; a flag
+        # or config key must be spelled in full
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--problem", choices=["laplace", "biharmonic"])
         p.add_argument("--bc", choices=["homogeneous_dirichlet", "clamped", "simply_supported"])

@@ -195,7 +195,7 @@ def test_criterion_7_reliable_eigenvalue_trend():
             fine, _, _ = get_solve("square", n_fine, m)
             exact = pdg.exact_spectrum("square_pi", 1, len(coarse.values))
             h_col = pdg.mesh_size(get_space("square", n_col, m).mesh)
-            count, pct = pdg.reliable_count(exact, fine, coarse, 1.0, error_cap=h_col / 4.0)
+            count, pct = pdg.reliable_count(exact, fine, coarse, error_cap=h_col / 4.0)
             counts[(label, m)] = count
             pcts[(label, m)] = pct
     ratio = counts[(1000, 4)] / max(counts[(1000, 1)], 1)

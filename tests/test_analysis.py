@@ -137,14 +137,6 @@ class TestReliableCount:
         count, _ = reliable_count(exact, fine, coarse)
         assert count == 0
 
-    def test_monotone_in_threshold(self):
-        exact = exact_spectrum("square_pi", 1, 5)
-        rng = np.random.default_rng(3)
-        fine = _result(exact.values[:5] * (1 + 0.01 * rng.random(5)))
-        coarse = _result(exact.values[:5] * (1 + 0.03 * rng.random(5)))
-        counts = [reliable_count(exact, fine, coarse, thr)[0] for thr in (0.5, 1.0, 2.0)]
-        assert counts == sorted(counts, reverse=True)
-
     def test_error_cap(self):
         exact = exact_spectrum("square_pi", 1, 2)
         fine = _result([exact.values[0] * 1.001, exact.values[1] * 1.5])
@@ -306,6 +298,13 @@ class TestConvergenceStudy:
     def test_rejects_non_halving(self):
         meshes = [generate_square_tri(4), generate_square_tri(6)]
         with pytest.raises(ValueError):
+            convergence_study(meshes, FormConfig(problem="laplace", m=1), "square_pi", 1)
+
+    def test_rejects_non_halving_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(analysis, "compute_spectrum",
+                            lambda *args, **kwargs: pytest.fail("solved before the h check"))
+        meshes = [generate_square_tri(4), generate_square_tri(4)]
+        with pytest.raises(ValueError, match="halve"):
             convergence_study(meshes, FormConfig(problem="laplace", m=1), "square_pi", 1)
 
     @pytest.mark.parametrize("target", [0, -2])

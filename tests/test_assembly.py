@@ -217,6 +217,30 @@ class TestEnergyNorm:
         assert abs(l2_norm(space_m1, exact=one) - np.pi) < 1e-12
 
 
+class TestPenaltyMatchesEnergyNorm:
+    """Doubling a penalty adds exactly its jump term of the broken energy
+    norm, so the stiffness and ``measure`` agree on jump kinds and powers of h."""
+
+    @pytest.mark.parametrize("spec, m", [("square:4", 1), ("square:4", 3), ("cube:2", 2)])
+    def test_penalty_difference_is_jump_term(self, spec, m):
+        from patchdg.assembly import assemble_stiffness, gram, measure
+
+        space = pull_back_case(spec, m)[0]
+        x = np.random.default_rng(m).standard_normal(space.num_dofs)
+        d = space.mesh.dim
+        forms = [("laplace", "eta", m ** 2, 1)]
+        if m >= 2:
+            forms += [("biharmonic", "alpha", m ** 4, 1), ("biharmonic", "beta", m ** 2, 2)]
+        for problem, name, scale, term in forms:
+            cfg = FormConfig(problem=problem, bc="clamped" if problem == "biharmonic" else "", m=m)
+            base = getattr(cfg, name)
+            doubled = FormConfig(**{**vars(cfg), name: 2 * base})
+            A = assemble_stiffness(space, doubled) - assemble_stiffness(space, cfg)
+            terms = measure(space, cfg.p, [x])
+            expect = base * scale * (d - 1) * gram(terms[term:term + 1])[0, 0]
+            assert abs(x @ A @ x - expect) <= 1e-12 * abs(expect), (problem, name)
+
+
 class TestLoadVector:
     def test_constant_load(self, space_m1):
         b = load_vector(space_m1, lambda pts: np.ones(len(pts)))

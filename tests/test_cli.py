@@ -178,6 +178,18 @@ class TestConfigFile:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("how", ["flag", "file"])
+    def test_abbreviation_exit_2(self, tmp_path, monkeypatch, capsys, how):
+        # a prefix of --mesh is not --mesh, neither on the command line nor as a key
+        monkeypatch.setattr(cli, "_load_mesh_one", lambda spec: pytest.fail("mesh loaded"))
+        path = tmp_path / "run.cfg"
+        path.write_text("me=square:2\n")
+        out = tmp_path / "run"
+        given = ["--me", "square:2"] if how == "flag" else ["--config", str(path)]
+        assert main(["solve", *given, "--output", str(out)]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_config_is_a_form_config(self):
         assert not set(RunConfig.__annotations__) & set(FormConfig.__annotations__)
         cfg = build_config(["solve", "--mesh", "square:4", "--m", "2", "--eta", "7"])

@@ -1,4 +1,9 @@
-"""The demos that build patches and fits by hand run to completion."""
+"""Every demo runs to completion, so a stale call in one fails here.
+
+``reliable_eigenvalue_count.py`` is left out: its dense full-spectrum solves
+take about 45 s, and criterion 7 of the acceptance suite makes the same
+count for m = 1 and 4.
+"""
 
 import os
 import subprocess
@@ -8,9 +13,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+SLOW = {"reliable_eigenvalue_count.py"}
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py") if p.name not in SLOW)
 
 
-@pytest.mark.parametrize("demo", ["patch_reconstruction_tour.py", "polygon_mesh_demo.py"])
+@pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
