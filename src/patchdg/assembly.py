@@ -26,8 +26,9 @@ products with R run on its (n_terms x 1) blocks.
 
 Volume terms batch over element sub-simplices (each carrying its owner
 element, so polygons need no separate path), face terms over interior faces
-and then boundary faces, at most ``CHUNK`` carriers per batch.  Every element
-tabulates the same n_terms monomials, so nothing is grouped by patch size.
+and then boundary faces, at most ``CHUNK`` carriers per batch.  A batch
+carries one Vandermonde of the n_terms monomials of its elements (both sides
+of a face at once), so nothing is grouped by patch size.
 
 Every matrix is a plain symmetric ``scipy.sparse`` CSR matrix.  Symmetry is
 exact by construction: only the lower triangle of R^T A_DG R is kept, then
@@ -50,7 +51,7 @@ import scipy.sparse as sp
 
 from .errors import DegreeTooLow
 from .quadrature import MAX_ORDER, face_rule, map_rule, simplex_rule
-from .reconstruction import int_power, tabulate
+from .reconstruction import contract, factors, int_power
 
 # Sub-simplices or faces per batch.  The batch's tables and local blocks
 # set the peak memory of assembly: 2048 faces of 3D fourth-order blocks
@@ -122,7 +123,8 @@ def _selection(items, n):
 
 
 def _volume_batches(space, order, kinds, elements=None):
-    """(owners, points, weights, monomial tables) per batch of sub-simplices."""
+    """(owners, points, weights, scales (B, 1), V, operators) per batch of
+    sub-simplices, V and the operators the owners' ``factors``."""
     owner = space.sub_owner
     subs = np.arange(len(owner))
     if elements is not None:
@@ -131,36 +133,29 @@ def _volume_batches(space, order, kinds, elements=None):
     for i in range(0, len(subs), CHUNK):
         batch = subs[i:i + CHUNK]
         pts, wts = map_rule(rule, space.sub_simplices[batch])
-        K = owner[batch]
-        yield K, pts, wts, tabulate(None, space.origin[K], space.scale[K], pts, space.m, kinds)
+        K, scale = owner[batch], space.scale[owner[batch], None]
+        yield (K, pts, wts, scale, *factors(space.origin[K, None], scale, pts, space.m, kinds))
 
 
 def _face_batches(space, order, kinds, faces):
-    """Per batch of the interior ``faces``, then of the boundary ones:
-    (faces, points, weights, normals, h, on_boundary, jumps).
-
-    ``jumps`` maps each table kind to a (F, q, k n_terms) trace of the
-    monomials of the k sides, taking the normal component of gradients; the
-    normal is the plus side's outward one.  On interior faces the jump is
-    plus minus minus, on boundary faces the plus-side trace.
-    """
+    """Per batch of the interior ``faces``, then of the boundary ones: (faces,
+    points, weights, normals, h, on_boundary, sides (F, k), scales (F, k),
+    V, operators), V and the operators the sides' ``factors``.  The minus
+    side's V is negated and vector kinds take the plus side's outward
+    normal, so ``contract`` gives each side's jump table, and its values
+    summed over the sides are the jumps (on boundary faces, k = 1, the
+    plus-side traces)."""
     topo = space.topology
     boundary = topo.sides[faces, 1] < 0
     for on_boundary, part in ((False, faces[~boundary]), (True, faces[boundary])):
         for i in range(0, len(part), CHUNK):
             batch = part[i:i + CHUNK]
             pts, wts = face_rule(space.mesh.dim, order, space.face_coords[batch])
-            n, (plus, minus) = topo.normals[batch], topo.sides[batch].T
-            sides = [(plus, 1.0)] if on_boundary else [(plus, 1.0), (minus, -1.0)]
-            jumps = {k: [] for k in kinds}
-            for K, sign in sides:
-                tables = tabulate(None, space.origin[K], space.scale[K], pts, space.m, kinds)
-                for kind, T in tables.items():
-                    if T.ndim == 4:
-                        T = np.einsum("fqsd,fd->fqs", T, n)
-                    jumps[kind].append(sign * T)
-            yield (batch, pts, wts, n, topo.h_e[batch], on_boundary,
-                   {k: np.concatenate(v, axis=2) for k, v in jumps.items()})
+            n, sides = topo.normals[batch], topo.sides[batch, :1 if on_boundary else 2]
+            scale = space.scale[sides]
+            V, ops = factors(space.origin[sides], scale, pts, space.m, kinds, n)
+            V[:, 1:] *= -1.0
+            yield batch, pts, wts, n, topo.h_e[batch], on_boundary, sides, scale, V, ops
 
 
 def _assemble(space, p, config=None, elements=None, faces=None):
@@ -188,25 +183,29 @@ def _assemble(space, p, config=None, elements=None, faces=None):
         np.add.at(blocks.reshape(-1), entries, local.reshape(-1))
 
     order = 2 * space.m
-    for K, _, wts, T in _volume_batches(space, order, (volume,), elements):
-        add(diag[K], _pair(T[volume], wts, T[volume]))
+    for K, _, wts, scale, V, ops in _volume_batches(space, order, (volume,), elements):
+        T = np.moveaxis(contract(V, *ops[volume], scale), 1, -1)
+        add(diag[K], _pair(T, wts, T))
     penalties = [c * _dim_factor(space) for c in config.penalties] if p else []
     terms = list(zip(jumps, _CONSISTENCY[p], penalties))
     kinds = tuple(dict.fromkeys(kind for a, b, _ in _CONSISTENCY[p] for _, kind in (a, b)))
     simply_supported = p > 0 and config.bc == "simply_supported"
     half = np.repeat([0.5, -0.5], nt)  # an interior average from the jump's plus and minus columns
-    for batch, _, wts, _, h, boundary, jump in _face_batches(space, order, kinds, sel):
-        k = 1 if boundary else 2
-        local = np.zeros((len(batch), k * nt, k * nt))
+    for batch, _, wts, _, h, boundary, _, scale, V, ops in _face_batches(space, order, kinds, sel):
+        F, k, q = V.shape[:3]
+        jump = {kind: contract(V, *op, scale).transpose(0, 2, 1, 3).reshape(F, q, k * nt)
+                for kind, op in ops.items()}
+        local = np.zeros((F, k * nt, k * nt))
         for (kind, power), (a, b, sign), c in terms:
             if boundary and simply_supported and kind != "val":
                 continue
-            X, Y = (jump[kd] * half if tr == "avg" and not boundary else jump[kd]
-                    for tr, kd in (a, b))
-            E = _pair(X, wts, Y)
-            local += sign * (E + E.transpose(0, 2, 1))
+            if a[1] in jump and b[1] in jump:  # an absent trace is identically zero
+                X, Y = (jump[kd] * half if tr == "avg" and not boundary else jump[kd]
+                        for tr, kd in (a, b))
+                E = _pair(X, wts, Y)
+                local += sign * (E + E.transpose(0, 2, 1))
             local += (c / int_power(h, power))[:, None, None] * _pair(jump[kind], wts, jump[kind])
-        local = local.reshape(len(batch), k, nt, k, nt).transpose(0, 1, 3, 2, 4)
+        local = local.reshape(F, k, nt, k, nt).transpose(0, 1, 3, 2, 4)
         add(face_slots[batch, :k, :k], local)
     A_dg = sp.bsr_matrix((blocks, keys % n, np.searchsorted(keys, np.arange(n + 1) * n)),
                          shape=(n * nt, n * nt))
@@ -247,9 +246,9 @@ def _smooth_order(space):
 def load_vector(space, f):
     """b[j] = integral of f against shape function j: R^T b_DG."""
     b = np.zeros((space.num_dofs, space.n_terms))
-    for K, pts, wts, T in _volume_batches(space, _smooth_order(space), ("val",)):
+    for K, pts, wts, _, V, _ in _volume_batches(space, _smooth_order(space), ()):
         fv = np.asarray(f(pts.reshape(-1, pts.shape[2])), dtype=float).reshape(wts.shape)
-        np.add.at(b, K, np.einsum("bqa,bq->ba", T["val"], wts * fv))
+        np.add.at(b, K, np.einsum("bqa,bq->ba", V[:, 0], wts * fv))
     return space.R.T @ b.ravel()
 
 
@@ -310,7 +309,9 @@ def measure(space, p, fields, l2=False):
     pairing p, from one pass over sub-simplices and faces in CHUNKs.
 
     A field is a DOF vector, whose values come from R's per-element monomial
-    coefficients, or an AnalyticField.  A difference of fields is integrated
+    coefficients C as V (O C^T), each kind's operator applied to the
+    coefficients first (see :func:`~patchdg.reconstruction.contract`), or
+    an AnalyticField.  A difference of fields is integrated
     from the difference of their values (see :func:`energy_norm`).  Returns
     one (values (fields, points, components), weights (points,)) pair per
     term of the pairing: the volume term, then each face jump, weighted by
@@ -322,34 +323,40 @@ def measure(space, p, fields, l2=False):
     for i, field in enumerate(fields):
         if exact[i] is None:
             X[:, i] = field
-    C = space.coefficients(X)
+    C = space.coefficients(X).transpose(0, 2, 1)  # (N, n_terms, fields)
     order = _smooth_order(space)
     volume, face_terms = _PAIRINGS[p]
 
-    def values(T, coeffs, pts, analytic, normals=None):
-        """kind -> (B, q, fields[, dim]) values from the monomial tables T and
-        the coefficients (B, fields, columns of T), the analytic parts added
-        if ``analytic``; on faces gradients are normal components."""
-        out, at, Ct = {}, pts.reshape(-1, pts.shape[2]), coeffs.transpose(0, 2, 1)
-        for kind, t in T.items():
-            v = out[kind] = t @ Ct if t.ndim == 3 else \
-                np.moveaxis(np.moveaxis(t, 3, 2) @ Ct[:, None], 3, 2)
+    def values(kinds, V, scale, ops, Ct, pts, analytic, normals=None):
+        """kind -> (B, q, fields, components) values, each kind's operator
+        applied to the coefficients Ct (B, k, n_terms, fields) first; on
+        faces, normal components summed over the sides, i.e. the jumps.  The
+        analytic parts are added if ``analytic``."""
+        out, at = {}, pts.reshape(-1, pts.shape[2])
+        for kind in kinds:
+            if kind in ops:
+                v = contract(V, *ops[kind], scale, Ct)
+                v = np.moveaxis(v, 1, -1) if normals is None else v.sum(1)[..., None]
+            else:  # identically zero at this degree
+                comps = pts.shape[2] if kind == "grad" and normals is None else 1
+                v = np.zeros(pts.shape[:2] + (Ct.shape[3], comps))
             for i, u in enumerate(exact if analytic else ()):
                 if u is not None:
                     flat = _ANALYTIC[kind](u, at).reshape(pts.shape[:2] + (-1,))
                     if normals is not None and kind == "grad":
                         flat = np.einsum("bqd,bd->bq", flat, normals)
                     v[:, :, i] += flat.reshape(v.shape[:2] + v.shape[3:])
+            out[kind] = v
         return out
 
-    vol = [(values(T, C[K], pts, True), wts) for K, pts, wts, T in
-           _volume_batches(space, order, (volume, "val") if l2 and p else (volume,))]
+    kinds = (volume, "val") if l2 and p else (volume,)
+    vol = [(values(kinds, V, scale, ops, C[K][:, None], pts, True), wts)
+           for K, pts, wts, scale, V, ops in _volume_batches(space, order, kinds)]
     kinds, faces = tuple(kind for kind, _ in face_terms), []
     every = np.arange(space.topology.num_faces if kinds else 0)
-    for batch, pts, wts, n, h, boundary, jump in _face_batches(space, order, kinds, every):
-        plus, minus = space.topology.sides[batch].T
-        sides = C[plus] if boundary else np.concatenate([C[plus], C[minus]], axis=2)
-        faces.append((values(jump, sides, pts, boundary, n), wts, h[:, None]))
+    for _, pts, wts, n, h, boundary, sides, scale, V, ops in \
+            _face_batches(space, order, kinds, every):
+        faces.append((values(kinds, V, scale, ops, C[sides], pts, boundary, n), wts, h[:, None]))
     terms = [_stack([T[volume] for T, _ in vol], [w for _, w in vol])]
     terms += [_stack([J[kind] for J, _, _ in faces], [w / int_power(h, power) for _, w, h in faces])
               for kind, power in face_terms]

@@ -156,7 +156,7 @@ def lambda_constant(mesh, patch, m):
     vertices of every member element; the estimate is the infinity operator
     norm of the node-values-to-sample-values map.  Diagnostic only.
     """
-    from .reconstruction import monomial_basis, vandermonde
+    from .reconstruction import RCOND, monomial_basis, vandermonde
 
     basis = monomial_basis(m, patch.nodes.shape[1])
     origin = patch.nodes[0]
@@ -168,7 +168,7 @@ def lambda_constant(mesh, patch, m):
 
     V_nodes = vandermonde(basis, (patch.nodes - origin) / scale)
     s = np.linalg.svd(V_nodes, compute_uv=False)
-    if s[-1] <= 1e-10 * s[0]:
+    if s[-1] <= RCOND * s[0]:
         raise RankDeficient(f"patch of element {patch.center} has unisolvence defect")
     V_samples = vandermonde(basis, Y)
     B = V_samples @ np.linalg.pinv(V_nodes)

@@ -12,9 +12,10 @@ The scaled frame keeps the Vandermonde matrix well conditioned; without it
 the normal equations blow up for degree >= 3 on fine meshes.
 
 The space stores the tables as one sparse reconstruction operator R from the
-DOF samples to every element's monomial coefficients, and :func:`tabulate`
-evaluates monomials, or coefficient tables, for a whole batch of elements at
-once; every form, norm and export goes through it.
+DOF samples to every element's monomial coefficients.  The trace kernel
+:func:`contract` evaluates a batch of elements from two :func:`factors`, the
+Vandermonde V and a derivative operator O per kind: tables V O, and values
+V (O C^T) of coefficients C; every form, norm and export goes through it.
 """
 
 from __future__ import annotations
@@ -126,6 +127,35 @@ def _table_operators(m, dim):
     }
 
 
+def factors(origin, scale, points, m, kinds, normals=None):
+    """The factors of :func:`contract` for frames ``origin`` (B, k, dim),
+    ``scale`` (B, k) and ``points`` (B, q, dim): one Vandermonde V (B, k, q,
+    n_terms), and per kind (O, power), O the map to the kind's coefficients
+    (None for values; sum_d n_d D_d, (B, 1, n_terms, n_terms), for a vector
+    kind given ``normals`` (B, dim)) and power the scale's power dividing
+    it.  Kinds identically zero at degree m (lap at m = 1, gradlap at
+    m <= 2) are absent."""
+    dim = points.shape[2]
+    y = (points[:, None] - origin[:, :, None]) / scale[:, :, None, None]
+    ops = {}
+    for kind in kinds:
+        O, power = _table_operators(m, dim)[kind]
+        if O is not None and not O.any():
+            continue
+        if normals is not None and kind in ("grad", "gradlap"):
+            O = np.tensordot(normals, O, 1)[:, None]
+        ops[kind] = (O, power)
+    return vandermonde(monomial_basis(m, dim), y), ops
+
+
+def contract(V, O, power, scale, Ct=None):
+    """The trace kernel: the tables V O of monomials V (B, k, q, n_terms),
+    or given coefficients Ct (B, k, n_terms, s) the values V (O Ct), O
+    applied first; either divided by ``scale`` (B, k) to the power."""
+    T = (V if O is None else V @ O) if Ct is None else V @ (Ct if O is None else O @ Ct)
+    return T / int_power(scale, power)[..., None, None] if power else T
+
+
 def tabulate(coeffs, origin, scale, points, m, kinds=("val",)):
     """Shape functions of a batch of elements, each at its own points.
 
@@ -134,20 +164,16 @@ def tabulate(coeffs, origin, scale, points, m, kinds=("val",)):
     and frames, ``points`` (B, q, dim) physical points.  Returns a dict with
     one table per entry of ``kinds``: "val" and "lap" give (B, q, s) values
     and Laplacians, "grad" and "gradlap" give (B, q, s, dim) gradients and
-    gradients of the Laplacian.
+    gradients of the Laplacian.  Zero kinds are tabulated too, and
+    coefficient tables are contracted table first, (V O) C^T: the reference
+    order, whose bits the kernel tests pin.
     """
-    dim = origin.shape[1]
-    y = (points - origin[:, None, :]) / scale[:, None, None]
-    V = vandermonde(monomial_basis(m, dim), y)[:, None]  # (B, 1, q, n_terms)
+    V, _ = factors(origin[:, None], scale[:, None], points, m, ())  # (B, 1, q, n_terms)
+    Ct = None if coeffs is None else coeffs.transpose(0, 2, 1)[:, None]
     out = {}
     for kind in kinds:
-        ops, power = _table_operators(m, dim)[kind]
-        T = V if ops is None else V @ ops                  # (B, 1 or dim, q, n_terms)
-        if coeffs is not None:
-            T = T @ coeffs.transpose(0, 2, 1)[:, None]     # (B, 1 or dim, q, s)
-        if power:
-            T /= int_power(scale, power)[:, None, None, None]
-        T = np.moveaxis(T, 1, -1)
+        O, power = _table_operators(m, origin.shape[1])[kind]
+        T = np.moveaxis(contract(V if O is None else V @ O, None, power, scale[:, None], Ct), 1, -1)
         out[kind] = T[..., 0] if kind in ("val", "lap") else T
     return out
 
