@@ -11,7 +11,7 @@ import numpy as np
 
 import patchdg as pdg
 from patchdg.patch import build_patch, lambda_constant
-from patchdg.reconstruction import fit_local, tabulate
+from patchdg.reconstruction import contract, factors, fit_local
 
 
 def main():
@@ -27,7 +27,10 @@ def main():
 
     # --- the local fit and its shape functions ---------------------------
     coeffs, origin, scale, _ = fit_local(patch, 2)
-    vals = tabulate(coeffs, origin, scale, patch.nodes[:, :1], 2)["val"]
+    # the kernel's two factors: the monomials V at the point, and no
+    # derivative operator for values, so they are V times the coefficients
+    V, _ = factors(origin[:, None], scale[:, None], patch.nodes[:, :1], 2, ())
+    vals = contract(V, None, 0, scale[:, None], coeffs.transpose(0, 2, 1)[:, None])
     print(f"  shape-function values at the sampling node sum to "
           f"{vals.sum():.12f} (partition of unity)")
 

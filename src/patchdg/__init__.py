@@ -60,7 +60,6 @@ from .reconstruction import (
     fit_local,
     interpolate,
     monomial_basis,
-    tabulate,
 )
 
 __version__ = "0.1.0"

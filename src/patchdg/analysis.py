@@ -303,7 +303,7 @@ def reliable_count(exact, result_h, result_2h, *, error_cap=None):
         err_h = abs(lam - result_h.values[i]) / abs(lam)
         err_2h = abs(lam - result_2h.values[i]) / abs(lam)
         r = rate(err_2h, err_h)
-        if r >= 1.0 and err_h <= err_2h:
+        if r >= 1.0:
             if error_cap is None or err_h <= error_cap:
                 count += 1
     pct = 100.0 * count / len(result_h.values)

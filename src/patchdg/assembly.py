@@ -24,11 +24,12 @@ blocks of every batch are added in place into one (slots, n_terms, n_terms)
 array, with no entry-level triplets or sort; M_DG is block diagonal.  The
 products with R run on its (n_terms x 1) blocks.
 
-Volume terms batch over element sub-simplices (each carrying its owner
-element, so polygons need no separate path), face terms over interior faces
-and then boundary faces, at most ``CHUNK`` carriers per batch.  A batch
-carries one Vandermonde of the n_terms monomials of its elements (both sides
-of a face at once), so nothing is grouped by patch size.
+Volume terms batch over the sub-simplices of the topology's geometry (each
+carrying its owner element, so polygons need no separate path), face terms
+over the topology's interior faces and then its boundary faces, at most
+``CHUNK`` carriers per batch.  A batch carries one Vandermonde of the
+n_terms monomials of its elements (both sides of a face at once), so
+nothing is grouped by patch size.
 
 Every matrix is a plain symmetric ``scipy.sparse`` CSR matrix.  Symmetry is
 exact by construction: only the lower triangle of R^T A_DG R is kept, then
@@ -125,14 +126,14 @@ def _selection(items, n):
 def _volume_batches(space, order, kinds, elements=None):
     """(owners, points, weights, scales (B, 1), V, operators) per batch of
     sub-simplices, V and the operators the owners' ``factors``."""
-    owner = space.sub_owner
+    owner = space.geometry.sub_owner
     subs = np.arange(len(owner))
     if elements is not None:
         subs = subs[np.isin(owner, _selection(elements, space.num_dofs))]
     rule = simplex_rule(space.mesh.dim, order)
     for i in range(0, len(subs), CHUNK):
         batch = subs[i:i + CHUNK]
-        pts, wts = map_rule(rule, space.sub_simplices[batch])
+        pts, wts = map_rule(rule, space.geometry.sub_simplices[batch])
         K, scale = owner[batch], space.scale[owner[batch], None]
         yield (K, pts, wts, scale, *factors(space.origin[K, None], scale, pts, space.m, kinds))
 
@@ -150,7 +151,7 @@ def _face_batches(space, order, kinds, faces):
     for on_boundary, part in ((False, faces[~boundary]), (True, faces[boundary])):
         for i in range(0, len(part), CHUNK):
             batch = part[i:i + CHUNK]
-            pts, wts = face_rule(space.mesh.dim, order, space.face_coords[batch])
+            pts, wts = face_rule(space.mesh.dim, order, space.mesh.vertices[topo.faces[batch]])
             n, sides = topo.normals[batch], topo.sides[batch, :1 if on_boundary else 2]
             scale = space.scale[sides]
             V, ops = factors(space.origin[sides], scale, pts, space.m, kinds, n)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -70,10 +69,6 @@ class Mesh:
     @property
     def num_elements(self):
         return len(self.elements)
-
-    def element_coords(self, K):
-        """Coordinates of element K's vertex loop, without padding."""
-        return self.vertices[self.elements[K, :self.lengths[K]]]
 
     def validate(self):
         """Check coordinates, index bounds, orientation and uniqueness.
@@ -154,17 +149,6 @@ class FaceTopology:
     @property
     def num_faces(self):
         return len(self.faces)
-
-    def interior_faces(self):
-        return np.nonzero(~self.boundary)[0]
-
-    def boundary_faces(self):
-        return np.nonzero(self.boundary)[0]
-
-    @cached_property
-    def neighbors(self):
-        """``adjacency`` as one ascending list per element."""
-        return [row[row >= 0].tolist() for row in self.adjacency]
 
 
 # --------------------------------------------------------------------------

@@ -11,16 +11,17 @@ coordinates.
 The scaled frame keeps the Vandermonde matrix well conditioned; without it
 the normal equations blow up for degree >= 3 on fine meshes.
 
-The space stores the tables as one sparse reconstruction operator R from the
-DOF samples to every element's monomial coefficients.  The trace kernel
-:func:`contract` evaluates a batch of elements from two :func:`factors`, the
-Vandermonde V and a derivative operator O per kind: tables V O, and values
-V (O C^T) of coefficients C; every form, norm and export goes through it.
+The space is one sparse reconstruction operator R from the DOF samples to
+every element's monomial coefficients, with each element's frame (``origin``,
+``scale``); block row K of R is K's patch, so patches are read from its
+pattern.  The trace kernel :func:`contract` evaluates a batch of elements
+from two :func:`factors`, the Vandermonde V and a derivative operator O per
+kind: tables V O, and values V (O C^T) of coefficients C; every form, norm,
+evaluation and export goes through it.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -156,28 +157,6 @@ def contract(V, O, power, scale, Ct=None):
     return T / int_power(scale, power)[..., None, None] if power else T
 
 
-def tabulate(coeffs, origin, scale, points, m, kinds=("val",)):
-    """Shape functions of a batch of elements, each at its own points.
-
-    ``coeffs`` (B, s, n_terms), or None for the monomials themselves (s =
-    n_terms), ``origin`` (B, dim) and ``scale`` (B,) are the elements' tables
-    and frames, ``points`` (B, q, dim) physical points.  Returns a dict with
-    one table per entry of ``kinds``: "val" and "lap" give (B, q, s) values
-    and Laplacians, "grad" and "gradlap" give (B, q, s, dim) gradients and
-    gradients of the Laplacian.  Zero kinds are tabulated too, and
-    coefficient tables are contracted table first, (V O) C^T: the reference
-    order, whose bits the kernel tests pin.
-    """
-    V, _ = factors(origin[:, None], scale[:, None], points, m, ())  # (B, 1, q, n_terms)
-    Ct = None if coeffs is None else coeffs.transpose(0, 2, 1)[:, None]
-    out = {}
-    for kind in kinds:
-        O, power = _table_operators(m, origin.shape[1])[kind]
-        T = np.moveaxis(contract(V if O is None else V @ O, None, power, scale[:, None], Ct), 1, -1)
-        out[kind] = T[..., 0] if kind in ("val", "lap") else T
-    return out
-
-
 def fit_local(patches, m):
     """Solve the sampling-node least-squares fits of degree m on a
     :class:`Patches` batch, with one stacked SVD.
@@ -215,8 +194,8 @@ class ReconstructedSpace:
     K lists K's patch in patch order (the center first), so a grown patch is
     a longer block row; nothing is grouped or padded.
 
-    ``support[j]`` lists every element K whose patch contains element j;
-    it is exactly the sparsity coupling of DOF j in assembled matrices.
+    Column j of R's pattern lists every element whose patch contains
+    element j: exactly the sparsity coupling of DOF j in assembled matrices.
     """
 
     def __init__(self, mesh, topology, m, t, R, origin, scale):
@@ -229,36 +208,22 @@ class ReconstructedSpace:
         self.origin = origin
         self.scale = scale
         self.n_terms = len(monomial_basis(m, mesh.dim))
-        # quadrature carriers: every sub-simplex with its owner, every face
-        self.sub_simplices = self.geometry.sub_simplices
-        self.sub_owner = self.geometry.sub_owner
-        self.face_coords = mesh.vertices[topology.faces]
-
-    @cached_property
-    def support(self):
-        R = self.R
-        by_dof = sp.csr_matrix((np.ones(len(R.indices)), R.indices, R.indptr),
-                               shape=(self.num_dofs, self.num_dofs)).tocsc()
-        return [ks.tolist() for ks in np.split(by_dof.indices, by_dof.indptr[1:-1])]
 
     @cached_property
     def patches(self):
-        """One :class:`Patch` per element (its diameter is ``scale[K]``),
-        built on first use."""
+        """One :class:`Patch` per element (its members are block row K of
+        R, its diameter is ``scale[K]``), built on first use."""
         barycenters = self.geometry.barycenters
-        return [Patch(K, members, barycenters[members], float(self.scale[K]))
-                for K, members in enumerate(map(self.members, range(self.num_dofs)))]
+        return [Patch(K, members.tolist(), barycenters[members], float(self.scale[K]))
+                for K, members in enumerate(np.split(self.R.indices, self.R.indptr[1:-1]))]
 
     @property
     def num_dofs(self):
         return self.mesh.num_elements
 
-    def members(self, K):
-        return self.R.indices[self.R.indptr[K]:self.R.indptr[K + 1]].tolist()
-
     def coefficients(self, X):
         """(N, fields, n_terms) coefficients of R x in each element's monomial
-        frame, for every column x of X (N, fields), as :func:`tabulate` takes."""
+        frame, for every column x of X (N, fields)."""
         C = self.R @ np.asarray(X, dtype=float)
         return C.reshape(self.num_dofs, self.n_terms, -1).transpose(0, 2, 1)
 
@@ -279,22 +244,13 @@ class ReconstructedSpace:
         if single:
             points = points[None]
         C = self.coefficients(np.asarray(vector, dtype=float)[:, None])[elements]
-        out = tabulate(C, self.origin[elements], self.scale[elements], points, self.m,
-                       (kind,))[kind][:, :, 0]
+        scale = self.scale[elements, None]
+        V, _ = factors(self.origin[elements, None], scale, points, self.m, ())
+        O, power = _table_operators(self.m, self.mesh.dim)[kind]
+        T = contract(V, O, power, scale, C.transpose(0, 2, 1)[:, None])  # (B, components, n_pts, 1)
+        out = np.moveaxis(T[..., 0], 1, -1)
+        out = out if deriv == 1 else out[..., 0]
         return out[0] if single else out
-
-    def dump_coefficients_csv(self, path):
-        """Debug dump: element id, node id, monomial exponents, coefficient."""
-        exponents = monomial_basis(self.m, self.mesh.dim).exponents
-        R = self.R
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["element", "node", "exponents", "coefficient"])
-            for K in range(self.num_dofs):
-                for j in range(R.indptr[K], R.indptr[K + 1]):
-                    for a, e in enumerate(exponents):
-                        writer.writerow([K, R.indices[j], " ".join(map(str, e)),
-                                         "%.17g" % R.data[j, a, 0]])
 
 
 def _refit(mesh, topology, patch, m):

@@ -8,11 +8,11 @@ it: per-element coefficient tables stacked by patch size, ``tables[s] =
 patch shape functions themselves, batch by batch with one patch size per
 side, and every matrix comes out of one lower-triangle build from
 entry-level triplets, mirrored into the full symmetric matrix.  The
-package's fitting, kernel and quadrature are shared; the bookkeeping, the
-traces and the scatter are not.
+package's fitting and quadrature are shared; the shape tables, the
+bookkeeping, the traces and the scatter are not: :func:`shape_functions`
+writes each monomial's derivatives out from its exponents and contracts
+the coefficient tables with them, table first.
 """
-
-import csv
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,9 +21,53 @@ from patchdg import assembly
 from patchdg.assembly import AnalyticField, _dim_factor, _pair
 from patchdg.patch import Patch, build_patch, default_patch_size
 from patchdg.quadrature import MAX_ORDER, face_rule, map_rule, simplex_rule
-from patchdg.reconstruction import _refit, fit_local, monomial_basis, tabulate
+from patchdg.reconstruction import _refit, fit_local, monomial_basis
 
 CHUNK = 256
+
+
+def derive(terms, d):
+    """The d-th partial derivative of a polynomial given as (coefficient,
+    exponent tuple) terms."""
+    return [(c * e[d], e[:d] + (e[d] - 1,) + e[d + 1:]) for c, e in terms if e[d]]
+
+
+def laplacian(terms, dim):
+    return [term for d in range(dim) for term in derive(derive(terms, d), d)]
+
+
+# per kind: the components of a polynomial's derivative, and the order of
+# the derivative (the power of the scale that the chain rule divides by)
+DERIVATIVES = {
+    "val": (lambda terms, dim: [terms], 0),
+    "grad": (lambda terms, dim: [derive(terms, d) for d in range(dim)], 1),
+    "lap": (lambda terms, dim: [laplacian(terms, dim)], 2),
+    "gradlap": (lambda terms, dim: [derive(laplacian(terms, dim), d) for d in range(dim)], 3),
+}
+
+
+def shape_functions(coeffs, origin, scale, points, m, kinds):
+    """Shape functions of a batch of elements, each at its own points,
+    table first: every monomial's derivative table (B, q, n_terms,
+    components), then its contraction with the coefficient tables ``coeffs``
+    (B, s, n_terms).  "val" and "lap" give (B, q, s), "grad" and "gradlap"
+    (B, q, s, dim); kinds that vanish at degree m give zeros."""
+    dim = points.shape[2]
+    exponents = [tuple(e) for e in monomial_basis(m, dim).exponents.tolist()]
+    y = (points - origin[:, None]) / scale[:, None, None]
+    V = np.prod(y[:, :, None, :] ** np.array(exponents), axis=-1)  # (B, q, n_terms)
+    column = {e: j for j, e in enumerate(exponents)}
+    out = {}
+    for kind in kinds:
+        components, power = DERIVATIVES[kind]
+        table = np.zeros(V.shape + (1 if kind in ("val", "lap") else dim,))
+        for j, e in enumerate(exponents):
+            for c, terms in enumerate(components([(1, e)], dim)):
+                for coefficient, f in terms:
+                    table[:, :, j, c] += coefficient * V[:, :, column[f]]
+        T = np.einsum("bqnc,bsn->bqsc", table / scale[:, None, None, None] ** power, coeffs)
+        out[kind] = T[..., 0] if kind in ("val", "lap") else T
+    return out
 
 
 class ShapeTableSpace:
@@ -49,9 +93,7 @@ class ShapeTableSpace:
             self.size[elements] = s
             self.row[elements] = np.arange(len(elements))
             self.tables[int(s)] = (members, coeffs)
-        geometry = topology.geometry
-        self.sub_simplices, self.sub_owner = geometry.sub_simplices, geometry.sub_owner
-        self.face_coords = mesh.vertices[topology.faces]
+        self.geometry = topology.geometry
         self.num_dofs = n
 
     @classmethod
@@ -62,39 +104,17 @@ class ShapeTableSpace:
         members, _ = self.tables[int(self.size[K])]
         return members[self.row[K]].tolist()
 
-    def support(self):
-        j, K = [], []
-        for s, (members, _) in self.tables.items():
-            j.append(members.ravel())
-            K.append(np.repeat(np.nonzero(self.size == s)[0], s))
-        j, K = np.concatenate(j), np.concatenate(K)
-        order = np.lexsort((K, j))
-        counts = np.bincount(j, minlength=self.num_dofs)
-        return [ks.tolist() for ks in np.split(K[order], np.cumsum(counts)[:-1])]
-
     def patches(self):
-        barycenters = self.topology.geometry.barycenters
+        barycenters = self.geometry.barycenters
         return [Patch(K, members, barycenters[members], float(self.scale[K]))
                 for K, members in enumerate(map(self.members, range(self.num_dofs)))]
 
     def shape_tables(self, elements, points, kinds=("val",)):
         members, coeffs = self.tables[int(self.size[elements[0]])]
         rows = self.row[elements]
-        tables = tabulate(coeffs[rows], self.origin[elements], self.scale[elements],
-                          points, self.m, kinds)
+        tables = shape_functions(coeffs[rows], self.origin[elements], self.scale[elements],
+                                 points, self.m, kinds)
         return members[rows], tables
-
-    def dump_coefficients_csv(self, path):
-        exponents = monomial_basis(self.m, self.mesh.dim).exponents
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["element", "node", "exponents", "coefficient"])
-            for K in range(self.num_dofs):
-                members, coeffs = self.tables[int(self.size[K])]
-                for j, dof in enumerate(members[self.row[K]]):
-                    for a, e in enumerate(exponents):
-                        writer.writerow([K, dof, " ".join(map(str, e)),
-                                         "%.17g" % coeffs[self.row[K], j, a]])
 
 
 def symmetric(n, batches):
@@ -125,10 +145,10 @@ def chunks(keys, items):
 
 
 def volume_batches(space, order, kinds):
-    owner = space.sub_owner
+    owner = space.geometry.sub_owner
     rule = simplex_rule(space.mesh.dim, order)
     for batch in chunks(space.size[owner], np.arange(len(owner))):
-        pts, wts = map_rule(rule, space.sub_simplices[batch])
+        pts, wts = map_rule(rule, space.geometry.sub_simplices[batch])
         ids, tables = space.shape_tables(owner[batch], pts, kinds)
         yield ids, pts, wts, tables
 
@@ -142,7 +162,7 @@ def face_batches(space, order, kinds):
     kp, km = topo.sides[:, 0], topo.sides[:, 1]
     size_m = np.where(km >= 0, space.size[km], 0)
     for batch in chunks(space.size[kp] * (space.size.max() + 1) + size_m, sel):
-        pts, wts = face_rule(space.mesh.dim, order, space.face_coords[batch])
+        pts, wts = face_rule(space.mesh.dim, order, space.mesh.vertices[topo.faces[batch]])
         n = topo.normals[batch]
         plus, minus = topo.sides[batch, 0], topo.sides[batch, 1]
         boundary = minus[0] < 0

@@ -69,8 +69,10 @@ def test_criterion_1_reconstruction_exactness():
 
         data = pdg.interpolate(space, q)
         worst, scale = 0.0, 0.0
+        mesh = space.mesh
         for K in range(space.num_dofs):
-            pts = np.vstack([space.mesh.element_coords(K), space.patches[K].nodes[:1]])
+            pts = np.vstack([mesh.vertices[mesh.elements[K, :mesh.lengths[K]]],
+                             space.patches[K].nodes[:1]])
             vals = space.evaluate(data, K, pts)
             exact = np.array([q(*p) for p in pts])
             worst = max(worst, float(np.max(np.abs(vals - exact))))

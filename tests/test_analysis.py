@@ -83,7 +83,7 @@ class TestExactSpectrum:
         rule = simplex_rule(2, 8)
         total = 0.0
         for K in range(mesh.num_elements):
-            pts, wts = map_rule(rule, mesh.element_coords(K))
+            pts, wts = map_rule(rule, mesh.vertices[mesh.elements[K]])
             total += np.sum(wts * u.value(pts) ** 2)
         assert abs(total - 1.0) < 1e-6
 

@@ -21,7 +21,7 @@ def loops(mesh):
 
 
 def reference_barycenter(mesh, K):
-    coords = mesh.element_coords(K)
+    coords = mesh.vertices[mesh.elements[K, :mesh.lengths[K]]]
     if mesh.element_kind == "simplex":
         return coords.mean(axis=0)
     x, y = coords[:, 0], coords[:, 1]
@@ -133,7 +133,7 @@ def test_topology_matches_reference(case):
     assert topo.sides.tolist() == [list(s) for s in sides]
     assert topo.normals.tobytes() == normals.tobytes()
     assert topo.h_e.tobytes() == h_e.tobytes()
-    assert topo.neighbors == neighbors
+    assert [row[row >= 0].tolist() for row in topo.adjacency] == neighbors
     assert topo.boundary.tolist() == [km < 0 for _, km in sides]
 
 
@@ -168,9 +168,10 @@ def test_space_patches_after_rank_retry():
     grown = 0
     for K in range(mesh.num_elements):
         members = reference_patch(mesh, neighbors, K, 3)
-        while len(space.members(K)) > len(members):
+        row = space.R.indices[space.R.indptr[K]:space.R.indptr[K + 1]].tolist()
+        while len(row) > len(members):
             members = members + reference_ring(mesh, neighbors, members)
             grown += 1
-        assert space.members(K) == members
+        assert row == members
         assert space.patches[K].members == members
     assert grown > 0

@@ -361,11 +361,6 @@ class TestPolyIO:
         assert np.array_equal(again.elements, mesh.elements)
         assert again.lengths.tolist() == [mesh.dim + 1] * mesh.num_elements
 
-    def test_element_coords_unpadded(self):
-        mesh = parse_poly(MIXED_POLY)
-        assert mesh.element_coords(1).tolist() == [[1.0, 0.0], [2.0, 0.0], [2.0, 1.0]]
-        assert mesh.element_coords(3).shape == (5, 2)
-
 
 class TestTopology:
     def test_square_one(self):

@@ -6,6 +6,12 @@ from patchdg.mesh import all_geometries, build_topology, generate_cube_tet, gene
 from patchdg.patch import Patch, build_patch, default_patch_size, lambda_constant, required_dim
 
 
+def neighbors(topo, K):
+    """K's face neighbors: its row of ``adjacency`` without the -1 padding."""
+    row = topo.adjacency[K]
+    return row[row >= 0].tolist()
+
+
 def enumerate_poly_dim(m, dim):
     # brute-force count of monomials with total degree <= m
     count = 0
@@ -55,11 +61,11 @@ class TestBuildPatch:
         barys = all_geometries(mesh).barycenters
         chosen = None
         for K in range(mesh.num_elements):
-            nbs = topo.neighbors[K]
+            nbs = neighbors(topo, K)
             if len(nbs) != 4:
                 continue
             dn = [np.linalg.norm(barys[n] - barys[K]) for n in nbs]
-            ring2 = {m for n in nbs for m in topo.neighbors[n]} - set(nbs) - {K}
+            ring2 = {m for n in nbs for m in neighbors(topo, n)} - set(nbs) - {K}
             d2 = [np.linalg.norm(barys[m] - barys[K]) for m in ring2]
             if max(dn) < min(d2):
                 chosen = K
@@ -67,12 +73,12 @@ class TestBuildPatch:
         assert chosen is not None
         members = build_patch(mesh, topo, [chosen], 5).members[0].tolist()
         assert members[0] == chosen
-        assert set(members) == {chosen} | set(topo.neighbors[chosen])
+        assert set(members) == {chosen} | set(neighbors(topo, chosen))
 
     def test_corner_patch_connected(self):
         mesh = generate_square_tri(2)
         topo = build_topology(mesh)
-        K = min(range(mesh.num_elements), key=lambda e: len(topo.neighbors[e]))
+        K = min(range(mesh.num_elements), key=lambda e: len(neighbors(topo, e)))
         members = set(build_patch(mesh, topo, [K], 4).members[0].tolist())
         assert len(members) == 4
         # breadth-first reachability oracle: the member set must be connected
@@ -81,7 +87,7 @@ class TestBuildPatch:
         while frontier:
             nxt = []
             for e in frontier:
-                for nb in topo.neighbors[e]:
+                for nb in neighbors(topo, e):
                     if nb in members and nb not in reached:
                         reached.add(nb)
                         nxt.append(nb)

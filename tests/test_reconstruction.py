@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from patchdg.errors import PatchExhausted, RankDeficient
 from patchdg.mesh import build_topology, generate_cube_tet, generate_square_tri, parse_poly
@@ -10,12 +11,15 @@ from patchdg.quadrature import MAX_ORDER
 from patchdg.reconstruction import (
     _table_operators,
     build_space,
+    contract,
+    factors,
     fit_local,
     interpolate,
     monomial_basis,
-    tabulate,
     vandermonde,
 )
+
+KINDS = ("val", "grad", "lap", "gradlap")
 
 
 def mock_patch(nodes, center=0):
@@ -29,7 +33,8 @@ def fitted_values(fit, m, pts):
     """(n_pts, t) shape-function values of a fit_local result for a batch of one."""
     coeffs, origin, scale, ok = fit
     assert ok.all()
-    return tabulate(coeffs, origin, scale, np.asarray(pts, dtype=float)[None], m)["val"][0]
+    V, _ = factors(origin[:, None], scale[:, None], np.asarray(pts, dtype=float)[None], m, ())
+    return contract(V, None, 0, scale[:, None], coeffs.transpose(0, 2, 1)[:, None])[0, 0]
 
 
 class TestMonomialBasis:
@@ -83,6 +88,16 @@ def reference_tabulate(coeffs, origin, scale, points, m, kind):
     return T[..., 0] if kind in ("val", "lap") else T
 
 
+def relative(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), np.finfo(float).tiny)
+
+
+def mesh_space(spec, m):
+    kind, n = spec.split(":")
+    mesh = (generate_square_tri if kind == "square" else generate_cube_tet)(int(n))
+    return build_space(mesh, build_topology(mesh), m)
+
+
 def patch_tables(space):
     """{s: (elements, coeffs (G, s, n_terms))}: R's element blocks, grouped
     by patch size."""
@@ -111,23 +126,46 @@ class TestKernelBits:
 
     @pytest.mark.parametrize("mesh_spec, m", [("square:8", 2), ("square:8", 3), ("cube:2", 2)])
     def test_tabulate(self, mesh_spec, m):
-        kind, n = mesh_spec.split(":")
-        mesh = (generate_square_tri if kind == "square" else generate_cube_tet)(int(n))
-        space = build_space(mesh, build_topology(mesh), m)
-        barycenters = space.geometry.barycenters
+        # the kernel's table of every kind (the reference contracts it with
+        # the identity), and the values of every patch size's coefficient
+        # tables, where nothing stands between V and the coefficients
+        space = mesh_space(mesh_spec, m)
+        mesh, barycenters, nt = space.mesh, space.geometry.barycenters, space.n_terms
         for s, (elements, coeffs) in patch_tables(space).items():
             # each element's vertices and barycenter, and points outside it
-            points = np.concatenate([mesh.vertices[np.array(mesh.elements)[elements]],
+            points = np.concatenate([mesh.vertices[mesh.elements[elements]],
                                      barycenters[elements, None],
                                      barycenters[elements, None] + 0.3], axis=1)
-            args = (coeffs, space.origin[elements],
-                    space.scale[elements], points, m)
-            kinds = ("val", "grad", "lap", "gradlap")
-            tables = tabulate(*args, kinds)
-            for kind in kinds:
-                ref = reference_tabulate(*args, kind)
-                assert np.array_equal(tables[kind], ref), (s, kind)
-                assert tables[kind].strides == ref.strides, (s, kind)
+            origin, scale = space.origin[elements], space.scale[elements]
+            V, ops = factors(origin[:, None], scale[:, None], points, m, KINDS)
+            monomials = np.broadcast_to(np.eye(nt), (len(elements), nt, nt))
+            for kind in KINDS:
+                ref = reference_tabulate(monomials, origin, scale, points, m, kind)
+                if kind not in ops:  # identically zero at this degree
+                    assert not ref.any(), (s, kind)
+                    continue
+                T = np.moveaxis(contract(V, *ops[kind], scale[:, None]), 1, -1)
+                assert np.array_equal(T.reshape(ref.shape), ref), (s, kind)
+            values = contract(V, None, 0, scale[:, None], coeffs.transpose(0, 2, 1)[:, None])
+            ref = reference_tabulate(coeffs, origin, scale, points, m, "val")
+            assert np.array_equal(values[:, 0], ref), s
+
+    @pytest.mark.parametrize("mesh_spec, m", [("square:8", 2), ("square:8", 3), ("cube:2", 2)])
+    def test_evaluate(self, mesh_spec, m):
+        # the values the VTK export prints, at every element's vertices, are
+        # the reference's bits; derivatives apply the operator to the
+        # coefficients first, so they agree to rounding
+        space = mesh_space(mesh_spec, m)
+        mesh, n = space.mesh, space.num_dofs
+        x = np.random.default_rng(m).standard_normal(n)
+        points = mesh.vertices[mesh.elements]
+        frame = (space.origin, space.scale, points, m)
+        C = space.coefficients(x[:, None])
+        values = space.evaluate(x, np.arange(n), points)
+        assert np.array_equal(values, reference_tabulate(C, *frame, "val")[..., 0])
+        for deriv, kind in ((1, "grad"), (2, "lap")):
+            ref = reference_tabulate(C, *frame, kind)[:, :, 0]
+            assert relative(space.evaluate(x, np.arange(n), points, deriv), ref) <= 1e-13, kind
 
 
 class TestFitLocal:
@@ -225,10 +263,11 @@ class TestEvalShape:
         space = build_space(mesh, build_topology(mesh), 3)
         data = interpolate(space, lambda x, y: x ** 3 + x * y ** 2)  # grad Lap = (8, 0)
         pts = np.random.default_rng(3).random((1, 4, 2))
-        C = space.coefficients(data[:, None])
+        Ct = space.coefficients(data[:, None]).transpose(0, 2, 1)
         for K in (2, 21):
-            T = tabulate(C[[K]], space.origin[[K]], space.scale[[K]], pts, 3, ("gradlap",))
-            grad_lap = T["gradlap"][:, :, 0]
+            scale = space.scale[[K], None]
+            V, ops = factors(space.origin[[K], None], scale, pts, 3, ("gradlap",))
+            grad_lap = np.moveaxis(contract(V, *ops["gradlap"], scale, Ct[[K], None]), 1, -1)[..., 0, :]
             assert np.allclose(grad_lap, [8.0, 0.0], atol=1e-6)
 
     def test_laplacian_of_quadratic(self, space):
@@ -254,7 +293,7 @@ class TestPolynomialReproduction:
         worst = 0.0
         scale = 0.0
         for K in range(mesh.num_elements):
-            pts = mesh.element_coords(K)
+            pts = mesh.vertices[mesh.elements[K, :mesh.lengths[K]]]
             vals = space.evaluate(data, K, pts)
             exact = np.array([q(*p) for p in pts])
             worst = max(worst, np.max(np.abs(vals - exact)))
@@ -274,22 +313,27 @@ class TestBuildSpace:
     def test_piecewise_constant(self):
         mesh = generate_square_tri(2)
         space = build_space(mesh, build_topology(mesh), 0, t=1)
-        # characteristic functions: identity support map
-        assert all(space.support[j] == [j] for j in range(mesh.num_elements))
+        # characteristic functions: every patch is its own element
+        assert np.array_equal(space.R.indices, np.arange(mesh.num_elements))
+        assert np.array_equal(space.R.indptr, np.arange(mesh.num_elements + 1))
         chi = np.eye(mesh.num_elements)[3]
         assert np.allclose(space.evaluate(chi, 3, np.array([[0.1, 0.2]])), 1.0)
 
     def test_support_map_consistency(self):
         mesh = generate_square_tri(4)
         space = build_space(mesh, build_topology(mesh), 1, t=5)
-        # double enumeration: j in members(K) <=> K in support[j]
-        for K in range(mesh.num_elements):
-            for j in space.members(K):
-                assert K in space.support[j]
-        for j in range(mesh.num_elements):
-            for K in space.support[j]:
-                assert j in space.members(K)
-        sizes = [len(s) for s in space.support]
+        n, R = mesh.num_elements, space.R
+        # double enumeration: j in K's block row of R <=> K in R's column j
+        members = np.split(R.indices, R.indptr[1:-1])
+        columns = sp.csr_matrix((np.ones(len(R.indices)), R.indices, R.indptr), shape=(n, n)).tocsc()
+        support = np.split(columns.indices, columns.indptr[1:-1])
+        for K in range(n):
+            for j in members[K]:
+                assert K in support[j]
+        for j in range(n):
+            for K in support[j]:
+                assert j in members[K]
+        sizes = [len(s) for s in support]
         assert min(sizes) >= 1
         assert max(sizes) <= 12
 
@@ -353,15 +397,6 @@ class TestBuildSpace:
         topo = build_topology(mesh)
         with pytest.raises(RankDeficient):
             build_space(mesh, topo, 1, t=3)
-
-    def test_coefficient_dump(self, tmp_path):
-        mesh = generate_square_tri(2)
-        space = build_space(mesh, build_topology(mesh), 1)
-        path = tmp_path / "coeffs.csv"
-        space.dump_coefficients_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "element,node,exponents,coefficient"
-        assert len(lines) == 1 + mesh.num_elements * space.t * 3
 
 
 def strip(n):

@@ -1,6 +1,7 @@
 """The trace kernel: the factors V and O of a batch and their two
-contraction orders, as property tests against the whole tables of
-``tabulate``, and the measurement of kinds that are identically zero."""
+contraction orders, as property tests against the whole tables of the
+plain product loop ``reference_tabulate``, and the measurement of kinds that
+are identically zero."""
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from patchdg.reconstruction import (
     factors,
     interpolate,
     monomial_basis,
-    tabulate,
 )
+from test_reconstruction import reference_tabulate
 
 KINDS = ("val", "grad", "lap", "gradlap")
 # reruns draw the same examples and write no example database
@@ -48,10 +49,17 @@ def batches(draw):
     return m, origin, scale, points, normals / np.linalg.norm(normals, axis=1)[:, None]
 
 
+def reference_table(m, origin, scale, points, kind):
+    """The reference's monomial table of one side, (B, q, n_terms) or (B, q,
+    n_terms, dim): its coefficient tables are the identity."""
+    B, nt = len(origin), len(monomial_basis(m, origin.shape[1]))
+    return reference_tabulate(np.broadcast_to(np.eye(nt), (B, nt, nt)), origin, scale, points, m, kind)
+
+
 def side_table(m, origin, scale, points, kind, normals):
-    """tabulate's monomial table of one side (B, q, n_terms), its vector
-    kinds contracted with ``normals`` explicitly."""
-    T = tabulate(None, origin, scale, points, m, (kind,))[kind]
+    """The reference table of one side (B, q, n_terms), its vector kinds
+    contracted with ``normals`` explicitly."""
+    T = reference_table(m, origin, scale, points, kind)
     return np.einsum("bqsd,bd->bqs", T, normals) if T.ndim == 4 else T
 
 
@@ -76,10 +84,10 @@ def test_face_tables_match_tabulate(case):
 def test_volume_tables_are_tabulate(case):
     m, origin, scale, points, _ = case
     V, ops = factors(origin[:, :1], scale[:, :1], points, m, KINDS)
-    tables = tabulate(None, origin[:, 0], scale[:, 0], points, m, tuple(ops))
     for kind, op in ops.items():
+        ref = reference_table(m, origin[:, 0], scale[:, 0], points, kind)
         T = np.moveaxis(contract(V, *op, scale[:, :1]), 1, -1)
-        assert np.array_equal(T.reshape(tables[kind].shape), tables[kind]), kind
+        assert np.array_equal(T.reshape(ref.shape), ref), kind
 
 
 @deterministic
@@ -101,12 +109,11 @@ def test_coefficients_first_match_tables(case, fields, seed):
 def test_zero_kinds_are_absent(case):
     m, origin, scale, points, normals = case
     absent = {kind for kind, top in (("lap", 1), ("gradlap", 2)) if m <= top}
-    tables = tabulate(None, origin[:, 0], scale[:, 0], points, m, KINDS)
     for given_normals in (normals, None):
         _, ops = factors(origin, scale, points, m, KINDS, given_normals)
         assert set(KINDS) - set(ops) == absent
-        for kind in absent:
-            assert not tables[kind].any()
+    for kind in absent:
+        assert not reference_table(m, origin[:, 0], scale[:, 0], points, kind).any()
 
 
 @pytest.mark.parametrize("m, p", [(0, 1), (1, 2)])
