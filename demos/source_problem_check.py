@@ -7,34 +7,25 @@ u = sin x sin y the right-hand sides are 2u (second order) and 4u
 at rates m and m-1.
 """
 
-import numpy as np
-
 import patchdg as pdg
 
 
-def run(problem, bc, m, factor):
-    u = pdg.sine_product_field((1, 1), 1.0, 1.0)
+def run(problem, bc, m):
     cfg = pdg.FormConfig(problem=problem, bc=bc, m=m)
-    errs = []
-    for n in (8, 16, 32):
-        mesh = pdg.generate_square_tri(n)
-        topo = pdg.build_topology(mesh)
-        space = pdg.build_space(mesh, topo, m)
-        res = pdg.solve_source(space, cfg, lambda pts: factor * u.value(pts), exact=u)
-        errs.append(res.energy_error)
-    rates = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
+    meshes = [pdg.generate_square_tri(n) for n in (8, 16, 32)]
+    rows = pdg.source_study(meshes, cfg, "square_pi")
     print(f"{problem} (m={m}): energy errors "
-          + ", ".join(f"{e:.3e}" for e in errs)
-          + "  rates " + ", ".join(f"{r:.2f}" for r in rates))
+          + ", ".join(f"{r.error:.3e}" for r in rows)
+          + "  rates " + ", ".join(f"{r.order:.2f}" for r in rows[1:]))
 
 
 def main():
     print("u = sin x sin y on the pi-square\n")
-    run("laplace", "homogeneous_dirichlet", 2, 2.0)
+    run("laplace", "homogeneous_dirichlet", 2)
     print("  (expected rate m = 2)")
-    run("biharmonic", "simply_supported", 2, 4.0)
+    run("biharmonic", "simply_supported", 2)
     print("  (expected rate m - 1 = 1)")
-    run("biharmonic", "simply_supported", 3, 4.0)
+    run("biharmonic", "simply_supported", 3)
     print("  (expected rate m - 1 = 2)")
 
 

@@ -21,8 +21,10 @@ from .analysis import (
     match_cluster,
     rate,
     reliable_count,
+    reliable_study,
     sine_product_field,
     solve_source,
+    source_study,
 )
 from .assembly import (
     l2_norm,

@@ -1,4 +1,6 @@
-"""Exact spectra, eigenpair matching, error norms, rates, reliable counts.
+"""Exact spectra, eigenpair matching, error norms, rates, reliable counts,
+and the refinement studies built on them: eigenpair convergence, reliable
+counts and source-problem rates, on one loop over a mesh sequence.
 
 The two model domains with closed-form spectra are the [0, pi]^2 square
 (second order: i^2 + j^2; fourth order, simply supported: (i^2 + j^2)^2)
@@ -25,6 +27,7 @@ from .assembly import (
     load_vector,
     measure,
 )
+from . import eigensolve
 from .eigensolve import _factor_spd, solve_smallest
 from .errors import ClusterAmbiguous
 from .mesh import build_topology
@@ -219,37 +222,38 @@ def compute_spectrum(space, config, k=None, tol=1e-9):
     return solve_smallest(A, M, k, tol=tol), A, M
 
 
-def convergence_study(meshes, config, domain, target, t=None):
-    """Eigenvalue and eigenfunction convergence rows over a mesh sequence.
+def _spaces(meshes, config, t):
+    """The (h, space) pairs of a refinement sequence, one mesh at a time.
 
-    Meshes must refine by a factor of two in h, which is checked on their
-    topologies before anything is solved; ``target`` is the 1-based rank of
-    the tracked exact eigenvalue.
+    Every topology is built, and h checked to halve at each step, before
+    any space is; rates compare each mesh with its half-h refinement.
     """
     if len(meshes) < 2:
         raise ValueError("need at least two meshes")
-    if target < 1:
-        raise ValueError(f"target is a 1-based rank, got {target}")
-    exact = exact_spectrum(domain, config.p, target + 8)
-    k_need = exact.cluster_start(target) + exact.multiplicity(target) + 4
     topos = [build_topology(mesh) for mesh in meshes]
     hs = [topo.geometry.h for topo in topos]
     if not all(map(halves, hs, hs[1:])):
         raise ValueError("mesh sequence must halve h at each step")
-    eig_errs, fun_errs, values, dofs = [], [], [], []
-    for mesh, topo in zip(meshes, topos):
-        space = build_space(mesh, topo, config.m, t=t)
-        result, A, M = compute_spectrum(space, config, k=min(k_need, space.num_dofs))
+    return ((h, build_space(mesh, topo, config.m, t=t))
+            for mesh, topo, h in zip(meshes, topos, hs))
+
+
+def convergence_study(meshes, config, domain, target, t=None):
+    """Eigenvalue and eigenfunction convergence rows over a mesh sequence
+    that halves h at each step; ``target`` is the 1-based rank of the
+    tracked exact eigenvalue."""
+    if target < 1:
+        raise ValueError(f"target is a 1-based rank, got {target}")
+    exact = exact_spectrum(domain, config.p, target + 8)
+    k_need = exact.cluster_start(target) + exact.multiplicity(target) + 4
+    steps = []
+    for h, space in _spaces(meshes, config, t):
+        result, A, M = compute_spectrum(space, config, k=k_need)
         matched = match_cluster(space, config.p, exact, target, result)
         ve, fe = eigen_errors(space, config.p, exact, target, result, M, matched)
-        values.append(result.values[target - 1])
-        eig_errs.append(ve)
-        fun_errs.append(fe)
-        dofs.append(space.num_dofs)
-    return StudyResult(
-        _rows(hs, dofs, values, eig_errs),
-        _rows(hs, dofs, values, fun_errs),
-    )
+        steps.append((h, space.num_dofs, result.values[target - 1], ve, fe))
+    hs, dofs, values, eig_errs, fun_errs = zip(*steps)
+    return StudyResult(_rows(hs, dofs, values, eig_errs), _rows(hs, dofs, values, fun_errs))
 
 
 def halves(coarse, fine):
@@ -259,13 +263,9 @@ def halves(coarse, fine):
 
 
 def _rows(hs, dofs, values, errors):
-    rows = []
-    for i, (h, n, v, e) in enumerate(zip(hs, dofs, values, errors)):
-        order = None
-        if i > 0:
-            order = rate(errors[i - 1], e)
-        rows.append(ConvergenceRow(h, n, v, e, order))
-    return rows
+    """One row per mesh; the order compares it with the mesh before."""
+    orders = [None, *map(rate, errors, errors[1:])]
+    return list(map(ConvergenceRow, hs, dofs, values, errors, orders))
 
 
 def rate(err_coarse, err_fine):
@@ -282,19 +282,12 @@ def rate(err_coarse, err_fine):
 # --------------------------------------------------------------------------
 
 def reliable_count(exact, result_h, result_2h, *, error_cap=None):
-    """Count eigenvalues whose h-to-2h rate is at least 1.
+    """Count eigenvalues whose h-to-2h rate is at least 1 and, given an
+    ``error_cap``, whose error on the fine mesh is at most the cap.
 
     Discrete spectra are paired with the exact one by sorted rank.  A zero
     error on the fine mesh counts as converged (infinite rate).  Returns
     (count, percentage of the fine mesh's DOF count).
-
-    Without ``error_cap`` the counter admits every index whose error at
-    least halves, which on smooth mesh families includes the whole
-    pre-asymptotic bulk of the spectrum (eigenvalues with O(1) error that
-    drift downward under refinement).  Passing ``error_cap`` additionally
-    requires ``err_h <= error_cap``; anchoring the cap to the mesh size
-    (errors of order h) recovers the square-root-of-N reliable band that
-    the counting experiment is meant to exhibit.
     """
     J = min(len(result_h.values), len(result_2h.values), len(exact.values))
     count = 0
@@ -308,6 +301,29 @@ def reliable_count(exact, result_h, result_2h, *, error_cap=None):
                 count += 1
     pct = 100.0 * count / len(result_h.values)
     return count, pct
+
+
+def reliable_study(meshes, config, domain, t=None):
+    """(N, count, percentage) per refinement step, from the full spectra
+    of a mesh and of its half-h refinement.
+
+    The rate test alone admits the pre-asymptotic bulk of the spectrum
+    (O(1) errors that drift downward under refinement); capping the fine
+    error at a quarter of the coarse h (errors of order h) recovers the
+    square-root-of-N reliable band.  Every spectrum is dense, so a mesh
+    past the dense path's size limit is refused before any space is built.
+    """
+    largest = max(mesh.num_elements for mesh in meshes)
+    if largest > eigensolve.DENSE_THRESHOLD:
+        raise ValueError(f"dense path limited to n <= {eigensolve.DENSE_THRESHOLD}, got {largest}")
+    hs, results = zip(*[(h, compute_spectrum(space, config, k=None)[0])
+                        for h, space in _spaces(meshes, config, t)])
+    rows = []
+    for coarse, fine, h_coarse in zip(results, results[1:], hs):
+        exact = exact_spectrum(domain, config.p, len(coarse.values))
+        count, pct = reliable_count(exact, fine, coarse, error_cap=h_coarse / 4.0)
+        rows.append((len(fine.values), count, pct))
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -335,3 +351,19 @@ def solve_source(space, config, f, exact=None):
     if exact is not None:
         err = energy_norm(space, config.p, exact=exact, vector=x)
     return SourceResult(x, err)
+
+
+def source_study(meshes, config, domain, t=None):
+    """Energy-error rows of a manufactured source problem over a mesh
+    sequence: the exact solution is the lowest sine mode of ``domain``, of
+    unit amplitude, and the load is lambda^p times it."""
+    if domain == "square_pi":
+        u, lam = sine_product_field((1, 1), 1.0, 1.0), 2.0
+    elif domain == "cube_unit":
+        u, lam = sine_product_field((1, 1, 1), np.pi, 1.0), 3.0 * np.pi ** 2
+    else:
+        raise ValueError(f"unknown domain {domain!r}")
+    f = lambda pts: lam ** config.p * u.value(pts)
+    hs, dofs, errs = zip(*[(h, space.num_dofs, solve_source(space, config, f, exact=u).energy_error)
+                           for h, space in _spaces(meshes, config, t)])
+    return _rows(hs, dofs, errs, errs)

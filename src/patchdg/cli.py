@@ -1,12 +1,13 @@
 """Batch front end: solve / convergence / reliable / source / mesh-info.
 
-Configuration comes from command-line flags, optionally layered over a flat
+One parser takes the command and its flags, optionally layered over a flat
 key=value text file whose keys are the flag names: its lines are parsed as
 flags placed before the command line's own, so flags override the file.
-Artifacts are CSV files with a header row and 12-significant-digit,
-locale-independent numbers, plus optional legacy-VTK eigenfunction
-exports.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure.
+A command loads its meshes, hands them to :mod:`analysis` (the refinement
+studies live there) and writes the artifacts: CSV files with a header row
+and 12-significant-digit, locale-independent numbers, plus optional
+legacy-VTK eigenfunction exports.  Exit codes: 0 success, 2 configuration
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -65,17 +66,18 @@ class RunConfig(FormConfig):
         if self.vtk < 0:
             raise ConfigError("vtk must be >= 0")
         specs = _mesh_specs(self.mesh)
-        if self.command in ("convergence", "reliable") and len(specs) < 2:
-            raise ConfigError(f"{self.command} needs at least two meshes")
         if self.command in ("solve", "mesh-info") and len(specs) > 1:
             raise ConfigError(f"{self.command} takes one mesh")
-        if self.command in ("convergence", "reliable", "source") and self.domain() is None:
-            raise ConfigError(f"{self.command} measures against an exact spectrum, known only "
-                              "on generated square:/cube: meshes and not for the clamped plate")
         if self.command in ("convergence", "reliable", "source"):  # rates compare h with 2h
+            if len(specs) < 2:
+                raise ConfigError(f"{self.command} needs at least two meshes")
+            if self.domain() is None:
+                raise ConfigError(f"{self.command} measures against an exact spectrum, known only "
+                                  "on generated square:/cube: meshes and not for the clamped plate")
             sizes = [int(s.split(":")[1]) for s in specs]  # h is proportional to 1/n
             if not all(map(analysis.halves, sizes[1:], sizes)):
-                raise ConfigError(f"{self.command} mesh sizes must double at each step: {self.mesh}")
+                raise ConfigError(f"{self.command} mesh sizes must double at each step: "
+                                  f"{self.mesh}")
 
     def domain(self):
         """The model domain whose exact spectrum this run is measured
@@ -113,11 +115,6 @@ def _load_mesh_one(spec):
     return parse_msh(data)
 
 
-def _load_mesh_seq(spec):
-    """A refinement sequence: 'square:4,8,16' or comma-separated paths."""
-    return [_load_mesh_one(s) for s in _mesh_specs(spec)]
-
-
 def _check_degree(cfg, mesh):
     """Stiffness integrands have degree 2m; reject degrees the shipped
     quadrature cannot integrate, and patches too small to fit P^m, before
@@ -129,6 +126,13 @@ def _check_degree(cfg, mesh):
     if cfg.t is not None and cfg.t < need:
         raise ConfigError(f"patch size t = {cfg.t} is below {need}, the dimension of "
                           f"P^{cfg.m} in {mesh.dim}D")
+
+
+def _meshes(cfg):
+    """The run's meshes, loaded, with the degree and patch size checked."""
+    meshes = [_load_mesh_one(s) for s in _mesh_specs(cfg.mesh)]
+    _check_degree(cfg, meshes[0])
+    return meshes
 
 
 def _fmt(x):
@@ -156,6 +160,12 @@ def _write_csv(path, header, rows):
     for row in rows:
         lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
     _write_atomic(path, "\n".join(lines) + "\n", newline="")
+
+
+def _write_rows(path, rows):
+    """Convergence rows as a ``scale,value,error,order`` CSV."""
+    _write_csv(path, ["scale", "value", "error", "order"],
+               [(r.scale, r.value, r.error, r.order) for r in rows])
 
 
 # --------------------------------------------------------------------------
@@ -221,8 +231,7 @@ def export_vtk(mesh, space, vector, path):
 # --------------------------------------------------------------------------
 
 def _cmd_solve(cfg):
-    mesh = _load_mesh_one(cfg.mesh)
-    _check_degree(cfg, mesh)
+    mesh, = _meshes(cfg)
     topo = build_topology(mesh)
     space = build_space(mesh, topo, cfg.m, t=cfg.t)
     result, A, M = analysis.compute_spectrum(space, cfg, k=cfg.k, tol=cfg.tol)
@@ -242,65 +251,24 @@ def _cmd_solve(cfg):
 
 
 def _cmd_convergence(cfg):
-    meshes = _load_mesh_seq(cfg.mesh)
-    _check_degree(cfg, meshes[0])
-    study = analysis.convergence_study(meshes, cfg, cfg.domain(), cfg.target, t=cfg.t)
+    study = analysis.convergence_study(_meshes(cfg), cfg, cfg.domain(), cfg.target, t=cfg.t)
     os.makedirs(cfg.output, exist_ok=True)
-    _write_csv(
-        os.path.join(cfg.output, "errors.csv"),
-        ["scale", "value", "error", "order"],
-        [(r.scale, r.value, r.error, r.order) for r in study.eigenvalue_rows],
-    )
-    _write_csv(
-        os.path.join(cfg.output, "errors_eigenfunction.csv"),
-        ["scale", "value", "error", "order"],
-        [(r.scale, r.value, r.error, r.order) for r in study.eigenfunction_rows],
-    )
+    _write_rows(os.path.join(cfg.output, "errors.csv"), study.eigenvalue_rows)
+    _write_rows(os.path.join(cfg.output, "errors_eigenfunction.csv"), study.eigenfunction_rows)
     return EXIT_OK
 
 
 def _cmd_reliable(cfg):
-    meshes = _load_mesh_seq(cfg.mesh)
-    _check_degree(cfg, meshes[0])
-    results, sizes = [], []
-    for mesh in meshes:
-        topo = build_topology(mesh)
-        space = build_space(mesh, topo, cfg.m, t=cfg.t)
-        result, _, _ = analysis.compute_spectrum(space, cfg, k=None)
-        results.append(result)
-        sizes.append(topo.geometry.h)
-    rows = []
-    for (coarse, fine), h_coarse in zip(zip(results, results[1:]), sizes):
-        exact = analysis.exact_spectrum(cfg.domain(), cfg.p, len(coarse.values))
-        count, pct = analysis.reliable_count(exact, fine, coarse, error_cap=h_coarse / 4.0)
-        rows.append((len(fine.values), count, pct))
+    rows = analysis.reliable_study(_meshes(cfg), cfg, cfg.domain(), t=cfg.t)
     os.makedirs(cfg.output, exist_ok=True)
     _write_csv(os.path.join(cfg.output, "reliable.csv"), ["N", "count", "percentage"], rows)
     return EXIT_OK
 
 
 def _cmd_source(cfg):
-    meshes = _load_mesh_seq(cfg.mesh)
-    _check_degree(cfg, meshes[0])
-    if cfg.domain() == "square_pi":
-        u = analysis.sine_product_field((1, 1), 1.0, 1.0)
-        lam = 2.0
-    else:
-        u = analysis.sine_product_field((1, 1, 1), np.pi, 1.0)
-        lam = 3.0 * np.pi ** 2
-    factor = lam if cfg.p == 1 else lam ** 2
-    f = lambda pts: factor * u.value(pts)
-    rows, prev_err = [], None
-    for mesh in meshes:
-        topo = build_topology(mesh)
-        space = build_space(mesh, topo, cfg.m, t=cfg.t)
-        res = analysis.solve_source(space, cfg, f, exact=u)
-        order = analysis.rate(prev_err, res.energy_error) if prev_err is not None else None
-        rows.append((topo.geometry.h, res.energy_error, res.energy_error, order))
-        prev_err = res.energy_error
+    rows = analysis.source_study(_meshes(cfg), cfg, cfg.domain(), t=cfg.t)
     os.makedirs(cfg.output, exist_ok=True)
-    _write_csv(os.path.join(cfg.output, "errors.csv"),
-               ["scale", "value", "error", "order"], rows)
+    _write_rows(os.path.join(cfg.output, "errors.csv"), rows)
     return EXIT_OK
 
 
@@ -340,37 +308,37 @@ def _file_flags(path):
             if "=" not in line:
                 raise ConfigError(f"bad config line (need key=value): {raw.rstrip()}")
             key, val = (s.strip() for s in line.split("=", 1))
+            if key == "config":
+                raise ConfigError(f"config file {path} names another config file")
             flags.append(f"--{key}={val}")
     return flags
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    # an unset flag is left out, so RunConfig's default applies; a flag or
+    # config key must be spelled in full
+    p = argparse.ArgumentParser(
         prog="patchdg",
         description="Elliptic eigenvalue solver on a patch-reconstructed DG space.",
+        argument_default=argparse.SUPPRESS,
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        # an unset flag is left out, so RunConfig's default applies; a flag
-        # or config key must be spelled in full
-        p = sub.add_parser(name, argument_default=argparse.SUPPRESS, allow_abbrev=False)
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--problem", choices=["laplace", "biharmonic"])
-        p.add_argument("--bc", choices=["homogeneous_dirichlet", "clamped", "simply_supported"])
-        p.add_argument("--m", type=int, help="polynomial degree")
-        p.add_argument("--t", type=int, help="patch size override")
-        p.add_argument("--mesh",
-                       help="square:n | cube:n | file.msh | file.poly (lists for sequences)")
-        p.add_argument("--k", type=int, help="eigenpairs requested")
-        p.add_argument("--target", type=int, help="tracked exact eigenvalue rank")
-        p.add_argument("--eta", type=float)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--vtk", type=int, help="export this many eigenfunctions")
-        p.add_argument("--output")
-    return parser
+    p.add_argument("command", choices=_COMMANDS)
+    p.add_argument("--config", help="flat key=value config file")
+    p.add_argument("--problem", choices=["laplace", "biharmonic"])
+    p.add_argument("--bc", choices=["homogeneous_dirichlet", "clamped", "simply_supported"])
+    p.add_argument("--m", type=int, help="polynomial degree")
+    p.add_argument("--t", type=int, help="patch size override")
+    p.add_argument("--mesh", help="square:n | cube:n | file.msh | file.poly (lists for sequences)")
+    p.add_argument("--k", type=int, help="eigenpairs requested")
+    p.add_argument("--target", type=int, help="tracked exact eigenvalue rank")
+    p.add_argument("--eta", type=float)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--vtk", type=int, help="export this many eigenfunctions")
+    p.add_argument("--output")
+    return p
 
 
 def build_config(argv):
@@ -380,11 +348,7 @@ def build_config(argv):
     args = vars(parser.parse_args(argv))
     path = args.pop("config", None)
     if path:
-        flags = _file_flags(path)
-        if "config" in vars(parser.parse_args([args["command"], *flags])):
-            raise ConfigError(f"config file {path} names another config file")
-        rest = argv[argv.index(args["command"]) + 1:]
-        args = vars(parser.parse_args([args["command"], *flags, *rest]))
+        args = vars(parser.parse_args([*_file_flags(path), *argv]))
         del args["config"]
     if not args.get("mesh"):
         raise ConfigError("a mesh source is required (--mesh or mesh= in the config file)")

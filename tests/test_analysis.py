@@ -13,13 +13,15 @@ from patchdg.analysis import (
     match_cluster,
     rate,
     reliable_count,
+    reliable_study,
     sine_product_field,
     solve_source,
+    source_study,
 )
 from patchdg.assembly import FormConfig, energy_norm
 from patchdg.eigensolve import EigenResult, solve_dense, solve_smallest
 from patchdg.errors import ClusterAmbiguous, PenaltyTooSmall
-from patchdg.mesh import build_topology, generate_square_tri
+from patchdg.mesh import build_topology, generate_cube_tet, generate_square_tri
 from patchdg.reconstruction import build_space
 
 
@@ -300,12 +302,18 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(meshes, FormConfig(problem="laplace", m=1), "square_pi", 1)
 
-    def test_rejects_non_halving_before_any_solve(self, monkeypatch):
-        monkeypatch.setattr(analysis, "compute_spectrum",
-                            lambda *args, **kwargs: pytest.fail("solved before the h check"))
+    @pytest.mark.parametrize("study", [
+        lambda meshes, cfg: convergence_study(meshes, cfg, "square_pi", 1),
+        lambda meshes, cfg: reliable_study(meshes, cfg, "square_pi"),
+        lambda meshes, cfg: source_study(meshes, cfg, "square_pi"),
+    ], ids=["convergence", "reliable", "source"])
+    def test_rejects_non_halving_before_any_solve(self, monkeypatch, study):
+        for name in ("compute_spectrum", "solve_source"):
+            monkeypatch.setattr(analysis, name,
+                                lambda *args, **kwargs: pytest.fail("solved before the h check"))
         meshes = [generate_square_tri(4), generate_square_tri(4)]
         with pytest.raises(ValueError, match="halve"):
-            convergence_study(meshes, FormConfig(problem="laplace", m=1), "square_pi", 1)
+            study(meshes, FormConfig(problem="laplace", m=1))
 
     @pytest.mark.parametrize("target", [0, -2])
     def test_rejects_target_below_one(self, target):
@@ -313,6 +321,60 @@ class TestConvergenceStudy:
         meshes = [generate_square_tri(4), generate_square_tri(8)]
         with pytest.raises(ValueError, match="1-based"):
             convergence_study(meshes, FormConfig(problem="laplace", m=1), "square_pi", target)
+
+
+def hand_spaces(meshes, m):
+    """(h, space) per mesh, built directly."""
+    out = []
+    for mesh in meshes:
+        topo = build_topology(mesh)
+        out.append((topo.geometry.h, build_space(mesh, topo, m)))
+    return out
+
+
+class TestReliableStudy:
+    def test_rows_equal_a_hand_count(self):
+        meshes = [generate_square_tri(4), generate_square_tri(8)]
+        cfg = FormConfig(problem="laplace", m=1)
+        (h_coarse, coarse_space), (_, fine_space) = hand_spaces(meshes, 1)
+        coarse = compute_spectrum(coarse_space, cfg)[0]
+        fine = compute_spectrum(fine_space, cfg)[0]
+        exact = exact_spectrum("square_pi", 1, len(coarse.values))
+        count, pct = reliable_count(exact, fine, coarse, error_cap=h_coarse / 4.0)
+        assert reliable_study(meshes, cfg, "square_pi") == [(len(fine.values), count, pct)]
+
+    def test_dense_limit_checked_before_any_space(self, monkeypatch):
+        monkeypatch.setattr(analysis.eigensolve, "DENSE_THRESHOLD", 100)
+        monkeypatch.setattr(analysis, "build_space",
+                            lambda *args, **kwargs: pytest.fail("space built"))
+        meshes = [generate_square_tri(4), generate_square_tri(8)]  # 32 and 128 elements
+        with pytest.raises(ValueError, match="dense path limited to n <= 100, got 128"):
+            reliable_study(meshes, FormConfig(problem="laplace", m=1), "square_pi")
+
+
+class TestSourceStudy:
+    @pytest.mark.parametrize("domain, problem, u, load", [
+        ("square_pi", "laplace", sine_product_field((1, 1), 1.0, 1.0), 2.0),
+        ("cube_unit", "biharmonic", sine_product_field((1, 1, 1), np.pi, 1.0),
+         (3.0 * np.pi ** 2) ** 2),
+    ], ids=["square", "cube"])
+    def test_rows_equal_a_hand_loop(self, domain, problem, u, load):
+        meshes = ([generate_square_tri(4), generate_square_tri(8)] if domain == "square_pi"
+                  else [generate_cube_tet(2), generate_cube_tet(4)])
+        cfg = FormConfig(problem=problem, m=2)
+        expected, prev = [], None
+        for h, space in hand_spaces(meshes, 2):
+            err = solve_source(space, cfg, lambda pts: load * u.value(pts), exact=u).energy_error
+            order = None if prev is None else rate(prev, err)
+            expected.append((h, space.num_dofs, err, err, order))
+            prev = err
+        rows = source_study(meshes, cfg, domain)
+        assert [(r.scale, r.dofs, r.value, r.error, r.order) for r in rows] == expected
+
+    def test_rejects_an_unknown_domain(self):
+        meshes = [generate_square_tri(4), generate_square_tri(8)]
+        with pytest.raises(ValueError, match="unknown domain"):
+            source_study(meshes, FormConfig(problem="laplace", m=1), None)
 
 
 class TestSolveSource:

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from patchdg import cli, eigensolve
+from patchdg import analysis, cli, eigensolve
 from patchdg.assembly import FormConfig, assemble_laplace
 from patchdg.cli import RunConfig, build_config, export_vtk, main
 from patchdg.mesh import build_topology, generate_cube_tet, generate_square_tri, write_msh
@@ -281,6 +281,15 @@ class TestReliableCommand:
         assert n == 128
         assert 0 <= count <= n
         assert abs(pct - 100.0 * count / n) < 1e-9
+
+    def test_dense_limit_exit_2_before_any_space(self, tmp_path, monkeypatch, capsys):
+        # every spectrum is dense; square:64 has 8192 elements
+        monkeypatch.setattr(analysis, "build_space", lambda *a, **kw: pytest.fail("space built"))
+        out = tmp_path / "run"
+        assert main(["reliable", "--mesh", "square:32,64", "--m", "1", "--output", str(out)]) == 2
+        limit = eigensolve.DENSE_THRESHOLD
+        assert f"dense path limited to n <= {limit}, got 8192" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSourceCommand:
