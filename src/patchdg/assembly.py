@@ -358,19 +358,13 @@ def measure(space, p, fields, l2=False):
     for _, pts, wts, n, h, boundary, sides, scale, V, ops in \
             _face_batches(space, order, kinds, every):
         faces.append((values(kinds, V, scale, ops, C[sides], pts, boundary, n), wts, h[:, None]))
-    terms = [_stack([T[volume] for T, _ in vol], [w for _, w in vol])]
-    terms += [_stack([J[kind] for J, _, _ in faces], [w / int_power(h, power) for _, w, h in faces])
-              for kind, power in face_terms]
-    if l2:
-        terms.append(_stack([T["val"] for T, _ in vol], [w for _, w in vol]))
-    return terms
-
-
-def _stack(values, weights):
-    """A term's (fields, points, components) values and (points,) weights
-    from its per-batch (B, q, fields, ...) values and (B, q) weights."""
-    F = [np.moveaxis(v, 2, 0).reshape(v.shape[2], v.shape[0] * v.shape[1], -1) for v in values]
-    return np.concatenate(F, axis=1), np.concatenate([w.ravel() for w in weights])
+    terms = [[(T[volume], w) for T, w in vol]]
+    terms += [[(J[k], w / int_power(h, power)) for J, w, h in faces] for k, power in face_terms]
+    terms += [[(T["val"], w) for T, w in vol]] if l2 else []
+    # each batch is copied once, into its term's (fields, points, components) array
+    stacked = [(np.concatenate([np.moveaxis(v, 2, 0) for v, _ in term], axis=1),
+                np.concatenate([w.ravel() for _, w in term])) for term in terms]
+    return [(F.reshape(len(F), -1, F.shape[3]), w) for F, w in stacked]
 
 
 def gram(terms):

@@ -131,21 +131,27 @@ def build_patch(mesh, topology, K, t):
     return Patches(centers, members, barycenters[members], patch_diameters(mesh, members))
 
 
-def grow_patch(mesh, topology, patch):
-    """Add one full ring of Von Neumann neighbors to a batch of one patch.
-
-    Used as the recovery step when a least-squares fit on the patch turns
-    out rank deficient.
-    """
-    barycenters = topology.geometry.barycenters
-    members = patch.members[0]
-    ring = np.setdiff1d(topology.adjacency[members], [-1, *members])
-    if not len(ring):
-        raise PatchExhausted(f"element {patch.centers[0]}: no further neighbors to grow into")
-    d = barycenters[ring] - patch.nodes[0, 0]
-    ring = ring[np.lexsort((ring, np.sqrt(rowdot(d, d))))]
-    members = np.concatenate([members, ring])[None]
-    return Patches(patch.centers, members, barycenters[members], patch_diameters(mesh, members))
+def grow_patch(mesh, topology, patches):
+    """Grow every patch of a batch by its full ring of Von Neumann neighbors,
+    ordered by distance to the center's node, ties by element id: the repair
+    of a rank-deficient fit.  Returns one :class:`Patches` per grown size; a
+    patch with no neighbor left gains one -1 slot."""
+    barycenters, members = topology.geometry.barycenters, patches.members
+    # each row's neighbor ids, sorted, with -1, repeats and members masked out
+    ring = np.sort(topology.adjacency[members].reshape(len(members), -1), axis=1)
+    offset = np.arange(len(members))[:, None] * mesh.num_elements
+    new = (ring >= 0) & ~np.isin(ring + offset, members + offset)
+    new[:, 1:] &= ring[:, 1:] != ring[:, :-1]
+    dist = np.where(new, _distances(barycenters, ring, patches.centers), np.inf)
+    order = np.argsort(dist, axis=1, kind="stable")  # ids ascending among equal distances
+    ring = np.take_along_axis(np.where(new, ring, -1), order, axis=1)
+    count, groups = np.maximum(new.sum(axis=1), 1), []
+    for size in np.unique(count):
+        rows = count == size
+        grown = np.concatenate([members[rows], ring[rows, :size]], axis=1)
+        groups.append(Patches(patches.centers[rows], grown, barycenters[grown],
+                              patch_diameters(mesh, grown)))
+    return groups
 
 
 def lambda_constant(mesh, patch, m):

@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import PatchExhausted, RankDeficient
+from .errors import RankDeficient
 from .patch import Patch, build_patch, default_patch_size, grow_patch
 
 RCOND = 1e-10  # numerical-rank threshold for unisolvence
@@ -243,73 +243,71 @@ class ReconstructedSpace:
         points = np.asarray(points, dtype=float)
         if single:
             points = points[None]
-        C = self.coefficients(np.asarray(vector, dtype=float)[:, None])[elements]
+        # the elements' block rows of R x alone, each summed in stored order as R @ x sums it
+        R, x = self.R, np.asarray(vector, dtype=float)
+        start, size = R.indptr[:-1][elements], np.diff(R.indptr)[elements]
+        at = np.arange(size.sum()) + np.repeat(start + size - np.cumsum(size), size)
+        rows = np.repeat(np.arange(len(elements)), size)
+        C = np.zeros((len(elements), self.n_terms))
+        np.add.at(C, rows, R.data[at, :, 0] * x[R.indices[at], None])
         scale = self.scale[elements, None]
         V, _ = factors(self.origin[elements, None], scale, points, self.m, ())
         O, power = _table_operators(self.m, self.mesh.dim)[kind]
-        T = contract(V, O, power, scale, C.transpose(0, 2, 1)[:, None])  # (B, components, n_pts, 1)
+        T = contract(V, O, power, scale, C[:, None, :, None])  # (B, components, n_pts, 1)
         out = np.moveaxis(T[..., 0], 1, -1)
         out = out if deriv == 1 else out[..., 0]
         return out[0] if single else out
 
 
-def _refit(mesh, topology, patch, m):
-    """Grow a patch (a batch of one) whose fit was rank deficient by one
-    neighbor ring and refit, up to three times.  Returns the table,
-    its scale and the grown patch's members; the last failure raises."""
-    center = patch.centers[0]
-    for _ in range(3):
-        try:
-            patch = grow_patch(mesh, topology, patch)
-        except PatchExhausted:
-            raise RankDeficient(
-                f"element {center}: sampling nodes stay rank deficient "
-                f"and the mesh has no further elements to grow into"
-            ) from None
-        coeffs, _, scale, ok = fit_local(patch, m)
-        if ok[0]:
-            return coeffs[0], scale[0], patch.members[0]
-    size, n_terms = coeffs.shape[1:]
-    if size < n_terms:
-        raise RankDeficient(f"patch of element {center} has {size} nodes, "
-                            f"needs at least {n_terms} for degree {m}")
-    raise RankDeficient(f"patch of element {center} is numerically rank deficient")
-
-
 def build_space(mesh, topology, m, t=None):
     """Fit one shape table per element and build the reconstruction operator.
 
-    All patches grow and are fitted in one batch.  Rank-deficient patches
-    are then grown by a full neighbor ring up to three times before the
-    failure propagates with the offending element id; an exhausted patch
-    raises PatchExhausted.  Either error names the lowest failing element.
+    All patches grow and are fitted in one batch.  The rank-deficient ones
+    then grow by a full neighbor ring and are refitted together, one batch
+    per grown size, for up to three rounds before the failure propagates;
+    an exhausted patch raises PatchExhausted.  Either error names the lowest
+    failing element.
     """
     if m < 0:
         raise ValueError("degree must be >= 0")
     if t is None:
         t = default_patch_size(m, mesh.dim) if m >= 1 else 1
-    n = mesh.num_elements
-    patches = build_patch(mesh, topology, np.arange(n), t)
-    coeffs, origin, scale, ok = fit_local(patches, m)
-    exhausted = patches.exhausted()
-    stop = exhausted[0] if len(exhausted) else n
-    grown = {}
-    for K in np.nonzero(~ok[:stop])[0]:
-        table, scale[K], members = _refit(mesh, topology, patches.take([K]), m)
-        grown[K] = (members, table)
-    if stop < n:
-        raise patches.exhausted_error(stop)
+    n, n_terms = mesh.num_elements, len(monomial_basis(m, mesh.dim))
+    # the first fits, then three rounds of ring growth; failed: element -> its error
+    todo, fitted, failed = [build_patch(mesh, topology, np.arange(n), t)], [], {}
+    sizes, scale = np.empty(n, dtype=int), np.empty(n)
+    for grow in (False, True, True, True):
+        if grow:
+            todo = [group for batch in todo if len(batch.centers)
+                    for group in grow_patch(mesh, topology, batch)]
+        for i, batch in enumerate(todo):
+            coeffs, _, fit_scale, ok = fit_local(batch, m)
+            live = batch.members[:, -1] >= 0
+            for row, K in zip(np.nonzero(~live)[0], batch.centers[~live]):
+                failed[K] = RankDeficient(
+                    f"element {K}: sampling nodes stay rank deficient and the mesh has no "
+                    f"further elements to grow into") if grow else batch.exhausted_error(row)
+            ok &= live
+            done = batch.centers[ok]
+            sizes[done], scale[done] = batch.members.shape[1], fit_scale[ok]
+            fitted.append((batch, coeffs, ok))
+            todo[i] = batch.take(~ok & live)
+    for batch in todo:
+        size = batch.members.shape[1]
+        failed.update((K, RankDeficient(
+            f"patch of element {K} has {size} nodes, needs at least {n_terms} for degree {m}"
+            if size < n_terms else f"patch of element {K} is numerically rank deficient"))
+            for K in batch.centers)
+    if failed:
+        raise failed[min(failed)]
     # block row K of R lists K's patch members, each with its coefficients
-    sizes = np.full(n, t)
-    sizes[list(grown)] = [len(members) for members, _ in grown.values()]
     indptr = np.r_[0, np.cumsum(sizes)]
-    indices, data = np.empty(indptr[-1], dtype=int), np.empty((indptr[-1], coeffs.shape[2], 1))
-    at = indptr[:-1][ok, None] + np.arange(t)
-    indices[at], data[at, :, 0] = patches.members[ok], coeffs[ok]
-    for K, (members, table) in grown.items():
-        indices[indptr[K]:indptr[K + 1]], data[indptr[K]:indptr[K + 1], :, 0] = members, table
-    R = sp.bsr_matrix((data, indices, indptr), shape=(n * coeffs.shape[2], n))
-    return ReconstructedSpace(mesh, topology, m, t, R, origin, scale)
+    indices, data = np.empty(indptr[-1], dtype=int), np.empty((indptr[-1], n_terms, 1))
+    for batch, coeffs, ok in fitted:
+        at = indptr[batch.centers[ok], None] + np.arange(batch.members.shape[1])
+        indices[at], data[at, :, 0] = batch.members[ok], coeffs[ok]
+    R = sp.bsr_matrix((data, indices, indptr), shape=(n * n_terms, n))
+    return ReconstructedSpace(mesh, topology, m, t, R, topology.geometry.barycenters.copy(), scale)
 
 
 def interpolate(space, g):

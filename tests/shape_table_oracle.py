@@ -8,8 +8,11 @@ it: per-element coefficient tables stacked by patch size, ``tables[s] =
 patch shape functions themselves, batch by batch with one patch size per
 side, and every matrix comes out of one lower-triangle build from
 entry-level triplets, mirrored into the full symmetric matrix.  The
-package's fitting and quadrature are shared; the shape tables, the
-bookkeeping, the traces and the scatter are not: :func:`shape_functions`
+package's fitting and quadrature are shared, and a patch that grows past
+its first fit is copied from its block row of the space's R (the repair
+is checked against a one-patch-at-a-time reference in
+``test_batched_setup``); the shape tables, the bookkeeping, the traces
+and the scatter are not: :func:`shape_functions`
 writes each monomial's derivatives out from its exponents and contracts
 the coefficient tables with them, table first.
 """
@@ -19,9 +22,9 @@ import scipy.sparse as sp
 
 from patchdg import assembly
 from patchdg.assembly import AnalyticField, _dim_factor, _pair
-from patchdg.patch import Patch, build_patch, default_patch_size
+from patchdg.patch import Patch, build_patch
 from patchdg.quadrature import MAX_ORDER, face_rule, map_rule, simplex_rule
-from patchdg.reconstruction import _refit, fit_local, monomial_basis
+from patchdg.reconstruction import fit_local, monomial_basis
 
 CHUNK = 256
 
@@ -71,16 +74,18 @@ def shape_functions(coeffs, origin, scale, points, m, kinds):
 
 
 class ShapeTableSpace:
-    def __init__(self, mesh, topology, m, t=None):
-        if t is None:
-            t = default_patch_size(m, mesh.dim) if m >= 1 else 1
+    def __init__(self, space):
+        mesh, topology, m, t = space.mesh, space.topology, space.m, space.t
         n = mesh.num_elements
         patches = build_patch(mesh, topology, np.arange(n), t)
         coeffs, origin, scale, ok = fit_local(patches, m)
-        grown = {}
+        # a patch whose first fit is rank deficient is read from its block row of R
+        R, grown = space.R, {}
         for K in np.nonzero(~ok)[0]:
-            table, scale[K], members = _refit(mesh, topology, patches.take([K]), m)
-            grown.setdefault(len(members), []).append((K, members, table))
+            block = slice(R.indptr[K], R.indptr[K + 1])
+            scale[K] = space.scale[K]
+            grown.setdefault(block.stop - block.start, []).append(
+                (K, R.indices[block], R.data[block, :, 0]))
         groups = {t: (np.nonzero(ok)[0], patches.members[ok], coeffs[ok])} if ok.any() else {}
         for s, rows in grown.items():
             elements, members, tables = zip(*rows)
@@ -95,10 +100,6 @@ class ShapeTableSpace:
             self.tables[int(s)] = (members, coeffs)
         self.geometry = topology.geometry
         self.num_dofs = n
-
-    @classmethod
-    def like(cls, space):
-        return cls(space.mesh, space.topology, space.m, space.t)
 
     def members(self, K):
         members, _ = self.tables[int(self.size[K])]
@@ -239,7 +240,7 @@ def shape_table_product(space, p, fields):
     """Oracle for energy_product: the broken energy Gram matrix from the
     patch shape tables of every batch, each field evaluated as the sum over
     its patch's shape functions, not from per-element coefficients."""
-    space = ShapeTableSpace.like(space)
+    space = ShapeTableSpace(space)
     exact, X = [], np.zeros((space.num_dofs, len(fields)))
     for i, field in enumerate(fields):
         if isinstance(field, AnalyticField):

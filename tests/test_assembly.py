@@ -310,7 +310,7 @@ def pull_back_case(spec, m):
     mesh = {"square": lambda: generate_square_tri(int(n or 0)),
             "cube": lambda: generate_cube_tet(int(n or 0)), "polygon": polygon_mesh}[kind]()
     space = build_space(mesh, build_topology(mesh), m)
-    return space, oracle.ShapeTableSpace.like(space)
+    return space, oracle.ShapeTableSpace(space)
 
 
 PULL_BACK_CASES = [("square:8", m) for m in (1, 2, 3, 4)] + [

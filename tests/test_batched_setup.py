@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from patchdg.mesh import build_topology, generate_cube_tet, generate_square_tri, parse_poly
-from patchdg.patch import build_patch, grow_patch
-from patchdg.reconstruction import build_space
+from patchdg.patch import Patches, build_patch, grow_patch, patch_diameters
+from patchdg.reconstruction import build_space, fit_local
 
 
 def loops(mesh):
@@ -148,11 +148,42 @@ def test_patches_match_reference(case, t):
 
 
 def test_grown_patches_match_reference(case):
+    # one call grows every element's patch; the rings differ in size, so
+    # the rows come back in several batches
     mesh, topo, (_, _, _, _, neighbors) = case
-    for K in range(mesh.num_elements):
+    groups = grow_patch(mesh, topo, build_patch(mesh, topo, np.arange(mesh.num_elements), 4))
+    assert len(groups) > 1
+    rows = {K: row for group in groups
+            for K, row in zip(group.centers.tolist(), group.members.tolist())}
+    assert sorted(rows) == list(range(mesh.num_elements))
+    for K, row in rows.items():
         members = reference_patch(mesh, neighbors, K, 4)
-        grown = grow_patch(mesh, topo, build_patch(mesh, topo, [K], 4))
-        assert grown.members.tolist() == [members + reference_ring(mesh, neighbors, members)]
+        assert row == members + reference_ring(mesh, neighbors, members)
+
+
+def test_batched_repair_matches_one_patch_at_a_time():
+    # cube:4 at m = 3: 168 of 384 first fits are rank deficient; each is
+    # grown ring by ring and refitted alone until it fits
+    mesh = generate_cube_tet(4)
+    topo = build_topology(mesh)
+    neighbors = reference_topology(mesh)[4]
+    space = build_space(mesh, topo, 3)
+    R, barycenters = space.R, topo.geometry.barycenters
+    assert np.count_nonzero(np.diff(R.indptr) > space.t) == 168
+    for K in range(mesh.num_elements):
+        members = reference_patch(mesh, neighbors, K, space.t)
+        for _ in range(4):  # the first fit, then up to three rings
+            ids = np.array([members])
+            patch = Patches(np.array([K]), ids, barycenters[ids], patch_diameters(mesh, ids))
+            table, _, scale, ok = fit_local(patch, 3)
+            if ok[0]:
+                break
+            members = members + reference_ring(mesh, neighbors, members)
+        assert ok[0]
+        block = slice(R.indptr[K], R.indptr[K + 1])
+        assert R.indices[block].tolist() == members
+        assert R.data[block, :, 0].tobytes() == table[0].tobytes()
+        assert space.scale[K].tobytes() == scale[0].tobytes()
 
 
 def test_space_patches_after_rank_retry():
