@@ -4,8 +4,9 @@ counts and source-problem rates, on one loop over a mesh sequence.
 
 The two model domains with closed-form spectra are the [0, pi]^2 square
 (second order: i^2 + j^2; fourth order, simply supported: (i^2 + j^2)^2)
-and the unit cube (with pi^2 / pi^4 factors).  Discrete eigenvalues are
-paired with exact ones by sorted rank; a multiple exact eigenvalue is
+and the unit cube (with pi^2 / pi^4 factors), one ``_DOMAINS`` row each,
+which every study reads before it builds a space.  Discrete eigenvalues
+are paired with exact ones by sorted rank; a multiple exact eigenvalue is
 matched by the best linear combination of its discrete cluster in the
 energy inner product.
 """
@@ -56,7 +57,8 @@ class ExactSpectrum:
         return int(np.argmax(np.isclose(self.values, lam, rtol=1e-12, atol=0.0))) + 1
 
     def eigenfunction(self, label):
-        return _eigenfunction(self.domain, label)
+        _, wave, amplitude = _domain(self.domain)
+        return sine_product_field(label, wave, amplitude)
 
 
 def sine_product_field(freqs, scale=1.0, amplitude=1.0):
@@ -90,22 +92,28 @@ def sine_product_field(freqs, scale=1.0, amplitude=1.0):
     return AnalyticField(value, gradient, laplacian)
 
 
-def _eigenfunction(domain, label):
-    if domain == "square_pi":
-        # L2-normalized on [0, pi]^2
-        return sine_product_field(label, 1.0, 2.0 / np.pi)
-    if domain == "cube_unit":
-        return sine_product_field(label, np.pi, math.sqrt(8.0))
-    raise ValueError(f"unknown domain {domain!r}")
+#: (dim, wave pi / side, L2 amplitude (2 / side)^(dim / 2)) of [0, side]^dim
+_DOMAINS = {
+    "square_pi": (2, 1.0, 2.0 / np.pi),
+    "cube_unit": (3, np.pi, math.sqrt(8.0)),
+}
+
+
+def _domain(name):
+    """(dim, wave, amplitude) of a model domain."""
+    try:
+        return _DOMAINS[name]
+    except KeyError:
+        raise ValueError(f"unknown domain {name!r}") from None
 
 
 def exact_spectrum(domain, p, count):
     """First ``count`` exact eigenvalues with labels, ascending."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if domain not in ("square_pi", "cube_unit"):
-        raise ValueError(f"unknown domain {domain!r}")
-    dim = 2 if domain == "square_pi" else 3
+    dim, wave, _ = _domain(domain)
+    if p not in (1, 2):
+        raise ValueError(f"p must be 1 (laplace) or 2 (biharmonic), got {p!r}")
     bound = max(2, math.isqrt(2 * count) + 2)
     while True:
         # every label in 1..bound per axis, in ascending lexicographic order,
@@ -118,10 +126,7 @@ def exact_spectrum(domain, p, count):
         bound *= 2
     base = squares[order].astype(float)
     labels = list(map(tuple, idx[:, order].T.tolist()))
-    if domain == "square_pi":
-        values = base if p == 1 else base ** 2
-    else:
-        values = base * np.pi ** 2 if p == 1 else base ** 2 * np.pi ** 4
+    values = base * wave ** 2 if p == 1 else base ** 2 * wave ** 4
     return ExactSpectrum(domain, p, values, labels)
 
 
@@ -310,9 +315,10 @@ def reliable_study(meshes, config, domain, t=None):
     The rate test alone admits the pre-asymptotic bulk of the spectrum
     (O(1) errors that drift downward under refinement); capping the fine
     error at a quarter of the coarse h (errors of order h) recovers the
-    square-root-of-N reliable band.  Every spectrum is dense, so a mesh
-    past the dense path's size limit is refused before any space is built.
+    square-root-of-N reliable band.  Every spectrum is dense, so an unknown
+    domain or a mesh past the dense limit is refused before any space is.
     """
+    _domain(domain)
     largest = max(mesh.num_elements for mesh in meshes)
     if largest > eigensolve.DENSE_THRESHOLD:
         raise ValueError(f"dense path limited to n <= {eigensolve.DENSE_THRESHOLD}, got {largest}")
@@ -357,12 +363,8 @@ def source_study(meshes, config, domain, t=None):
     """Energy-error rows of a manufactured source problem over a mesh
     sequence: the exact solution is the lowest sine mode of ``domain``, of
     unit amplitude, and the load is lambda^p times it."""
-    if domain == "square_pi":
-        u, lam = sine_product_field((1, 1), 1.0, 1.0), 2.0
-    elif domain == "cube_unit":
-        u, lam = sine_product_field((1, 1, 1), np.pi, 1.0), 3.0 * np.pi ** 2
-    else:
-        raise ValueError(f"unknown domain {domain!r}")
+    dim, wave, _ = _domain(domain)
+    u, lam = sine_product_field((1,) * dim, wave, 1.0), dim * wave ** 2
     f = lambda pts: lam ** config.p * u.value(pts)
     hs, dofs, errs = zip(*[(h, space.num_dofs, solve_source(space, config, f, exact=u).energy_error)
                            for h, space in _spaces(meshes, config, t)])

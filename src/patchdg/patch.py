@@ -43,8 +43,8 @@ class Patches:
 
     ``members`` (B, t) holds element ids with the center in column 0;
     a patch that ran out of neighbors is padded with -1 from the first
-    slot it could not fill (see :meth:`exhausted`), and its nodes and
-    diameter mean nothing.
+    slot it could not fill (its last member is then negative), and its
+    nodes and diameter mean nothing.
     """
 
     centers: np.ndarray    # (B,)
@@ -56,10 +56,6 @@ class Patches:
         """The batch of the given rows."""
         return Patches(self.centers[rows], self.members[rows], self.nodes[rows],
                        self.diameters[rows])
-
-    def exhausted(self):
-        """Rows whose patch could not be filled."""
-        return np.nonzero(self.members[:, -1] < 0)[0]
 
     def exhausted_error(self, i):
         reached = int((self.members[i] >= 0).sum())

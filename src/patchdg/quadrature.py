@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateSimplex, OrderUnsupported
+from .mesh import diameters
 
 #: reference measures: interval [0,1], triangle (0,0)-(1,0)-(0,1), unit tet
 REF_MEASURE = {1: 1.0, 2: 0.5, 3: 1.0 / 6.0}
@@ -117,16 +118,11 @@ def map_rule(rule, simplex):
     d = rule.dim
     edges = simplex[..., 1:, :] - simplex[..., :1, :]  # rows are edge vectors
     det = np.abs(np.linalg.det(edges))
-    if np.any(det <= 1e-14 * _diameter_scale(simplex) ** d):
+    diam = diameters(simplex.reshape(-1, d + 1, d)).reshape(det.shape)
+    if np.any(det <= 1e-14 * diam ** d):
         raise DegenerateSimplex("simplex has (numerically) zero volume")
     pts = simplex[..., :1, :] + rule.points @ edges
     return pts, rule.weights * det[..., None]
-
-
-def _diameter_scale(coords):
-    diff = coords[..., :, None, :] - coords[..., None, :, :]
-    scale = np.sqrt((diff ** 2).sum(-1)).max(axis=(-2, -1))
-    return np.where(scale > 0.0, scale, 1.0)
 
 
 def face_rule(dim, order, face):

@@ -63,6 +63,11 @@ class TestExactSpectrum:
         assert abs(exact_spectrum("cube_unit", 1, 1).values[0] - 3 * np.pi ** 2) < 1e-12
         assert abs(exact_spectrum("cube_unit", 2, 1).values[0] - 9 * np.pi ** 4) < 1e-10
 
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_rejects_an_order_without_a_spectrum(self, p):
+        with pytest.raises(ValueError, match="p must be 1"):
+            exact_spectrum("square_pi", p, 4)
+
     def test_prefix_property(self):
         a = exact_spectrum("square_pi", 1, 30)
         b = exact_spectrum("square_pi", 1, 80)
@@ -313,6 +318,19 @@ class TestConvergenceStudy:
                                 lambda *args, **kwargs: pytest.fail("solved before the h check"))
         meshes = [generate_square_tri(4), generate_square_tri(4)]
         with pytest.raises(ValueError, match="halve"):
+            study(meshes, FormConfig(problem="laplace", m=1))
+
+    @pytest.mark.parametrize("study", [
+        lambda meshes, cfg: convergence_study(meshes, cfg, "bogus", 1),
+        lambda meshes, cfg: reliable_study(meshes, cfg, "bogus"),
+        lambda meshes, cfg: source_study(meshes, cfg, "bogus"),
+    ], ids=["convergence", "reliable", "source"])
+    def test_rejects_an_unknown_domain_before_any_space(self, monkeypatch, study):
+        for name in ("build_space", "compute_spectrum", "solve_source"):
+            monkeypatch.setattr(analysis, name,
+                                lambda *args, **kwargs: pytest.fail("worked before the domain check"))
+        meshes = [generate_square_tri(4), generate_square_tri(8)]
+        with pytest.raises(ValueError, match="unknown domain 'bogus'"):
             study(meshes, FormConfig(problem="laplace", m=1))
 
     @pytest.mark.parametrize("target", [0, -2])

@@ -40,6 +40,13 @@ class TestDense:
         with pytest.raises(NoConvergence):
             solve_dense(sp.eye(2), sp.eye(2))
 
+    def test_indefinite_stiffness_refused_before_eigh(self, monkeypatch):
+        # the shared factor judges A, so no dense eigensolve is spent on it
+        monkeypatch.setattr(eigensolve.la, "eigh",
+                            lambda *args, **kwargs: pytest.fail("eigh reached"))
+        with pytest.raises(PenaltyTooSmall):
+            solve_dense(sp.diags([1.0, -1.0, 2.0]), sp.eye(3))
+
     def test_m_orthonormal(self):
         rng = np.random.default_rng(0)
         Q = rng.standard_normal((12, 12))
@@ -136,6 +143,13 @@ class TestSmallest:
             solve_dense(A, M)
         with pytest.raises(PenaltyTooSmall):
             solve_smallest(A, M, 5)
+
+    @pytest.mark.parametrize("n", [20, 40], ids=["dense", "lanczos"])
+    def test_singular_stiffness_raises_on_both_paths(self, n):
+        # one zero eigenvalue: refused by the same factor whichever path runs
+        A = sp.diags(np.arange(n, dtype=float))
+        with pytest.raises(PenaltyTooSmall):
+            solve_smallest(A, sp.eye(n), 3)
 
     def test_negative_mass_raises(self, pencil):
         # U^-T P^T M P U^-1 has the inertia of M: no positive mu, no pair

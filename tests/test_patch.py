@@ -117,7 +117,7 @@ class TestBuildPatch:
         mesh = generate_square_tri(1)
         topo = build_topology(mesh)
         patch = build_patch(mesh, topo, [0], 10)
-        assert patch.exhausted().tolist() == [0]
+        assert (patch.members[:, -1] >= 0).tolist() == [False]
         assert patch.members[0].tolist() == [0, 1] + [-1] * 8
         error = patch.exhausted_error(0)
         assert isinstance(error, PatchExhausted)
