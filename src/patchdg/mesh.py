@@ -85,9 +85,9 @@ class Mesh:
         rows = np.sort(table, axis=1)
         rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
         rows.sort(axis=1)
-        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        _, first, inverse, _ = unique_rows(rows)
         checks = [(out_of_range, "references a vertex out of range"),
-                  (first[inverse.reshape(-1)] < np.arange(n),
+                  (first[inverse] < np.arange(n),
                    "duplicates another element's vertex set")]
         if self.element_kind == "simplex":
             arity = self.lengths != self.dim + 1
@@ -164,6 +164,21 @@ def rowdot(a, b):
     distance ties by element id, so the distances must not change.
     """
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def unique_rows(rows):
+    """The distinct rows of an (n, w) int table in lexicographic order, the
+    first index of each, every row's index among them and each one's count:
+    ``np.unique(rows, axis=0, return_index=True, return_inverse=True,
+    return_counts=True)`` by one stable lexsort over the columns."""
+    order = np.lexsort(rows.T[::-1]) if rows.size else np.arange(len(rows))
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts = np.nonzero(new)[0]
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[starts], order[starts], inverse, np.diff(np.r_[starts, len(rows)])
 
 
 def _volumes(coords):
@@ -418,13 +433,13 @@ def _facet_rows(mesh):
 def build_topology(mesh):
     """Deduplicate facets and attach two-sided adjacency and outward normals."""
     rows, owner = _facet_rows(mesh)
-    faces, inverse, counts = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
+    faces, _, inverse, counts = unique_rows(rows)
     crowded = counts > 2
     if crowded.any():
         f = int(np.argmax(crowded))
         raise NonManifold(f"facet {tuple(faces[f].tolist())} is shared by {counts[f]} elements")
     # incident elements per facet, ascending (rows come element by element)
-    incident = owner[np.argsort(inverse.reshape(-1), kind="stable")]
+    incident = owner[np.argsort(inverse, kind="stable")]
     first = np.cumsum(counts) - counts
     kp = incident[first]
     km = np.where(counts == 2, incident[np.minimum(first + 1, len(incident) - 1)], -1)

@@ -156,22 +156,20 @@ def lambda_constant(mesh, patch, m):
 
     Sampling uses quadrature points (exact to order max(2m, 2)) plus the
     vertices of every member element; the estimate is the infinity operator
-    norm of the node-values-to-sample-values map.  Diagnostic only.
+    norm of the node-values-to-sample-values map, whose node-values-to-
+    coefficients factor and rank test are :func:`fit_local`'s on a one-patch
+    batch.  Diagnostic only.
     """
-    from .reconstruction import RCOND, monomial_basis, vandermonde
+    from .reconstruction import fit_local, monomial_basis, vandermonde
 
-    basis = monomial_basis(m, patch.nodes.shape[1])
-    origin = patch.nodes[0]
-    scale = patch.diameter if patch.diameter > 0 else 1.0
+    batch = Patches(np.array([patch.center]), np.array([patch.members]), patch.nodes[None],
+                    np.array([patch.diameter]))
+    coeffs, origin, scale, ok = fit_local(batch, m)
+    if not ok[0]:
+        raise RankDeficient(f"patch of element {patch.center} has unisolvence defect")
 
     pts, _ = element_rule(_geometry(mesh, patch.members), max(2 * m, 2))
     vertices = mesh.vertices[mesh.elements[patch.members].ravel()]  # padding repeats a vertex
-    Y = (np.concatenate([patch.nodes, pts, vertices]) - origin) / scale
-
-    V_nodes = vandermonde(basis, (patch.nodes - origin) / scale)
-    s = np.linalg.svd(V_nodes, compute_uv=False)
-    if s[-1] <= RCOND * s[0]:
-        raise RankDeficient(f"patch of element {patch.center} has unisolvence defect")
-    V_samples = vandermonde(basis, Y)
-    B = V_samples @ np.linalg.pinv(V_nodes)
+    Y = (np.concatenate([patch.nodes, pts, vertices]) - origin[0]) / scale[0]
+    B = vandermonde(monomial_basis(m, patch.nodes.shape[1]), Y) @ coeffs[0].T
     return float(np.abs(B).sum(axis=1).max())

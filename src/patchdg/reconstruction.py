@@ -32,6 +32,7 @@ from .errors import RankDeficient
 from .patch import Patch, build_patch, default_patch_size, grow_patch
 
 RCOND = 1e-10  # numerical-rank threshold for unisolvence
+CERTIFY_MARGIN = 1e3  # how far a QR fit's norm bound must clear RCOND to skip the SVD
 
 
 @dataclass(frozen=True)
@@ -159,14 +160,23 @@ def contract(V, O, power, scale, Ct=None):
 
 def fit_local(patches, m):
     """Solve the sampling-node least-squares fits of degree m on a
-    :class:`Patches` batch, with one stacked SVD.
+    :class:`Patches` batch, with one stacked QR.
 
     Returns the coefficient tables (B, t, n_terms), their frames, the
     origins (B, dim) (the centers' sampling nodes) and scales (B,) (the
     patch diameters), and ``ok`` (B,).  A row whose node Vandermonde matrix
-    has numerical rank short of dim P^m (unisolvence failure, always the
-    case for t < dim P^m) has ``ok`` False and zero coefficients, and is
-    left to the caller.
+    A has numerical rank short of dim P^m, ``s_min <= RCOND s_max`` in its
+    singular values (unisolvence failure, always the case for t < dim P^m),
+    has ``ok`` False and zero coefficients, and is left to the caller.
+
+    With A = QR, the table is the transposed pseudo-inverse Q R^-T.  Since
+    ``|R|_F = |A|_F >= s_max`` and ``|R^-1|_F = |A^+|_F >= 1 / s_min``, a row
+    with ``|R|_F |R^-1|_F < 1 / (CERTIFY_MARGIN RCOND)`` is certainly of
+    full rank.  The rows this bound cannot clear, and those with
+    ``min |R_ii| <= CERTIFY_MARGIN RCOND |R|_F`` (``min |R_ii| >= s_min``, so
+    the bound cannot clear them either; their R is never inverted), are
+    decided and solved by an SVD of their own, so ``ok`` is the SVD's rank
+    rule row for row.
     """
     nodes = patches.nodes
     basis = monomial_basis(m, nodes.shape[2])
@@ -176,10 +186,18 @@ def fit_local(patches, m):
     ok = np.zeros(len(nodes), dtype=bool)
     if nodes.shape[1] >= len(basis):
         A = vandermonde(basis, (nodes - origin[:, None]) / scale[:, None, None])
-        U, s, Vt = np.linalg.svd(A, full_matrices=False)
-        ok = ~(s[:, -1] <= RCOND * s[:, 0])
-        pinv = (Vt[ok].transpose(0, 2, 1) / s[ok, None, :]) @ U[ok].transpose(0, 2, 1)
-        coeffs[ok] = pinv.transpose(0, 2, 1)
+        Q, R = np.linalg.qr(A)
+        floor = CERTIFY_MARGIN * RCOND * np.linalg.norm(R, axis=(1, 2))
+        screened = np.abs(np.diagonal(R, axis1=1, axis2=2)).min(axis=1) > floor
+        Rinv = np.linalg.inv(R[screened])
+        ok[screened] = np.linalg.norm(Rinv, axis=(1, 2)) * floor[screened] < 1.0
+        coeffs[ok] = Q[ok] @ Rinv[ok[screened]].transpose(0, 2, 1)
+        rest = np.nonzero(~ok)[0]
+        U, s, Vt = np.linalg.svd(A[rest], full_matrices=False)
+        full = ~(s[:, -1] <= RCOND * s[:, 0])
+        pinv = (Vt[full].transpose(0, 2, 1) / s[full, None, :]) @ U[full].transpose(0, 2, 1)
+        coeffs[rest[full]] = pinv.transpose(0, 2, 1)
+        ok[rest] = full
     return coeffs, origin, scale, ok
 
 

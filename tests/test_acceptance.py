@@ -177,6 +177,7 @@ def test_criterion_6_biharmonic_3d_first_eigenvalue():
           f"order {order:.3f}]")
 
 
+@pytest.mark.slow
 def test_criterion_7_reliable_eigenvalue_trend():
     """Higher order yields far more reliable eigenvalues at matched DOF count.
 

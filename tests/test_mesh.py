@@ -19,12 +19,14 @@ from patchdg.errors import (
 )
 from patchdg.mesh import (
     Mesh,
+    _facet_rows,
     all_geometries,
     build_topology,
     generate_cube_tet,
     generate_square_tri,
     parse_msh,
     parse_poly,
+    unique_rows,
     write_msh,
     write_poly,
 )
@@ -403,6 +405,41 @@ class TestTopology:
         topo = build_topology(generate_cube_tet(2))
         norms = np.linalg.norm(topo.normals, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+
+def vertex_set_rows(mesh):
+    """``Mesh.validate``'s rows: each element's sorted vertex ids, a
+    repeated id (polygon padding) replaced by -1 and sorted to the front."""
+    rows = np.sort(mesh.elements, axis=1)
+    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
+    return np.sort(rows, axis=1)
+
+
+class TestUniqueRows:
+    """``unique_rows`` is ``np.unique(rows, axis=0, ...)`` with every output."""
+
+    @pytest.mark.parametrize("mesh", [
+        generate_square_tri(5),
+        generate_cube_tet(3),
+        parse_poly(MIXED_POLY),  # three of its four vertex-set rows are -1-padded
+        Mesh(2, generate_square_tri(2).vertices,  # an element listed twice
+             list(generate_square_tri(2).elements) * 2),
+    ], ids=["square", "cube", "polygon", "repeated"])
+    @pytest.mark.parametrize("rows_of", [lambda mesh: _facet_rows(mesh)[0], vertex_set_rows],
+                             ids=["facets", "vertex-sets"])
+    def test_matches_np_unique(self, mesh, rows_of):
+        rows = rows_of(mesh)
+        got = unique_rows(rows)
+        want = np.unique(rows, axis=0, return_index=True, return_inverse=True, return_counts=True)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b.reshape(a.shape))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (0, 0), (4, 0)])
+    def test_empty(self, shape):
+        rows = np.zeros(shape, dtype=int)
+        want = np.unique(rows, axis=0, return_index=True, return_inverse=True, return_counts=True)
+        for a, b in zip(unique_rows(rows), want):
+            assert np.array_equal(a, b.reshape(a.shape))
 
 
 class TestElementGeometry:
