@@ -2,10 +2,10 @@
 and the refinement studies built on them: eigenpair convergence, reliable
 counts and source-problem rates, on one loop over a mesh sequence.
 
-The two model domains with closed-form spectra are the [0, pi]^2 square
-(second order: i^2 + j^2; fourth order, simply supported: (i^2 + j^2)^2)
-and the unit cube (with pi^2 / pi^4 factors), one ``_DOMAINS`` row each,
-which every study reads before it builds a space.  Discrete eigenvalues
+Each generated mesh family is one ``FAMILIES`` row, read by the CLI and
+by every study before it builds a space: the [0, pi]^2 square (second
+order: i^2 + j^2; fourth order, simply supported: (i^2 + j^2)^2) and the
+unit cube (with pi^2 / pi^4 factors).  Discrete eigenvalues
 are paired with exact ones by sorted rank; a multiple exact eigenvalue is
 matched by the best linear combination of its discrete cluster in the
 energy inner product.
@@ -31,7 +31,7 @@ from .assembly import (
 from . import eigensolve
 from .eigensolve import _factor_spd, solve_smallest
 from .errors import ClusterAmbiguous
-from .mesh import build_topology
+from .mesh import build_topology, generate_cube_tet, generate_square_tri
 from .reconstruction import build_space
 
 
@@ -57,7 +57,7 @@ class ExactSpectrum:
         return int(np.argmax(np.isclose(self.values, lam, rtol=1e-12, atol=0.0))) + 1
 
     def eigenfunction(self, label):
-        _, wave, amplitude = _domain(self.domain)
+        _, wave, amplitude = _family(self.domain).facts
         return sine_product_field(label, wave, amplitude)
 
 
@@ -92,26 +92,44 @@ def sine_product_field(freqs, scale=1.0, amplitude=1.0):
     return AnalyticField(value, gradient, laplacian)
 
 
-#: (dim, wave pi / side, L2 amplitude (2 / side)^(dim / 2)) of [0, side]^dim
-_DOMAINS = {
-    "square_pi": (2, 1.0, 2.0 / np.pi),
-    "cube_unit": (3, np.pi, math.sqrt(8.0)),
+@dataclass(frozen=True)
+class Family:
+    """A generated mesh family and the closed-form facts of its domain."""
+
+    generate: object  # n -> the family's n-th mesh
+    domain: str       # the model domain's name
+    facts: tuple      # (dim, wave pi / side, L2 amplitude (2 / side)^(dim / 2)) of [0, side]^dim
+
+    def closed_form(self, bc):
+        """Whether ``bc`` has a closed-form spectrum: the sine modes meet every
+        boundary condition but the clamped plate's."""
+        return bc != "clamped"
+
+
+# the generators are reached through their module names at call time, so a
+# rebound name (a tracer's wrapper) is the one called
+FAMILIES = {
+    "square": Family(lambda n: generate_square_tri(n), "square_pi", (2, 1.0, 2.0 / np.pi)),
+    "cube": Family(lambda n: generate_cube_tet(n), "cube_unit", (3, np.pi, math.sqrt(8.0))),
 }
 
 
-def _domain(name):
-    """(dim, wave, amplitude) of a model domain."""
-    try:
-        return _DOMAINS[name]
-    except KeyError:
-        raise ValueError(f"unknown domain {name!r}") from None
+def _family(domain, config=None):
+    """The ``FAMILIES`` row of a model domain; given a study's ``config``,
+    one whose boundary condition has a closed form."""
+    family = next((f for f in FAMILIES.values() if f.domain == domain), None)
+    if family is None:
+        raise ValueError(f"unknown domain {domain!r}")
+    if config is not None and not family.closed_form(config.bc):
+        raise ValueError(f"no closed-form spectrum on {domain} with bc {config.bc!r}")
+    return family
 
 
 def exact_spectrum(domain, p, count):
     """First ``count`` exact eigenvalues with labels, ascending."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    dim, wave, _ = _domain(domain)
+    dim, wave, _ = _family(domain).facts
     if p not in (1, 2):
         raise ValueError(f"p must be 1 (laplace) or 2 (biharmonic), got {p!r}")
     bound = max(2, math.isqrt(2 * count) + 2)
@@ -249,6 +267,7 @@ def convergence_study(meshes, config, domain, target, t=None):
     tracked exact eigenvalue."""
     if target < 1:
         raise ValueError(f"target is a 1-based rank, got {target}")
+    _family(domain, config)
     exact = exact_spectrum(domain, config.p, target + 8)
     k_need = exact.cluster_start(target) + exact.multiplicity(target) + 4
     steps = []
@@ -294,16 +313,11 @@ def reliable_count(exact, result_h, result_2h, *, error_cap=None):
     error on the fine mesh counts as converged (infinite rate).  Returns
     (count, percentage of the fine mesh's DOF count).
     """
-    J = min(len(result_h.values), len(result_2h.values), len(exact.values))
     count = 0
-    for i in range(J):
-        lam = exact.values[i]
-        err_h = abs(lam - result_h.values[i]) / abs(lam)
-        err_2h = abs(lam - result_2h.values[i]) / abs(lam)
-        r = rate(err_2h, err_h)
-        if r >= 1.0:
-            if error_cap is None or err_h <= error_cap:
-                count += 1
+    for lam, fine, coarse in zip(exact.values, result_h.values, result_2h.values):
+        err_h, err_2h = abs(lam - fine) / abs(lam), abs(lam - coarse) / abs(lam)
+        if rate(err_2h, err_h) >= 1.0 and (error_cap is None or err_h <= error_cap):
+            count += 1
     pct = 100.0 * count / len(result_h.values)
     return count, pct
 
@@ -316,9 +330,10 @@ def reliable_study(meshes, config, domain, t=None):
     (O(1) errors that drift downward under refinement); capping the fine
     error at a quarter of the coarse h (errors of order h) recovers the
     square-root-of-N reliable band.  Every spectrum is dense, so an unknown
-    domain or a mesh past the dense limit is refused before any space is.
+    domain, the clamped plate or a mesh past the dense limit is refused
+    before any space is.
     """
-    _domain(domain)
+    _family(domain, config)
     largest = max(mesh.num_elements for mesh in meshes)
     if largest > eigensolve.DENSE_THRESHOLD:
         raise ValueError(f"dense path limited to n <= {eigensolve.DENSE_THRESHOLD}, got {largest}")
@@ -353,9 +368,7 @@ def solve_source(space, config, f, exact=None):
     A = assemble_stiffness(space, config)
     b = load_vector(space, f)
     x = _factor_spd(A).solve(b)
-    err = None
-    if exact is not None:
-        err = energy_norm(space, config.p, exact=exact, vector=x)
+    err = None if exact is None else energy_norm(space, config.p, exact=exact, vector=x)
     return SourceResult(x, err)
 
 
@@ -363,7 +376,7 @@ def source_study(meshes, config, domain, t=None):
     """Energy-error rows of a manufactured source problem over a mesh
     sequence: the exact solution is the lowest sine mode of ``domain``, of
     unit amplitude, and the load is lambda^p times it."""
-    dim, wave, _ = _domain(domain)
+    dim, wave, _ = _family(domain, config).facts
     u, lam = sine_product_field((1,) * dim, wave, 1.0), dim * wave ** 2
     f = lambda pts: lam ** config.p * u.value(pts)
     hs, dofs, errs = zip(*[(h, space.num_dofs, solve_source(space, config, f, exact=u).energy_error)

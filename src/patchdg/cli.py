@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis
 from .assembly import FormConfig
 from .errors import PatchDGError
-from .mesh import build_topology, generate_cube_tet, generate_square_tri, parse_msh, parse_poly
+from .mesh import build_topology, parse_msh, parse_poly
 from .patch import required_dim
 from .quadrature import MAX_ORDER
 from .reconstruction import build_space
@@ -32,8 +32,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """A setting or input the run cannot use."""
 
 
 @dataclass(kw_only=True)
@@ -51,68 +51,55 @@ class RunConfig(FormConfig):
 
     def __post_init__(self):
         """Reject bad values before any mesh work."""
-        try:
-            super().__post_init__()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if self.t is not None and self.t < 1:
-            raise ConfigError("patch size t must be >= 1")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
-        if self.target < 1:
-            raise ConfigError("target must be >= 1")
-        if self.vtk < 0:
-            raise ConfigError("vtk must be >= 0")
+        super().__post_init__()
+        for bad, text in [(self.k < 1, "k must be >= 1"),
+                          (self.t is not None and self.t < 1, "patch size t must be >= 1"),
+                          (self.tol <= 0, "tol must be positive"),
+                          (self.target < 1, "target must be >= 1"),
+                          (self.vtk < 0, "vtk must be >= 0")]:
+            if bad:
+                raise ConfigError(text)
         specs = _mesh_specs(self.mesh)
         if self.command in ("solve", "mesh-info") and len(specs) > 1:
             raise ConfigError(f"{self.command} takes one mesh")
         if self.command in ("convergence", "reliable", "source"):  # rates compare h with 2h
             if len(specs) < 2:
                 raise ConfigError(f"{self.command} needs at least two meshes")
-            if self.domain() is None:
+            family, _ = specs[0]
+            if family is None or not family.closed_form(self.bc):
+                known = "/".join(f"{prefix}:" for prefix in analysis.FAMILIES)
                 raise ConfigError(f"{self.command} measures against an exact spectrum, known only "
-                                  "on generated square:/cube: meshes and not for the clamped plate")
-            sizes = [int(s.split(":")[1]) for s in specs]  # h is proportional to 1/n
+                                  f"on generated {known} meshes and not for the clamped plate")
+            sizes = [n for _, n in specs]  # h is proportional to 1/n
             if not all(map(analysis.halves, sizes[1:], sizes)):
                 raise ConfigError(f"{self.command} mesh sizes must double at each step: "
                                   f"{self.mesh}")
 
-    def domain(self):
-        """The model domain whose exact spectrum this run is measured
-        against, or None: generated meshes only, and no closed form is
-        known for the clamped plate."""
-        if self.bc == "clamped" or not self.mesh.startswith(("square:", "cube:")):
-            return None
-        return "square_pi" if self.mesh.startswith("square:") else "cube_unit"
-
 
 def _mesh_specs(spec):
-    """The single-mesh specs of 'square:4,8,16', 'cube:n' or comma-separated
-    paths; generated sizes must be integers >= 1."""
-    if not spec.startswith(("square:", "cube:")):
-        return spec.split(",")
-    kind, sizes = spec.split(":", 1)
+    """The single meshes of a mesh source: a (family row, n) pair per size
+    of a generated 'prefix:n1,n2,...' (each an integer >= 1), else a
+    (None, path) pair per comma-separated path."""
+    prefix, colon, sizes = spec.partition(":")
+    family = analysis.FAMILIES.get(prefix) if colon else None
+    if family is None:
+        return [(None, path) for path in spec.split(",")]
     sizes = sizes.split(",")
     if not all(n.strip().isdecimal() and int(n) > 0 for n in sizes):
         raise ConfigError(f"mesh sizes must be integers >= 1: {spec}")
-    return [f"{kind}:{n}" for n in sizes]
+    return [(family, int(n)) for n in sizes]
 
 
 def _load_mesh_one(spec):
-    """A single mesh from 'square:n', 'cube:n', or a file path."""
-    if spec.startswith("square:"):
-        return generate_square_tri(int(spec.split(":", 1)[1]))
-    if spec.startswith("cube:"):
-        return generate_cube_tet(int(spec.split(":", 1)[1]))
-    if not os.path.exists(spec):
-        raise ConfigError(f"mesh file not found: {spec}")
-    with open(spec, "rb") as fh:
-        data = fh.read()
-    if spec.endswith(".poly") or spec.endswith(".txt"):
-        return parse_poly(data)
-    return parse_msh(data)
+    """The mesh of one ``_mesh_specs`` pair: generated, or read from a file."""
+    family, source = spec
+    if family is not None:
+        return family.generate(source)
+    if not os.path.exists(source):
+        raise ConfigError(f"mesh file not found: {source}")
+    parse = parse_poly if source.endswith((".poly", ".txt")) else parse_msh
+    with open(source, "rb") as fh:
+        return parse(fh.read())
 
 
 def _check_degree(cfg, mesh):
@@ -129,16 +116,16 @@ def _check_degree(cfg, mesh):
 
 
 def _meshes(cfg):
-    """The run's meshes, loaded, with the degree and patch size checked."""
-    meshes = [_load_mesh_one(s) for s in _mesh_specs(cfg.mesh)]
+    """The run's family row (None for mesh files) and its meshes, loaded,
+    with the degree and patch size checked."""
+    specs = _mesh_specs(cfg.mesh)
+    meshes = [_load_mesh_one(s) for s in specs]
     _check_degree(cfg, meshes[0])
-    return meshes
+    return specs[0][0], meshes
 
 
 def _fmt(x):
-    if x is None:
-        return ""
-    return f"{x:.12g}"
+    return "" if x is None else f"{x:.12g}"
 
 
 def _write_atomic(path, text, newline=None):
@@ -156,10 +143,8 @@ def _write_atomic(path, text, newline=None):
 
 
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    _write_atomic(path, "\n".join(lines) + "\n", newline="")
+    lines = [header, *([v if isinstance(v, str) else _fmt(v) for v in row] for row in rows)]
+    _write_atomic(path, "".join(",".join(line) + "\n" for line in lines), newline="")
 
 
 def _write_rows(path, rows):
@@ -231,7 +216,7 @@ def export_vtk(mesh, space, vector, path):
 # --------------------------------------------------------------------------
 
 def _cmd_solve(cfg):
-    mesh, = _meshes(cfg)
+    family, (mesh,) = _meshes(cfg)
     topo = build_topology(mesh)
     space = build_space(mesh, topo, cfg.m, t=cfg.t)
     result, A, M = analysis.compute_spectrum(space, cfg, k=cfg.k, tol=cfg.tol)
@@ -241,39 +226,38 @@ def _cmd_solve(cfg):
     for j in range(min(cfg.vtk, len(result.values))):
         export_vtk(mesh, space, result.vectors[:, j],
                    os.path.join(cfg.output, f"eigenfunction_{j + 1:03d}.vtk"))
-    if cfg.domain():
+    if family is not None and family.closed_form(cfg.bc):
         # per-run diagnostic against the known model spectrum
-        exact = analysis.exact_spectrum(cfg.domain(), cfg.p, min(10, len(result.values)))
+        exact = analysis.exact_spectrum(family.domain, cfg.p, min(10, len(result.values)))
         flags = analysis.above_exact_flags(exact, result, 10)
         print(f"above-exact diagnostic (first {len(flags)}): "
               f"{'all above' if flags.all() else 'NOT all above'}")
-    return EXIT_OK
 
 
 def _cmd_convergence(cfg):
-    study = analysis.convergence_study(_meshes(cfg), cfg, cfg.domain(), cfg.target, t=cfg.t)
+    family, meshes = _meshes(cfg)
+    study = analysis.convergence_study(meshes, cfg, family.domain, cfg.target, t=cfg.t)
     os.makedirs(cfg.output, exist_ok=True)
     _write_rows(os.path.join(cfg.output, "errors.csv"), study.eigenvalue_rows)
     _write_rows(os.path.join(cfg.output, "errors_eigenfunction.csv"), study.eigenfunction_rows)
-    return EXIT_OK
 
 
 def _cmd_reliable(cfg):
-    rows = analysis.reliable_study(_meshes(cfg), cfg, cfg.domain(), t=cfg.t)
+    family, meshes = _meshes(cfg)
+    rows = analysis.reliable_study(meshes, cfg, family.domain, t=cfg.t)
     os.makedirs(cfg.output, exist_ok=True)
     _write_csv(os.path.join(cfg.output, "reliable.csv"), ["N", "count", "percentage"], rows)
-    return EXIT_OK
 
 
 def _cmd_source(cfg):
-    rows = analysis.source_study(_meshes(cfg), cfg, cfg.domain(), t=cfg.t)
+    family, meshes = _meshes(cfg)
+    rows = analysis.source_study(meshes, cfg, family.domain, t=cfg.t)
     os.makedirs(cfg.output, exist_ok=True)
     _write_rows(os.path.join(cfg.output, "errors.csv"), rows)
-    return EXIT_OK
 
 
 def _cmd_mesh_info(cfg):
-    mesh = _load_mesh_one(cfg.mesh)
+    mesh, = map(_load_mesh_one, _mesh_specs(cfg.mesh))
     topo = build_topology(mesh)
     measures = topo.geometry.measures
     print(f"dimension:        {mesh.dim}")
@@ -284,7 +268,6 @@ def _cmd_mesh_info(cfg):
     print(f"total measure:    {_fmt(measures.sum())}")
     print(f"h (max diameter): {_fmt(topo.geometry.h)}")
     print(f"measure min/max:  {_fmt(measures.min())} / {_fmt(measures.max())}")
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -329,7 +312,8 @@ def _build_parser():
     p.add_argument("--bc", choices=["homogeneous_dirichlet", "clamped", "simply_supported"])
     p.add_argument("--m", type=int, help="polynomial degree")
     p.add_argument("--t", type=int, help="patch size override")
-    p.add_argument("--mesh", help="square:n | cube:n | file.msh | file.poly (lists for sequences)")
+    generated = " | ".join(f"{prefix}:n" for prefix in analysis.FAMILIES)
+    p.add_argument("--mesh", help=f"{generated} | file.msh | file.poly (lists for sequences)")
     p.add_argument("--k", type=int, help="eigenpairs requested")
     p.add_argument("--target", type=int, help="tracked exact eigenvalue rank")
     p.add_argument("--eta", type=float)
@@ -357,7 +341,8 @@ def build_config(argv):
 
 def run(cfg):
     """Execute a RunConfig; returns the process exit status."""
-    return _COMMANDS[cfg.command](cfg)
+    _COMMANDS[cfg.command](cfg)
+    return EXIT_OK
 
 
 def main(argv=None):
@@ -366,7 +351,7 @@ def main(argv=None):
         return run(cfg)
     except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
         return exc.code
-    except (ConfigError, ValueError) as exc:  # also a request the run finds it cannot meet
+    except ValueError as exc:  # a ConfigError, or a request the run finds it cannot meet
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PatchDGError as exc:

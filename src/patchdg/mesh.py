@@ -267,63 +267,78 @@ def generate_cube_tet(n):
 # MSH 2.2 reader / writer (ASCII, element types 2 and 4 only)
 # --------------------------------------------------------------------------
 
+#: node count of each imported MSH element type
+_MSH_ARITY = {2: 3, 4: 4}
+
+
+def _counted(section, name):
+    """The (line number, fields) rows of a counted MSH section, checked
+    against its count line."""
+    (header, _), *body = section
+    if not body:
+        raise BadCount(f"line {header}: ${name} has no count line")
+    (no, count), *body = body
+    if len(body) != int(count):
+        raise BadCount(f"line {no}: ${name} count {count} disagrees with its {len(body)} lines")
+    return [(no, ln.split()) for no, ln in body]
+
+
 def parse_msh(text):
     """Parse an ASCII Gmsh MSH 2.2 file into a Mesh.
 
     Triangles (type 2) or tetrahedra (type 4) are imported; points and lines
     are skipped.  Node ids are remapped to dense 0-based indices in file
-    order.
+    order.  A line without the fields its kind needs raises ``BadCount``
+    naming the line.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii")
     lines = [ln.strip() for ln in text.splitlines()]
-    sections = {}
+    sections = {}  # name -> its header and body as (1-based line number, text) pairs
     i = 0
     while i < len(lines):
         ln = lines[i]
         if ln.startswith("$") and not ln.startswith("$End"):
             name = ln[1:]
             j = i + 1
-            body = []
             while j < len(lines) and lines[j] != f"$End{name}":
-                body.append(lines[j])
                 j += 1
             if j == len(lines):
                 raise BadCount(f"section {name} is not terminated")
-            sections[name] = body
+            sections[name] = list(enumerate(lines[i:j], start=i + 1))
             i = j + 1
         else:
             i += 1
 
-    if "MeshFormat" not in sections or not sections["MeshFormat"]:
+    if len(sections.get("MeshFormat", ())) < 2:
         raise UnsupportedVersion("missing $MeshFormat header")
-    version = sections["MeshFormat"][0].split()[0]
+    version = next(iter(sections["MeshFormat"][1][1].split()), "")
     if version != "2.2":
         raise UnsupportedVersion(f"MSH version {version} is not supported (need 2.2)")
     if "Nodes" not in sections or "Elements" not in sections:
         raise BadCount("missing $Nodes or $Elements section")
 
-    node_lines = sections["Nodes"]
-    n_nodes = int(node_lines[0])
-    if len(node_lines) - 1 != n_nodes:
-        raise BadCount("node count disagrees with $Nodes body")
-    nodes = [ln.split() for ln in node_lines[1:]]
-    node_ids = [int(parts[0]) for parts in nodes]
+    nodes = _counted(sections["Nodes"], "Nodes")
+    short = next((no for no, parts in nodes if len(parts) < 4), None)
+    if short is not None:
+        raise BadCount(f"line {short}: a node needs an id and three coordinates")
+    node_ids = [int(parts[0]) for _, parts in nodes]
     id_map = {nid: i for i, nid in enumerate(node_ids)}
     if len(id_map) != len(node_ids):
         twice = next(nid for i, nid in enumerate(node_ids) if id_map[nid] != i)
         raise DuplicateNode(f"node {twice} is defined twice")
-    coords = np.array([[float(p) for p in parts[1:4]] for parts in nodes])
+    coords = np.array([[float(p) for p in parts[1:4]] for _, parts in nodes])
 
-    elem_lines = sections["Elements"]
-    n_elems = int(elem_lines[0])
-    if len(elem_lines) - 1 != n_elems:
-        raise BadCount("element count disagrees with $Elements body")
     tris, tets = [], []
-    for ln in elem_lines[1:]:
-        parts = [int(p) for p in ln.split()]
+    for no, parts in _counted(sections["Elements"], "Elements"):
+        parts = [int(p) for p in parts]
+        if len(parts) < 3 or not 0 <= parts[2] <= len(parts) - 3:
+            raise BadCount(f"line {no}: an element needs an id, a type, a tag count and its tags")
         etype, ntags = parts[1], parts[2]
         nodes = parts[3 + ntags:]
+        if etype in _MSH_ARITY and len(nodes) != _MSH_ARITY[etype]:
+            raise BadCount(f"line {no}: element type {etype} needs {_MSH_ARITY[etype]} nodes, "
+                           f"found {len(nodes)}")
         if etype == 2:
             tris.append(nodes)
         elif etype == 4:
@@ -368,26 +383,34 @@ def write_msh(mesh):
 
 def parse_poly(text):
     """Parse the line-oriented polygon format: "V E", V vertex lines "x y",
-    then E element lines "k i1 ... ik" with counter-clockwise loops."""
+    then E element lines "k i1 ... ik" with counter-clockwise loops.  A line
+    without the fields its kind needs raises ``BadCount`` naming the line."""
     if isinstance(text, bytes):
         text = text.decode("ascii")
-    rows = [ln.split() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not rows or len(rows[0]) != 2:
+    rows = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), start=1)
+            if ln.strip() and not ln.lstrip().startswith("#")]
+    if not rows or len(rows[0][1]) != 2:
         raise BadCount("expected a counts line 'V E'")
-    nv, ne = int(rows[0][0]), int(rows[0][1])
+    nv, ne = int(rows[0][1][0]), int(rows[0][1][1])
+    if nv < 0 or ne < 1:
+        raise BadCount(f"line {rows[0][0]}: need V >= 0 vertices and E >= 1 elements, "
+                       f"found {nv} {ne}")
     if len(rows) != 1 + nv + ne:
         raise BadCount(f"expected {1 + nv + ne} lines, found {len(rows)}")
-    verts = np.array([[float(r[0]), float(r[1])] for r in rows[1:1 + nv]])
+    short = next((no for no, r in rows[1:1 + nv] if len(r) < 2), None)
+    if short is not None:
+        raise BadCount(f"line {short}: a vertex needs two coordinates")
+    verts = np.array([[float(r[0]), float(r[1])] for _, r in rows[1:1 + nv]])
     elements = []
-    for r in rows[1 + nv:]:
+    for no, r in rows[1 + nv:]:
         k = int(r[0])
         if len(r) != 1 + k:
-            raise BadCount("polygon line length disagrees with its vertex count")
+            raise BadCount(f"line {no}: polygon line length disagrees with its vertex count")
         if k < 3:
-            raise BadCount("polygon needs at least 3 vertices")
+            raise BadCount(f"line {no}: polygon needs at least 3 vertices")
         el = tuple(int(i) for i in r[1:])
         if any(i < 0 or i >= nv for i in el):
-            raise DanglingNode("polygon references a vertex out of range")
+            raise DanglingNode(f"line {no}: polygon references a vertex out of range")
         elements.append(el)
     mesh = Mesh(2, verts, elements, element_kind="polygon").validate()
     all_geometries(mesh)  # raises NonCCW / NotStarShaped / DegenerateElement

@@ -320,18 +320,28 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="halve"):
             study(meshes, FormConfig(problem="laplace", m=1))
 
-    @pytest.mark.parametrize("study", [
-        lambda meshes, cfg: convergence_study(meshes, cfg, "bogus", 1),
-        lambda meshes, cfg: reliable_study(meshes, cfg, "bogus"),
-        lambda meshes, cfg: source_study(meshes, cfg, "bogus"),
-    ], ids=["convergence", "reliable", "source"])
-    def test_rejects_an_unknown_domain_before_any_space(self, monkeypatch, study):
+    STUDIES = {
+        "convergence": lambda meshes, cfg, domain: convergence_study(meshes, cfg, domain, 1),
+        "reliable": reliable_study,
+        "source": source_study,
+    }
+
+    @pytest.mark.parametrize("study, domain, cfg, match", [
+        *((study, "bogus", FormConfig(problem="laplace", m=1), "unknown domain 'bogus'")
+          for study in STUDIES),
+        # the sine modes miss the clamped plate's du/dn = 0, so its spectrum
+        # has no closed form on the square either
+        *((study, "square_pi", FormConfig(problem="biharmonic", bc="clamped", m=2), "clamped")
+          for study in STUDIES),
+    ], ids=[*STUDIES, *(f"{study}-clamped" for study in STUDIES)])
+    def test_rejects_an_unknown_domain_before_any_space(self, monkeypatch, study, domain, cfg,
+                                                         match):
         for name in ("build_space", "compute_spectrum", "solve_source"):
             monkeypatch.setattr(analysis, name,
                                 lambda *args, **kwargs: pytest.fail("worked before the domain check"))
         meshes = [generate_square_tri(4), generate_square_tri(8)]
-        with pytest.raises(ValueError, match="unknown domain 'bogus'"):
-            study(meshes, FormConfig(problem="laplace", m=1))
+        with pytest.raises(ValueError, match=match):
+            self.STUDIES[study](meshes, cfg, domain)
 
     @pytest.mark.parametrize("target", [0, -2])
     def test_rejects_target_below_one(self, target):

@@ -12,8 +12,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-import patchdg.cli  # noqa: F401  (the tracer rebinds names in loaded modules)
-from patchdg import mesh, reconstruction
+from patchdg import cli, mesh, reconstruction
 from patchdg.assembly import FormConfig, assemble_laplace
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -42,6 +41,21 @@ def test_tracer_installs_and_uninstalls():
     for name in ("mesh.generate", "mesh.build_topology", "mesh.all_geometries",
                  "reconstruction.build_space", "patch.build_patch", "reconstruction.fit_local"):
         assert tracer.counts[name] == 1, name
+    assert spans.check_spans(tracer.spans) == []
+
+
+def test_traced_study_spans_each_generated_mesh(tmp_path):
+    # the mesh-family table must call the generator through its module
+    # name, which the tracer rebinds, not a function object kept at import
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        argv = ["convergence", "--mesh", "square:2,4", "--m", "1", "--output", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["mesh.generate"] == 2
     assert spans.check_spans(tracer.spans) == []
 
 

@@ -9,7 +9,7 @@ from patchdg.cli import RunConfig, build_config, export_vtk, main
 from patchdg.mesh import build_topology, generate_cube_tet, generate_square_tri, write_msh
 from patchdg.reconstruction import build_space, interpolate
 from test_batched_setup import loops, polygon_mesh
-from test_mesh import MSH_FIXTURE
+from test_mesh import MALFORMED, MSH_FIXTURE
 
 
 def read_csv(path):
@@ -322,7 +322,8 @@ class TestMeshInfo:
         ("mixed.msh", MSH_FIXTURE.replace("3 2 2 0 1 1 3 4", "3 4 2 0 1 1 2 3 4")),
         ("duplicate.msh", MSH_FIXTURE.replace("4\n1 0 0 0", "5\n1 0 0 0").replace(
             "4 0 1 0\n", "4 0 1 0\n3 5 5 0\n")),
-    ], ids=["dangling", "clockwise", "nonfinite", "version", "mixed", "duplicate"])
+        *MALFORMED.items(),
+    ], ids=["dangling", "clockwise", "nonfinite", "version", "mixed", "duplicate", *MALFORMED])
     def test_mesh_file_defects_exit_2_no_artifacts(self, tmp_path, capsys, name, text):
         path = tmp_path / name
         path.write_text(text)
@@ -331,6 +332,43 @@ class TestMeshInfo:
             assert main(argv + ["--mesh", str(path)]) == 2
             assert "configuration error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestFamilyTable:
+    @pytest.fixture()
+    def half(self, monkeypatch):
+        # [0, pi/2]^2: wave pi / side = 2 and L2 amplitude 2 / side, so exact lambda_1 = 8
+        monkeypatch.setitem(analysis.FAMILIES, "half", analysis.Family(
+            lambda n: generate_square_tri(n, side=np.pi / 2), "half_pi", (2, 2.0, 4 / np.pi)))
+
+    def test_solve(self, half, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["solve", "--mesh", "half:8", "--m", "2", "--k", "5", "--output", str(out)]) == 0
+        assert "above-exact diagnostic (first 5): all above" in capsys.readouterr().out
+        _, rows = read_csv(out / "eigenvalues.csv")
+        assert 8.0 < float(rows[0][1]) < 8.1
+
+    def test_convergence(self, half, tmp_path):
+        out = tmp_path / "run"
+        assert main(["convergence", "--mesh", "half:4,8", "--m", "2", "--output", str(out)]) == 0
+        _, rows = read_csv(out / "errors.csv")
+        values, errors = ([float(r[j]) for r in rows] for j in (1, 2))
+        assert errors == pytest.approx([abs(v - 8.0) / 8.0 for v in values], rel=1e-9)
+        assert errors[1] < errors[0] / 8
+
+    def test_sizes_that_do_not_double_exit_2_before_mesh_work(self, half, tmp_path, monkeypatch,
+                                                              capsys):
+        monkeypatch.setattr(cli, "_load_mesh_one", lambda spec: pytest.fail("mesh loaded"))
+        out = tmp_path / "run"
+        assert main(["convergence", "--mesh", "half:4,12", "--m", "2", "--output", str(out)]) == 2
+        assert "must double" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_and_refusal_name_the_row(self, half, capsys):
+        assert main(["solve", "--help"]) == 0
+        assert "half:n" in capsys.readouterr().out
+        assert main(["convergence", "--mesh", "a.msh,b.msh"]) == 2
+        assert "square:/cube:/half: meshes" in capsys.readouterr().err
 
 
 class TestVtkExport:

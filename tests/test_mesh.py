@@ -10,6 +10,7 @@ from patchdg.errors import (
     DanglingNode,
     DegenerateElement,
     DuplicateNode,
+    MeshError,
     MixedDimension,
     NonCCW,
     NonFiniteVertex,
@@ -17,6 +18,7 @@ from patchdg.errors import (
     NotStarShaped,
     UnsupportedVersion,
 )
+from patchdg import mesh as mesh_module
 from patchdg.mesh import (
     Mesh,
     _facet_rows,
@@ -116,6 +118,26 @@ $Elements
 3 2 2 0 1 1 3 4
 $EndElements
 """
+
+
+def both_triangles(nodes):
+    """The fixture with both triangles' node lists replaced by ``nodes``."""
+    return (MSH_FIXTURE.replace("2 2 2 0 1 1 2 3", f"2 2 2 0 1 {nodes}")
+            .replace("3 2 2 0 1 1 3 4", f"3 2 2 0 1 {nodes}"))
+
+
+#: mesh files each missing fields that a line of its kind needs, by file name
+MALFORMED = {
+    "short-element.msh": MSH_FIXTURE.replace("2 2 2 0 1 1 2 3", "1 2"),
+    "empty-nodes.msh": MSH_FIXTURE.replace("4\n1 0 0 0\n2 1 0 0\n3 1 1 0\n4 0 1 0\n", ""),
+    "two-node-triangles.msh": both_triangles("1 2"),
+    "four-node-triangles.msh": both_triangles("1 2 3 4"),
+    "tags-past-end.msh": MSH_FIXTURE.replace("2 2 2 0 1 1 2 3", "2 2 9 0 1 1 2 3"),
+    "short-node.msh": MSH_FIXTURE.replace("3 1 1 0", "3 1"),
+    "no-vertices.poly": "0 0\n",
+    "no-elements.poly": "3 0\n0 0\n1 0\n0 1\n",
+    "one-coordinate.poly": "3 1\n0 0\n1\n0 1\n3 0 1 2\n",
+}
 
 
 class TestGenerators:
@@ -285,6 +307,15 @@ class TestMshIO:
         back = parse_msh(write_msh(mesh))
         assert np.max(np.abs(back.vertices - mesh.vertices)) < 1e-12
         assert np.array_equal(back.elements, mesh.elements)
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_file_names_its_line_before_any_geometry(monkeypatch, name):
+    for attr in ("_orient", "all_geometries"):
+        monkeypatch.setattr(mesh_module, attr, lambda *a: pytest.fail("geometry computed"))
+    parse = parse_poly if name.endswith(".poly") else parse_msh
+    with pytest.raises(MeshError, match=r"^line \d+: "):
+        parse(MALFORMED[name])
 
 
 class TestPolyIO:
