@@ -75,7 +75,8 @@ class Mesh:
 
         Reports the lowest non-finite vertex, or else the lowest offending
         element, and for it the first failing check in the order: index
-        bounds, duplicate vertex set, vertex count, signed volume.
+        bounds (``DanglingNode``), duplicate vertex set (``NonManifold``),
+        vertex count (``BadCount``), signed volume (``DegenerateElement``).
         """
         n, nv = self.num_elements, self.num_vertices
         _check_finite(self.vertices, range(nv))
@@ -86,8 +87,8 @@ class Mesh:
         rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
         rows.sort(axis=1)
         _, first, inverse, _ = unique_rows(rows)
-        checks = [(out_of_range, "references a vertex out of range"),
-                  (first[inverse] < np.arange(n),
+        checks = [(out_of_range, DanglingNode, "references a vertex out of range"),
+                  (first[inverse] < np.arange(n), NonManifold,
                    "duplicates another element's vertex set")]
         if self.element_kind == "simplex":
             arity = self.lengths != self.dim + 1
@@ -96,13 +97,13 @@ class Mesh:
             if ok.any():
                 cells = table[ok, :self.dim + 1]
                 nonpositive[ok] = _volumes(self.vertices[cells]) <= 0.0
-            checks += [(arity, f"is not a {self.dim}-simplex"),
-                       (nonpositive, "has non-positive volume")]
-        failed = np.logical_or.reduce([mask for mask, _ in checks])
+            checks += [(arity, BadCount, f"is not a {self.dim}-simplex"),
+                       (nonpositive, DegenerateElement, "has non-positive volume")]
+        failed = np.logical_or.reduce([mask for mask, _, _ in checks])
         if failed.any():
             K = int(np.argmax(failed))
-            reason = next(text for mask, text in checks if mask[K])
-            raise ValueError(f"element {K} {reason}")
+            error, reason = next((error, text) for mask, error, text in checks if mask[K])
+            raise error(f"element {K} {reason}")
         return self
 
 
@@ -271,16 +272,18 @@ def generate_cube_tet(n):
 _MSH_ARITY = {2: 3, 4: 4}
 
 
-def _counted(section, name):
-    """The (line number, fields) rows of a counted MSH section, checked
-    against its count line."""
-    (header, _), *body = section
-    if not body:
-        raise BadCount(f"line {header}: ${name} has no count line")
-    (no, count), *body = body
-    if len(body) != int(count):
-        raise BadCount(f"line {no}: ${name} count {count} disagrees with its {len(body)} lines")
-    return [(no, ln.split()) for no, ln in body]
+def _fields(no, parts, types, more=None):
+    """The fields ``parts`` of line ``no`` read by ``types``, one type each,
+    and every field after them by ``more``.  A missing field, an extra one
+    (when ``more`` is None) or one its type cannot read raises ``BadCount``
+    naming the line."""
+    if len(parts) == len(types) or more and len(parts) > len(types):
+        try:
+            return [kind(part) for kind, part in zip([*types, *[more] * len(parts)], parts)]
+        except ValueError:
+            pass
+    names = " ".join(t.__name__ for t in types) + (f" {more.__name__}..." if more else "")
+    raise BadCount(f"line {no}: expected the fields '{names}', found '{' '.join(parts)}'")
 
 
 def parse_msh(text):
@@ -288,62 +291,63 @@ def parse_msh(text):
 
     Triangles (type 2) or tetrahedra (type 4) are imported; points and lines
     are skipped.  Node ids are remapped to dense 0-based indices in file
-    order.  A line without the fields its kind needs raises ``BadCount``
-    naming the line.
+    order.  A line whose fields are not exactly the numbers its kind needs
+    raises ``BadCount`` naming the line.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii")
-    lines = [ln.strip() for ln in text.splitlines()]
-    sections = {}  # name -> its header and body as (1-based line number, text) pairs
-    i = 0
-    while i < len(lines):
-        ln = lines[i]
+    sections = {}  # name -> its header's line number and its body's (line number, fields) rows
+    lines = enumerate(text.splitlines(), start=1)
+    for header, ln in lines:
+        ln = ln.strip()
         if ln.startswith("$") and not ln.startswith("$End"):
-            name = ln[1:]
-            j = i + 1
-            while j < len(lines) and lines[j] != f"$End{name}":
-                j += 1
-            if j == len(lines):
+            name, body = ln[1:], []
+            for no, row in lines:
+                if row.strip() == f"$End{name}":
+                    break
+                body.append((no, row.split()))
+            else:
                 raise BadCount(f"section {name} is not terminated")
-            sections[name] = list(enumerate(lines[i:j], start=i + 1))
-            i = j + 1
-        else:
-            i += 1
+            sections[name] = header, body
 
-    if len(sections.get("MeshFormat", ())) < 2:
+    _, head = sections.get("MeshFormat", (0, []))
+    if not head:
         raise UnsupportedVersion("missing $MeshFormat header")
-    version = next(iter(sections["MeshFormat"][1][1].split()), "")
+    version = next(iter(head[0][1]), "")
     if version != "2.2":
         raise UnsupportedVersion(f"MSH version {version} is not supported (need 2.2)")
     if "Nodes" not in sections or "Elements" not in sections:
         raise BadCount("missing $Nodes or $Elements section")
+    for name in ("Nodes", "Elements"):  # each body's count line, checked and dropped
+        header, body = sections[name]
+        if not body:
+            raise BadCount(f"line {header}: ${name} has no count line")
+        (no, parts), *body = body
+        [count] = _fields(no, parts, (int,))
+        if len(body) != count:
+            raise BadCount(f"line {no}: ${name} count {count} disagrees with its {len(body)} lines")
+        sections[name] = body
 
-    nodes = _counted(sections["Nodes"], "Nodes")
-    short = next((no for no, parts in nodes if len(parts) < 4), None)
-    if short is not None:
-        raise BadCount(f"line {short}: a node needs an id and three coordinates")
-    node_ids = [int(parts[0]) for _, parts in nodes]
+    nodes = [_fields(no, parts, (int, float, float, float)) for no, parts in sections["Nodes"]]
+    node_ids = [node[0] for node in nodes]
     id_map = {nid: i for i, nid in enumerate(node_ids)}
     if len(id_map) != len(node_ids):
         twice = next(nid for i, nid in enumerate(node_ids) if id_map[nid] != i)
         raise DuplicateNode(f"node {twice} is defined twice")
-    coords = np.array([[float(p) for p in parts[1:4]] for _, parts in nodes])
+    coords = np.array([node[1:] for node in nodes])
 
-    tris, tets = [], []
-    for no, parts in _counted(sections["Elements"], "Elements"):
-        parts = [int(p) for p in parts]
-        if len(parts) < 3 or not 0 <= parts[2] <= len(parts) - 3:
-            raise BadCount(f"line {no}: an element needs an id, a type, a tag count and its tags")
-        etype, ntags = parts[1], parts[2]
-        nodes = parts[3 + ntags:]
-        if etype in _MSH_ARITY and len(nodes) != _MSH_ARITY[etype]:
-            raise BadCount(f"line {no}: element type {etype} needs {_MSH_ARITY[etype]} nodes, "
-                           f"found {len(nodes)}")
-        if etype == 2:
-            tris.append(nodes)
-        elif etype == 4:
-            tets.append(nodes)
-        # everything else (points, lines, ...) is ignored
+    cells = {etype: [] for etype in _MSH_ARITY}  # points, lines, ... are skipped
+    for no, parts in sections["Elements"]:
+        _, etype, ntags, *rest = _fields(no, parts, (int, int, int), int)
+        if not 0 <= ntags <= len(rest):
+            raise BadCount(f"line {no}: {ntags} tags do not fit in the line")
+        ids = rest[ntags:]
+        if etype in cells:
+            if len(ids) != _MSH_ARITY[etype]:
+                raise BadCount(f"line {no}: element type {etype} needs {_MSH_ARITY[etype]} "
+                               f"nodes, found {len(ids)}")
+            cells[etype].append(ids)
+    tris, tets = cells[2], cells[4]
     if tris and tets:
         raise MixedDimension("file contains both triangles and tetrahedra")
     if not tris and not tets:
@@ -352,7 +356,7 @@ def parse_msh(text):
     raw = tris if tris else tets
     dim = 2 if tris else 3
     try:
-        elements = [[id_map[n] for n in nodes] for nodes in raw]
+        elements = [[id_map[n] for n in ids] for ids in raw]
     except KeyError as missing:
         raise DanglingNode(f"element references missing node {missing}") from None
     verts = coords[:, :dim]
@@ -383,32 +387,27 @@ def write_msh(mesh):
 
 def parse_poly(text):
     """Parse the line-oriented polygon format: "V E", V vertex lines "x y",
-    then E element lines "k i1 ... ik" with counter-clockwise loops.  A line
-    without the fields its kind needs raises ``BadCount`` naming the line."""
+    then E element lines "k i1 ... ik", counter-clockwise loops of k distinct
+    vertices.  A line whose fields are not exactly the numbers its kind
+    needs, or a loop that repeats a vertex, raises ``BadCount`` naming it."""
     if isinstance(text, bytes):
         text = text.decode("ascii")
     rows = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), start=1)
             if ln.strip() and not ln.lstrip().startswith("#")]
-    if not rows or len(rows[0][1]) != 2:
+    if not rows:
         raise BadCount("expected a counts line 'V E'")
-    nv, ne = int(rows[0][1][0]), int(rows[0][1][1])
+    (no, counts), *rows = rows
+    nv, ne = _fields(no, counts, (int, int))
     if nv < 0 or ne < 1:
-        raise BadCount(f"line {rows[0][0]}: need V >= 0 vertices and E >= 1 elements, "
-                       f"found {nv} {ne}")
-    if len(rows) != 1 + nv + ne:
-        raise BadCount(f"expected {1 + nv + ne} lines, found {len(rows)}")
-    short = next((no for no, r in rows[1:1 + nv] if len(r) < 2), None)
-    if short is not None:
-        raise BadCount(f"line {short}: a vertex needs two coordinates")
-    verts = np.array([[float(r[0]), float(r[1])] for _, r in rows[1:1 + nv]])
+        raise BadCount(f"line {no}: need V >= 0 vertices and E >= 1 elements, found {nv} {ne}")
+    if len(rows) != nv + ne:
+        raise BadCount(f"line {no}: counts {nv} {ne} need {nv + ne} more lines, found {len(rows)}")
+    verts = np.array([_fields(no, r, (float, float)) for no, r in rows[:nv]])
     elements = []
-    for no, r in rows[1 + nv:]:
-        k = int(r[0])
-        if len(r) != 1 + k:
-            raise BadCount(f"line {no}: polygon line length disagrees with its vertex count")
-        if k < 3:
-            raise BadCount(f"line {no}: polygon needs at least 3 vertices")
-        el = tuple(int(i) for i in r[1:])
+    for no, r in rows[nv:]:
+        k, *el = _fields(no, r, (int,), int)
+        if len(el) != k or len(set(el)) < max(k, 3):
+            raise BadCount(f"line {no}: a polygon line needs k >= 3, then k distinct vertex ids")
         if any(i < 0 or i >= nv for i in el):
             raise DanglingNode(f"line {no}: polygon references a vertex out of range")
         elements.append(el)

@@ -14,8 +14,6 @@ from patchdg.mesh import build_topology, diameters, generate_square_tri
 from patchdg.patch import Patches, build_patch, default_patch_size
 from patchdg.reconstruction import RCOND, fit_local, monomial_basis, vandermonde
 
-# reruns draw the same examples and write no example database
-deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 EPS = np.finfo(float).eps
 
 
@@ -72,7 +70,7 @@ def svd_reference(m, nodes):
     return s, (U * inverse[:, None, :]) @ Vt
 
 
-@deterministic
+@settings(max_examples=200)
 @given(node_sets())
 def test_ok_is_the_svd_rank_rule(case):
     m, nodes = case
@@ -81,7 +79,7 @@ def test_ok_is_the_svd_rank_rule(case):
     assert (ok == (s[:, -1] > RCOND * s[:, 0])).all()
 
 
-@deterministic
+@settings(max_examples=200)
 @given(node_sets())
 def test_accepted_rows_are_the_pseudo_inverse(case):
     # 1e-12 relative wherever the pseudo-inverse is determined that well;
@@ -97,7 +95,7 @@ def test_accepted_rows_are_the_pseudo_inverse(case):
         assert error <= max(1e-12, 8 * EPS * kappa), (row, kappa, error)
 
 
-@deterministic
+@settings(max_examples=200)
 @given(node_sets(), st.data())
 def test_a_row_does_not_depend_on_its_batch(case, data):
     m, nodes = case

@@ -126,7 +126,8 @@ def both_triangles(nodes):
             .replace("3 2 2 0 1 1 3 4", f"3 2 2 0 1 {nodes}"))
 
 
-#: mesh files each missing fields that a line of its kind needs, by file name
+#: mesh files, by file name, each with a line whose fields are not exactly the
+#: numbers its kind needs, or a polygon line that repeats a vertex
 MALFORMED = {
     "short-element.msh": MSH_FIXTURE.replace("2 2 2 0 1 1 2 3", "1 2"),
     "empty-nodes.msh": MSH_FIXTURE.replace("4\n1 0 0 0\n2 1 0 0\n3 1 1 0\n4 0 1 0\n", ""),
@@ -137,7 +138,36 @@ MALFORMED = {
     "no-vertices.poly": "0 0\n",
     "no-elements.poly": "3 0\n0 0\n1 0\n0 1\n",
     "one-coordinate.poly": "3 1\n0 0\n1\n0 1\n3 0 1 2\n",
+    "word-coordinate.msh": MSH_FIXTURE.replace("3 1 1 0", "3 a 1 0"),
+    "extra-coordinate.msh": MSH_FIXTURE.replace("3 1 1 0", "3 1 1 0 7"),
+    "word-node.msh": MSH_FIXTURE.replace("2 2 2 0 1 1 2 3", "2 2 2 0 1 1 2 x"),
+    "word-count.msh": MSH_FIXTURE.replace("$Nodes\n4\n", "$Nodes\nfour\n"),
+    "fractional-node-id.msh": MSH_FIXTURE.replace("3 1 1 0", "3.5 1 1 0"),
+    "word-counts.poly": "x 1\n",
+    "extra-coordinate.poly": "3 1\n0 0 5\n1 0\n0 1\n3 0 1 2\n",
+    "word-vertex-id.poly": "3 1\n0 0\n1 0\n0 1\n3 0 1 z\n",
+    "repeated-vertex.poly": "4 1\n0 0\n1 0\n1 1\n0 1\n4 0 1 2 0\n",
 }
+
+#: a mixed quad and triangle mesh, the other text the mutation sweep starts from
+POLY_FIXTURE = "5 2\n0 0\n1 0\n1 1\n0 1\n2 0.5\n4 0 1 2 3\n3 1 4 2\n"
+SWEEP_VALUES = ("", "x", "1.5", "-1", "0", "99", "nan", "1e400", "3", "4")
+
+
+def mutations(text):
+    """(line index, whether a field was appended, lines) of every one-token or
+    one-line change of ``text`` split on newlines: each token replaced by
+    each of ``SWEEP_VALUES``, then each line with " 7" appended, deleted and
+    duplicated."""
+    lines = text.split("\n")
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        for j, value in itertools.product(range(len(tokens)), SWEEP_VALUES):
+            changed = " ".join(tokens[:j] + [value] + tokens[j + 1:])
+            yield i, False, lines[:i] + [changed] + lines[i + 1:]
+        yield i, True, lines[:i] + [line + " 7"] + lines[i + 1:]
+        yield i, False, lines[:i] + lines[i + 1:]
+        yield i, False, lines[:i + 1] + lines[i:]
 
 
 class TestGenerators:
@@ -218,28 +248,32 @@ class TestGenerators:
 class TestValidate:
     BASE = generate_square_tri(2)
 
-    def check(self, elements, message, kind="simplex"):
+    def check(self, elements, error, message, kind="simplex"):
         mesh = Mesh(2, self.BASE.vertices, elements, element_kind=kind)
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(error) as info:
             mesh.validate()
         assert str(info.value) == message
 
     def test_each_check_and_its_message(self):
         E = list(self.BASE.elements)
-        self.check(E[:3] + [(0, 1, 99)], "element 3 references a vertex out of range")
-        self.check(E[:2] + [(0, -1, 3)], "element 2 references a vertex out of range")
-        self.check(E[:5] + [E[1][::-1]], "element 5 duplicates another element's vertex set")
-        self.check(E[:4] + [(0, 1)], "element 4 is not a 2-simplex")
-        self.check(E[:6] + [(E[6][1], E[6][0], E[6][2])], "element 6 has non-positive volume")
-        self.check([(0, 1, 4, 3), (1, 2, 5, 4), (3, 0, 1, 4)],
+        self.check(E[:3] + [(0, 1, 99)], DanglingNode,
+                   "element 3 references a vertex out of range")
+        self.check(E[:2] + [(0, -1, 3)], DanglingNode,
+                   "element 2 references a vertex out of range")
+        self.check(E[:5] + [E[1][::-1]], NonManifold,
+                   "element 5 duplicates another element's vertex set")
+        self.check(E[:4] + [(0, 1)], BadCount, "element 4 is not a 2-simplex")
+        self.check(E[:6] + [(E[6][1], E[6][0], E[6][2])], DegenerateElement,
+                   "element 6 has non-positive volume")
+        self.check([(0, 1, 4, 3), (1, 2, 5, 4), (3, 0, 1, 4)], NonManifold,
                    "element 2 duplicates another element's vertex set", kind="polygon")
 
     def test_lowest_element_first_check(self):
         E = list(self.BASE.elements)
         # element 2 is both a duplicate and too short; element 3 is out of range
-        self.check(E[:2] + [(E[1][1], E[1][0], E[1][2], E[1][0]), (0, 1, 99)],
+        self.check(E[:2] + [(E[1][1], E[1][0], E[1][2], E[1][0]), (0, 1, 99)], NonManifold,
                    "element 2 duplicates another element's vertex set")
-        self.check(E[:4] + [(0, 1), (0, 1, 99)], "element 4 is not a 2-simplex")
+        self.check(E[:4] + [(0, 1), (0, 1, 99)], BadCount, "element 4 is not a 2-simplex")
 
 
     def test_non_finite_vertex(self):
@@ -316,6 +350,30 @@ def test_malformed_file_names_its_line_before_any_geometry(monkeypatch, name):
     parse = parse_poly if name.endswith(".poly") else parse_msh
     with pytest.raises(MeshError, match=r"^line \d+: "):
         parse(MALFORMED[name])
+
+
+@pytest.mark.parametrize("text, parse, coordinate_lines, size", [
+    (MSH_FIXTURE, parse_msh, range(5, 9), 551),
+    (POLY_FIXTURE, parse_poly, range(1, 6), 237),
+], ids=["msh", "poly"])
+def test_every_mutated_file_parses_or_raises_a_mesh_error(text, parse, coordinate_lines, size):
+    escapes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for count, (i, appended, lines) in enumerate(mutations(text), start=1):
+            mutant = "\n".join(lines)
+            if appended and i in coordinate_lines:
+                with pytest.raises(BadCount, match=f"^line {i + 1}: "):
+                    parse(mutant)
+                continue
+            try:
+                build_topology(parse(mutant))
+            except MeshError:
+                pass
+            except Exception as error:  # collected, so a failure lists every escape
+                escapes.append((mutant, repr(error)))
+    assert count == size
+    assert not escapes
 
 
 class TestPolyIO:

@@ -5,7 +5,7 @@ are identically zero."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -24,8 +24,6 @@ from patchdg.reconstruction import (
 from test_reconstruction import reference_tabulate
 
 KINDS = ("val", "grad", "lap", "gradlap")
-# reruns draw the same examples and write no example database
-deterministic = settings(derandomize=True, database=None, deadline=None)
 
 
 def floats(lo, hi):
@@ -67,7 +65,6 @@ def relative(a, b):
     return np.abs(a - b).max() / max(np.abs(b).max(), np.finfo(float).tiny)
 
 
-@deterministic
 @given(batches())
 def test_face_tables_match_tabulate(case):
     m, origin, scale, points, normals = case
@@ -79,7 +76,6 @@ def test_face_tables_match_tabulate(case):
             assert relative(T[:, side], ref) <= 1e-13, (kind, side)
 
 
-@deterministic
 @given(batches())
 def test_volume_tables_are_tabulate(case):
     m, origin, scale, points, _ = case
@@ -90,7 +86,6 @@ def test_volume_tables_are_tabulate(case):
         assert np.array_equal(T.reshape(ref.shape), ref), kind
 
 
-@deterministic
 @given(batches(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
 def test_coefficients_first_match_tables(case, fields, seed):
     m, origin, scale, points, normals = case
@@ -104,7 +99,6 @@ def test_coefficients_first_match_tables(case, fields, seed):
             assert relative(contract(V, *op, s, C), contract(V, *op, s) @ C) <= 1e-13, kind
 
 
-@deterministic
 @given(batches())
 def test_zero_kinds_are_absent(case):
     m, origin, scale, points, normals = case
