@@ -31,6 +31,15 @@ over the topology's interior faces and then its boundary faces, at most
 n_terms monomials of its elements (both sides of a face at once), so
 nothing is grouped by patch size.
 
+Each term is integrated exactly by the rule with the fewest points for its
+polynomial degree (:func:`~patchdg.quadrature.cheapest_rule`): the volume
+pairing of order 2p pairs two derivatives of order p of degree-m
+polynomials, degree 2(m - p), so the fourth-order form at m = 2 needs one
+point per sub-simplex; the mass (p = 0) and every face term are taken at
+degree 2m, the penalised value jump's.  ``measure`` and ``load_vector``
+integrate a smooth factor that no rule integrates exactly, and keep the
+conical rules of order 2m + 2.
+
 Every matrix is a plain symmetric ``scipy.sparse`` CSR matrix.  Symmetry is
 exact by construction: only the lower triangle of R^T A_DG R is kept, then
 mirrored once.  ``scipy.io.mmwrite`` writes one as a coordinate file.
@@ -51,7 +60,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegreeTooLow
-from .quadrature import MAX_ORDER, face_rule, map_rule, simplex_rule
+from .quadrature import MAX_ORDER, cheapest_rule, face_rule, map_rule, simplex_rule
 from .reconstruction import contract, factors, int_power
 
 # Sub-simplices or faces per batch.  The batch's tables and local blocks
@@ -123,14 +132,14 @@ def _selection(items, n):
     return np.arange(n) if items is None else np.array(list(items), dtype=int).reshape(-1)
 
 
-def _volume_batches(space, order, kinds, elements=None):
+def _volume_batches(space, rule, kinds, elements=None):
     """(owners, points, weights, scales (B, 1), V, operators) per batch of
-    sub-simplices, V and the operators the owners' ``factors``."""
+    sub-simplices, the reference ``rule`` mapped onto each, V and the
+    operators the owners' ``factors``."""
     owner = space.geometry.sub_owner
     subs = np.arange(len(owner))
     if elements is not None:
         subs = subs[np.isin(owner, _selection(elements, space.num_dofs))]
-    rule = simplex_rule(space.mesh.dim, order)
     for i in range(0, len(subs), CHUNK):
         batch = subs[i:i + CHUNK]
         pts, wts = map_rule(rule, space.geometry.sub_simplices[batch])
@@ -138,10 +147,11 @@ def _volume_batches(space, order, kinds, elements=None):
         yield (K, pts, wts, scale, *factors(space.origin[K, None], scale, pts, space.m, kinds))
 
 
-def _face_batches(space, order, kinds, faces):
+def _face_batches(space, rule, kinds, faces):
     """Per batch of the interior ``faces``, then of the boundary ones: (faces,
     points, weights, normals, h, on_boundary, sides (F, k), scales (F, k),
-    V, operators), V and the operators the sides' ``factors``.  The minus
+    V, operators), the reference ``rule`` (of dimension dim - 1) mapped onto
+    each face, V and the operators the sides' ``factors``.  The minus
     side's V is negated and vector kinds take the plus side's outward
     normal, so ``contract`` gives each side's jump table, and its values
     summed over the sides are the jumps (on boundary faces, k = 1, the
@@ -151,7 +161,7 @@ def _face_batches(space, order, kinds, faces):
     for on_boundary, part in ((False, faces[~boundary]), (True, faces[boundary])):
         for i in range(0, len(part), CHUNK):
             batch = part[i:i + CHUNK]
-            pts, wts = face_rule(space.mesh.dim, order, space.mesh.vertices[topo.faces[batch]])
+            pts, wts = face_rule(rule, space.mesh.vertices[topo.faces[batch]])
             n, sides = topo.normals[batch], topo.sides[batch, :1 if on_boundary else 2]
             scale = space.scale[sides]
             V, ops = factors(space.origin[sides], scale, pts, space.m, kinds, n)
@@ -163,8 +173,11 @@ def _assemble(space, p, config=None, elements=None, faces=None):
     """R^T A_DG R as a symmetric CSR matrix for the interior penalty form of
     order 2p: the volume pairing and the penalised jumps of ``_PAIRINGS[p]``
     (penalties from ``config``) plus the consistency terms of
-    ``_CONSISTENCY[p]``, over each face's k sides, plus side first.  Each
-    block is added in place into its slot of A_DG, block diagonal for p = 0.
+    ``_CONSISTENCY[p]``, over each face's k sides, plus side first.  The
+    volume pairing is integrated at degree 2(m - p) and the face terms at
+    2m, each by its cheapest exact rule; a face batch's terms are summed by
+    one pairing of their factors stacked along the points.  Each block is
+    added in place into its slot of A_DG, block diagonal for p = 0.
     Only the lower triangle of the product is kept and then mirrored once,
     so the result is exactly symmetric."""
     n, nt, topo = space.num_dofs, space.n_terms, space.topology
@@ -183,8 +196,9 @@ def _assemble(space, p, config=None, elements=None, faces=None):
         entries = (where.reshape(-1, 1) * nt ** 2 + np.arange(nt ** 2)).ravel()
         np.add.at(blocks.reshape(-1), entries, local.reshape(-1))
 
-    order = 2 * space.m
-    for K, _, wts, scale, V, ops in _volume_batches(space, order, (volume,), elements):
+    dim, m = space.mesh.dim, space.m
+    for K, _, wts, scale, V, ops in _volume_batches(space, cheapest_rule(dim, 2 * (m - p)),
+                                                    (volume,), elements):
         T = np.moveaxis(contract(V, *ops[volume], scale), 1, -1)
         add(diag[K], _pair(T, wts, T))
     penalties = [c * _dim_factor(space) for c in config.penalties] if p else []
@@ -192,20 +206,23 @@ def _assemble(space, p, config=None, elements=None, faces=None):
     kinds = tuple(dict.fromkeys(kind for a, b, _ in _CONSISTENCY[p] for _, kind in (a, b)))
     simply_supported = p > 0 and config.bc == "simply_supported"
     half = np.repeat([0.5, -0.5], nt)  # an interior average from the jump's plus and minus columns
-    for batch, _, wts, _, h, boundary, _, scale, V, ops in _face_batches(space, order, kinds, sel):
+    for batch, _, wts, _, h, boundary, _, scale, V, ops in \
+            _face_batches(space, cheapest_rule(dim - 1, 2 * m), kinds, sel):
         F, k, q = V.shape[:3]
         jump = {kind: contract(V, *op, scale).transpose(0, 2, 1, 3).reshape(F, q, k * nt)
                 for kind, op in ops.items()}
-        local = np.zeros((F, k * nt, k * nt))
+        X, Y = [], []  # every term's factors, paired as one sum over their stacked points
         for (kind, power), (a, b, sign), c in terms:
             if boundary and simply_supported and kind != "val":
                 continue
             if a[1] in jump and b[1] in jump:  # an absent trace is identically zero
-                X, Y = (jump[kd] * half if tr == "avg" and not boundary else jump[kd]
+                u, v = (jump[kd] * half if tr == "avg" and not boundary else jump[kd]
                         for tr, kd in (a, b))
-                E = _pair(X, wts, Y)
-                local += sign * (E + E.transpose(0, 2, 1))
-            local += (c / int_power(h, power))[:, None, None] * _pair(jump[kind], wts, jump[kind])
+                X += [sign * u, sign * v]
+                Y += [v, u]
+            X.append((c / int_power(h, power))[:, None, None] * jump[kind])
+            Y.append(jump[kind])
+        local = _pair(np.concatenate(X, axis=1), np.tile(wts, len(X)), np.concatenate(Y, axis=1))
         local = local.reshape(F, k, nt, k, nt).transpose(0, 1, 3, 2, 4)
         add(face_slots[batch, :k, :k], local)
     A_dg = sp.bsr_matrix((blocks, keys % n, np.searchsorted(keys, np.arange(n + 1) * n)),
@@ -238,16 +255,17 @@ def assemble_mass(space):
     return _assemble(space, 0)
 
 
-def _smooth_order(space):
-    """Quadrature order for integrands with a smooth (non-polynomial) factor:
-    two above the discrete products, capped by the shipped rules."""
-    return min(2 * space.m + 2, MAX_ORDER[space.mesh.dim])
+def _smooth_rule(space, dim):
+    """The conical rule of dimension ``dim`` for integrands with a smooth
+    (non-polynomial) factor: order two above the discrete products, capped
+    by the shipped rules of the mesh dimension."""
+    return simplex_rule(dim, min(2 * space.m + 2, MAX_ORDER[space.mesh.dim]))
 
 
 def load_vector(space, f):
     """b[j] = integral of f against shape function j: R^T b_DG."""
     b = np.zeros((space.num_dofs, space.n_terms))
-    for K, pts, wts, _, V, _ in _volume_batches(space, _smooth_order(space), ()):
+    for K, pts, wts, _, V, _ in _volume_batches(space, _smooth_rule(space, space.mesh.dim), ()):
         fv = np.asarray(f(pts.reshape(-1, pts.shape[2])), dtype=float).reshape(wts.shape)
         np.add.at(b, K, np.einsum("bqa,bq->ba", V[:, 0], wts * fv))
     return space.R.T @ b.ravel()
@@ -325,7 +343,6 @@ def measure(space, p, fields, l2=False):
         if exact[i] is None:
             X[:, i] = field
     C = space.coefficients(X).transpose(0, 2, 1)  # (N, n_terms, fields)
-    order = _smooth_order(space)
     volume, face_terms = _PAIRINGS[p]
 
     def values(kinds, V, scale, ops, Ct, pts, analytic, normals=None):
@@ -352,11 +369,12 @@ def measure(space, p, fields, l2=False):
 
     kinds = (volume, "val") if l2 and p else (volume,)
     vol = [(values(kinds, V, scale, ops, C[K][:, None], pts, True), wts)
-           for K, pts, wts, scale, V, ops in _volume_batches(space, order, kinds)]
+           for K, pts, wts, scale, V, ops in
+           _volume_batches(space, _smooth_rule(space, space.mesh.dim), kinds)]
     kinds, faces = tuple(kind for kind, _ in face_terms), []
     every = np.arange(space.topology.num_faces if kinds else 0)
     for _, pts, wts, n, h, boundary, sides, scale, V, ops in \
-            _face_batches(space, order, kinds, every):
+            _face_batches(space, _smooth_rule(space, space.mesh.dim - 1), kinds, every):
         faces.append((values(kinds, V, scale, ops, C[sides], pts, boundary, n), wts, h[:, None]))
     terms = [[(T[volume], w) for T, w in vol]]
     terms += [[(J[k], w / int_power(h, power)) for J, w, h in faces] for k, power in face_terms]

@@ -103,9 +103,9 @@ def _load_mesh_one(spec):
 
 
 def _check_degree(cfg, mesh):
-    """Stiffness integrands have degree 2m; reject degrees the shipped
-    quadrature cannot integrate, and patches too small to fit P^m, before
-    any expensive work."""
+    """The mass integrand has degree 2m in the mesh dimension; reject degrees
+    the shipped quadrature cannot integrate, and patches too small to fit
+    P^m, before any expensive work."""
     if 2 * cfg.m > MAX_ORDER[mesh.dim]:
         raise ConfigError(f"degree {cfg.m} needs quadrature order {2 * cfg.m}; "
                           f"{mesh.dim}D rules stop at order {MAX_ORDER[mesh.dim]}")

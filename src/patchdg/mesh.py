@@ -286,18 +286,31 @@ def _fields(no, parts, types, more=None):
     raise BadCount(f"line {no}: expected the fields '{names}', found '{' '.join(parts)}'")
 
 
+def _lines(text):
+    """The lines of a mesh file given as str or bytes.  A character outside
+    ASCII raises ``BadCount`` naming its line, so neither an undecodable byte
+    nor another script's digit (which ``int`` and ``float`` would read)
+    reaches a field."""
+    if isinstance(text, bytes):
+        text = text.decode("latin-1")  # one character per byte
+    if not text.isascii():
+        at = next(i for i, c in enumerate(text) if not c.isascii())
+        no = len((text[:at] + "x").splitlines())  # the line that holds it
+        raise BadCount(f"line {no}: character {ord(text[at]):#x} is not ASCII")
+    return text.splitlines()
+
+
 def parse_msh(text):
     """Parse an ASCII Gmsh MSH 2.2 file into a Mesh.
 
     Triangles (type 2) or tetrahedra (type 4) are imported; points and lines
     are skipped.  Node ids are remapped to dense 0-based indices in file
-    order.  A line whose fields are not exactly the numbers its kind needs
-    raises ``BadCount`` naming the line.
+    order.  A line whose fields are not exactly the numbers its kind needs,
+    an element line that repeats a node, or a character outside ASCII raises
+    ``BadCount`` naming the line.
     """
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
     sections = {}  # name -> its header's line number and its body's (line number, fields) rows
-    lines = enumerate(text.splitlines(), start=1)
+    lines = enumerate(_lines(text), start=1)
     for header, ln in lines:
         ln = ln.strip()
         if ln.startswith("$") and not ln.startswith("$End"):
@@ -343,9 +356,9 @@ def parse_msh(text):
             raise BadCount(f"line {no}: {ntags} tags do not fit in the line")
         ids = rest[ntags:]
         if etype in cells:
-            if len(ids) != _MSH_ARITY[etype]:
+            if len(set(ids)) != len(ids) or len(ids) != _MSH_ARITY[etype]:
                 raise BadCount(f"line {no}: element type {etype} needs {_MSH_ARITY[etype]} "
-                               f"nodes, found {len(ids)}")
+                               f"distinct nodes, found {' '.join(map(str, ids))}")
             cells[etype].append(ids)
     tris, tets = cells[2], cells[4]
     if tris and tets:
@@ -389,10 +402,9 @@ def parse_poly(text):
     """Parse the line-oriented polygon format: "V E", V vertex lines "x y",
     then E element lines "k i1 ... ik", counter-clockwise loops of k distinct
     vertices.  A line whose fields are not exactly the numbers its kind
-    needs, or a loop that repeats a vertex, raises ``BadCount`` naming it."""
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
-    rows = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), start=1)
+    needs, a loop that repeats a vertex, or a character outside ASCII raises
+    ``BadCount`` naming it."""
+    rows = [(no, ln.split()) for no, ln in enumerate(_lines(text), start=1)
             if ln.strip() and not ln.lstrip().startswith("#")]
     if not rows:
         raise BadCount("expected a counts line 'V E'")

@@ -1,14 +1,27 @@
 """Quadrature rules on reference simplices, mapped to physical elements.
 
-The shipped families are Gauss-Legendre on the unit interval and conical
-(collapsed) Gauss-Jacobi products on the reference triangle and
-tetrahedron.  Conical products have strictly positive weights and are
-exact for all polynomials up to the requested total degree, which is what
-every bilinear-form integral here needs.
+Two families ship, both with strictly positive weights and interior points:
+
+* Gauss-Legendre on the unit interval and conical (collapsed) Gauss-Jacobi
+  products on the reference triangle and tetrahedron, exact for every total
+  degree up to ``MAX_ORDER`` (:func:`simplex_rule`);
+* fully symmetric rules at a few degrees, tabulated by their orbits
+  (Dunavant, IJNME 21, 1985, on the triangle; Keast, CMAME 55, 1986, on the
+  tetrahedron), which need far fewer points: 14 against 27 on a tetrahedron
+  at degree 4 or 5, 24 against 64 at degree 6.
+
+:func:`cheapest_rule` picks, for a degree, the rule of either family with the
+fewest points; the assembly integrates every bilinear form with it, since its
+integrands are polynomials of known degree and any exact rule gives the same
+matrix up to rounding.  The integrands of ``measure``, ``load_vector`` and
+``lambda_constant`` have a smooth, non-polynomial factor, so no rule is exact
+for them and each family has its own quadrature error; they keep the conical
+products, whose error the committed benchmark references hold.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -107,6 +120,78 @@ def simplex_rule(dim, order):
     return QuadRule(3, order, pts, wts)
 
 
+#: orbit name -> the barycentric coordinates of its generator; the orbit is
+#: every distinct permutation of them
+_ORBITS = {
+    "S3": lambda: (1 / 3, 1 / 3, 1 / 3),
+    "S21": lambda a: (a, a, 1 - 2 * a),
+    "S111": lambda a, b: (a, b, 1 - a - b),
+    "S31": lambda a: (a, a, a, 1 - 3 * a),
+    "S22": lambda a: (a, a, 0.5 - a, 0.5 - a),
+    "S211": lambda a, b: (a, a, b, 1 - 2 * a - b),
+}
+
+# Fully symmetric rules per dimension and degree, as orbits (name, weight
+# of each point, parameters); the weights sum to the reference measure.
+# The digits are the double nearest each root of the orbit moment
+# equations, solved by Newton in 50-digit arithmetic from the published
+# rules (test_quadrature reproduces them in double).
+_SYMMETRIC = {
+    2: {
+        2: (("S21", 0.16666666666666666, 0.16666666666666666),),
+        4: (("S21", 0.11169079483900574, 0.4459484909159649),
+            ("S21", 0.054975871827660935, 0.09157621350977074)),
+        6: (("S21", 0.058393137863189684, 0.24928674517091043),
+            ("S21", 0.02542245318510341, 0.06308901449150223),
+            ("S111", 0.041425537809186785, 0.053145049844816945, 0.3103524510337844)),
+        8: (("S3", 0.07215780383889359),
+            ("S21", 0.04754581713364231, 0.4592925882927232),
+            ("S21", 0.05160868526735912, 0.1705693077517602),
+            ("S21", 0.01622924881159904, 0.05054722831703098),
+            ("S111", 0.013615157087217496, 0.008394777409957605, 0.2631128296346381)),
+    },
+    3: {
+        2: (("S31", 0.041666666666666664, 0.1381966011250105),),
+        5: (("S31", 0.012248840519393659, 0.09273525031089122),
+            ("S31", 0.018781320953002643, 0.3108859192633006),
+            ("S22", 0.007091003462846911, 0.04550370412564965)),
+        6: (("S31", 0.006653791709694582, 0.21460287125915203),
+            ("S31", 0.001679535175886774, 0.04067395853461135),
+            ("S31", 0.009226196923942455, 0.3223378901422755),
+            ("S211", 0.008035714285714285, 0.06366100187501753, 0.2696723314583158)),
+    },
+}
+
+
+def _expand_orbits(orbits):
+    """(points (n, dim), weights (n,)) of a rule given as (name, weight,
+    *parameters) orbits: one point per distinct permutation of each
+    generator, in the reference frame x_d = barycentric coordinate d + 1.
+    Plain arithmetic only, so complex parameters expand too."""
+    pts, wts = [], []
+    for name, w, *params in orbits:
+        for bary in dict.fromkeys(itertools.permutations(_ORBITS[name](*params))):
+            pts.append(bary[1:])
+            wts.append(w)
+    return np.array(pts), np.array(wts)
+
+
+@lru_cache(maxsize=None)
+def symmetric_rule(dim, degree):
+    """The tabulated fully symmetric rule of ``degree``, expanded on first use."""
+    return QuadRule(dim, degree, *_expand_orbits(_SYMMETRIC[dim][degree]))
+
+
+@lru_cache(maxsize=None)
+def cheapest_rule(dim, degree):
+    """The rule with the fewest points that is exact to ``degree`` on the
+    reference simplex: the conical product (Gauss-Legendre in 1D), or a
+    tabulated symmetric rule of that degree or higher; ties keep the product."""
+    rules = [simplex_rule(dim, degree)]
+    rules += [symmetric_rule(dim, d) for d in _SYMMETRIC.get(dim, ()) if d >= degree]
+    return min(rules, key=lambda rule: len(rule.weights))
+
+
 def map_rule(rule, simplex):
     """Affine-map a reference rule onto a physical simplex, or onto a batch
     of them given as a (..., d+1, d) vertex array.
@@ -125,17 +210,18 @@ def map_rule(rule, simplex):
     return pts, rule.weights * det[..., None]
 
 
-def face_rule(dim, order, face):
-    """Quadrature on a physical face: a segment in 2D, a triangle in 3D.
+def face_rule(rule, face):
+    """The reference ``rule`` of dimension dim - 1 mapped onto a physical
+    face of a dim-dimensional mesh: a segment in 2D, a triangle in 3D.
 
     ``face`` holds the (dim, dim) vertex coordinates of one face, or of a
     batch of faces as a (..., dim, dim) array.  Weights carry the surface
     measure, so they sum to the face length/area.
     """
     face = np.asarray(face, dtype=float)
+    dim = rule.dim + 1
     if dim not in (2, 3):
         raise OrderUnsupported(f"face rules exist for mesh dimension 2 or 3, not {dim}")
-    rule = simplex_rule(dim - 1, order)
     edges = face[..., 1:, :] - face[..., :1, :]
     if dim == 2:
         measure = np.linalg.norm(edges[..., 0, :], axis=-1)

@@ -163,7 +163,8 @@ def face_batches(space, order, kinds):
     kp, km = topo.sides[:, 0], topo.sides[:, 1]
     size_m = np.where(km >= 0, space.size[km], 0)
     for batch in chunks(space.size[kp] * (space.size.max() + 1) + size_m, sel):
-        pts, wts = face_rule(space.mesh.dim, order, space.mesh.vertices[topo.faces[batch]])
+        pts, wts = face_rule(simplex_rule(space.mesh.dim - 1, order),
+                             space.mesh.vertices[topo.faces[batch]])
         n = topo.normals[batch]
         plus, minus = topo.sides[batch, 0], topo.sides[batch, 1]
         boundary = minus[0] < 0

@@ -10,13 +10,14 @@ from patchdg.assembly import (
     assemble_biharmonic,
     assemble_laplace,
     assemble_mass,
+    assemble_stiffness,
     energy_norm,
     l2_norm,
     load_vector,
 )
 from patchdg.errors import DegreeTooLow
 from patchdg.mesh import build_topology, generate_square_tri
-from patchdg.quadrature import face_rule
+from patchdg.quadrature import face_rule, simplex_rule
 from patchdg.reconstruction import build_space, interpolate
 
 import shape_table_oracle as oracle
@@ -63,7 +64,7 @@ class TestLaplace:
         for f in np.nonzero(~topo.boundary)[0]:
             kp, km = topo.sides[f]
             coords = space_m1.mesh.vertices[list(topo.faces[f])]
-            pts, _ = face_rule(2, 2, coords)
+            pts, _ = face_rule(simplex_rule(1, 2), coords)
             vp = space_m1.evaluate(data, int(kp), pts)
             vm = space_m1.evaluate(data, int(km), pts)
             assert np.max(np.abs(vp - vm)) < 1e-10
@@ -82,7 +83,7 @@ class TestLaplace:
         eta_eff = 7.0 * 1  # eta * m^2 * (dim - 1)
         for f in np.nonzero(topo.boundary)[0]:
             coords = mesh.vertices[list(topo.faces[f])]
-            pts, wts = face_rule(2, 4, coords)
+            pts, wts = face_rule(simplex_rule(1, 4), coords)
             n = topo.normals[f]
             q = pts[:, 0]
             dq = np.full(len(pts), n[0])
@@ -149,7 +150,7 @@ class TestBiharmonic:
         alpha_eff = cfg.alpha * 2 ** 4
         for f in np.nonzero(topo.boundary)[0]:
             coords = mesh.vertices[list(topo.faces[f])]
-            pts, wts = face_rule(2, 4, coords)
+            pts, wts = face_rule(simplex_rule(1, 4), coords)
             q = pts[:, 0] * pts[:, 1]
             expect += alpha_eff / topo.h_e[f] ** 3 * float(np.sum(wts * q * q))
         assert abs(data @ A @ data - expect) < 1e-9 * max(abs(expect), 1.0)
@@ -359,3 +360,107 @@ class TestPullBack:
             assert (patch.center, patch.members, patch.diameter) == \
                 (expect.center, expect.members, expect.diameter)
             assert np.array_equal(patch.nodes, expect.nodes)
+
+
+def demo_polygon_mesh():
+    """The quad mesh of ``demos/polygon_mesh_demo.py``."""
+    import importlib.util
+    from pathlib import Path
+
+    from patchdg.mesh import parse_poly
+
+    path = Path(__file__).resolve().parents[1] / "demos" / "polygon_mesh_demo.py"
+    spec = importlib.util.spec_from_file_location("polygon_mesh_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    return parse_poly(demo.quad_mesh_text(12))
+
+
+def forms(m):
+    """The mass (None) and every stiffness configuration at degree m."""
+    out = [None, FormConfig(problem="laplace", m=m)]
+    return out + [FormConfig(problem="biharmonic", bc=bc, m=m)
+                  for bc in ("clamped", "simply_supported") if m >= 2]
+
+
+@functools.lru_cache(maxsize=None)
+def rule_case(spec, m):
+    from patchdg.mesh import generate_cube_tet
+
+    kind, _, n = spec.partition(":")
+    mesh = {"square": lambda: generate_square_tri(int(n or 0)),
+            "cube": lambda: generate_cube_tet(int(n or 0)), "polygon": demo_polygon_mesh}[kind]()
+    return build_space(mesh, build_topology(mesh), m)
+
+
+def spy(monkeypatch, module, name, seen):
+    """Record the reference rule of every call to ``module.name``."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda rule, *args: seen.append(rule) or real(rule, *args))
+
+
+class TestQuadratureChoice:
+    """Every form integrated by its cheapest exact rule equals the conical
+    products at degree 2m that every form used before; smooth integrands
+    keep those conical products."""
+
+    @pytest.mark.parametrize("spec, m", [("square:4", m) for m in (1, 2, 3, 4)]
+                             + [("cube:2", m) for m in (1, 2, 3)] + [("polygon", 2)])
+    def test_cheapest_rules_match_the_conical_assembly(self, monkeypatch, spec, m):
+        from patchdg import assembly
+
+        space = rule_case(spec, m)
+        for cfg in forms(m):
+            matrices = []
+            for conical in (False, True):
+                if conical:
+                    monkeypatch.setattr(assembly, "cheapest_rule", lambda dim, _: simplex_rule(dim, 2 * m))
+                matrices.append(assemble_stiffness(space, cfg) if cfg else assemble_mass(space))
+                monkeypatch.undo()
+            A, ref = matrices
+            assert np.array_equal(A.indptr, ref.indptr) and np.array_equal(A.indices, ref.indices)
+            assert np.max(np.abs(A.data - ref.data)) <= 1e-13 * np.max(np.abs(ref.data)), cfg
+
+    def test_point_counts_per_term(self, monkeypatch):
+        from patchdg import assembly
+
+        volume, face = [], []
+        spy(monkeypatch, assembly, "map_rule", volume)
+        spy(monkeypatch, assembly, "face_rule", face)
+        space = rule_case("cube:2", 2)
+        assemble_stiffness(space, FormConfig(problem="biharmonic", m=2))
+        assemble_mass(space)
+        assemble_stiffness(space, FormConfig(problem="laplace", m=2))
+        counts = [(len(r.weights), r.dim) for r in {id(r): r for r in volume + face}.values()]
+        # biharmonic volume 1 (was 27), faces 6 (was 9), mass 14 (was 27), laplace volume 4
+        assert counts == [(1, 3), (14, 3), (4, 3), (6, 2)]
+
+    def test_smooth_integrands_keep_the_conical_products(self, monkeypatch):
+        from patchdg import assembly, quadrature
+        from patchdg.analysis import sine_product_field
+        from patchdg.assembly import energy_product
+        from patchdg.patch import lambda_constant
+        from patchdg.quadrature import MAX_ORDER
+
+        for spec, m in (("square:4", 2), ("cube:2", 3)):
+            space = rule_case(spec, m)
+            dim = space.mesh.dim
+            seen = []
+            spy(monkeypatch, assembly, "map_rule", seen)
+            spy(monkeypatch, assembly, "face_rule", seen)
+            u = sine_product_field((1,) * dim, np.pi, 1.0)
+            v = interpolate(space, lambda *x: np.sin(x[0]) * x[-1])
+            for p in (0, 1, 2):
+                energy_product(space, p, [v, u])
+            load_vector(space, lambda pts: np.sin(pts[:, 0]))
+            order = min(2 * m + 2, MAX_ORDER[dim])
+            assert {(r.dim, len(r.weights)) for r in seen} == {(dim, len(simplex_rule(dim, order).weights)),
+                                                                (dim - 1, len(simplex_rule(dim - 1, order).weights))}
+            assert all(r is simplex_rule(r.dim, order) for r in seen)
+            monkeypatch.undo()
+
+            seen = []
+            spy(monkeypatch, quadrature, "map_rule", seen)
+            lambda_constant(space.mesh, space.patches[0], m)
+            assert seen and all(r is simplex_rule(dim, max(2 * m, 2)) for r in seen)
+            monkeypatch.undo()

@@ -127,7 +127,8 @@ def both_triangles(nodes):
 
 
 #: mesh files, by file name, each with a line whose fields are not exactly the
-#: numbers its kind needs, or a polygon line that repeats a vertex
+#: numbers its kind needs, an element or polygon line that repeats a node, or
+#: a character outside ASCII (here digits that int and float would read)
 MALFORMED = {
     "short-element.msh": MSH_FIXTURE.replace("2 2 2 0 1 1 2 3", "1 2"),
     "empty-nodes.msh": MSH_FIXTURE.replace("4\n1 0 0 0\n2 1 0 0\n3 1 1 0\n4 0 1 0\n", ""),
@@ -147,6 +148,9 @@ MALFORMED = {
     "extra-coordinate.poly": "3 1\n0 0 5\n1 0\n0 1\n3 0 1 2\n",
     "word-vertex-id.poly": "3 1\n0 0\n1 0\n0 1\n3 0 1 z\n",
     "repeated-vertex.poly": "4 1\n0 0\n1 0\n1 1\n0 1\n4 0 1 2 0\n",
+    "repeated-node.msh": MSH_FIXTURE.replace("2 2 2 0 1 1 2 3", "2 2 2 0 1 1 2 1"),
+    "non-ascii.msh": MSH_FIXTURE.replace("3 1 1 0", "3 \uff11 1 0"),
+    "non-ascii.poly": "3 1\n0 0\n1 0\n0 \u0661\n3 0 1 2\n",
 }
 
 #: a mixed quad and triangle mesh, the other text the mutation sweep starts from
@@ -350,6 +354,17 @@ def test_malformed_file_names_its_line_before_any_geometry(monkeypatch, name):
     parse = parse_poly if name.endswith(".poly") else parse_msh
     with pytest.raises(MeshError, match=r"^line \d+: "):
         parse(MALFORMED[name])
+
+
+@pytest.mark.parametrize("text, parse", [(MSH_FIXTURE, parse_msh), (POLY_FIXTURE, parse_poly)],
+                         ids=["msh", "poly"])
+def test_non_ascii_byte_names_its_line(text, parse):
+    with pytest.raises(BadCount, match="^line 1: character 0xff is not ASCII$"):
+        parse(b"\xff")
+    lines = text.encode().split(b"\n")
+    lines[2] += b" \xe9"
+    with pytest.raises(BadCount, match="^line 3: character 0xe9 is not ASCII$"):
+        parse(b"\r\n".join(lines))
 
 
 @pytest.mark.parametrize("text, parse, coordinate_lines, size", [
