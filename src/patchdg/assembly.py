@@ -1,15 +1,15 @@
 """Symmetric interior penalty assembly over the reconstructed space.
 
 One table states the broken energy pairing of order 2p: ``_PAIRINGS[p]``
-gives its volume table kind and its face jumps with their powers of 1/h
-(p = 0 is the L2 pairing, 1 the second-order and 2 the fourth-order one).
-:func:`measure` integrates exactly that pairing for norms and Gram
-matrices, and :func:`_assemble` builds every matrix from it: the volume
-pairing, each jump penalised by its ``FormConfig.penalties`` entry over
-h^power, plus the jump's symmetric consistency term from the parallel
-``_CONSISTENCY[p]`` (an ordered pair of traces and a sign, each average
-formed from the jump's columns).  The mass matrix is p = 0, and
-:func:`assemble_stiffness` is the one stiffness for both orders.
+gives its volume table kind and one row per face jump: its table kind, its
+power of 1/h and its symmetric consistency term (an ordered pair of traces
+and a sign, each average formed from the jump's columns).  p = 0 is the L2
+pairing, 1 the second-order and 2 the fourth-order one.  :func:`measure`
+integrates exactly the volume pairing and the weighted jumps for norms and
+Gram matrices, and :func:`_assemble` builds every matrix from the table:
+the volume pairing, each jump penalised by its ``FormConfig.penalties``
+entry over h^power, plus its consistency term.  The mass matrix is p = 0,
+and :func:`assemble_stiffness` is the one stiffness for both orders.
 
 One DOF per element: matrix row/column j is the sampled value on element j.
 The space is the image of the reconstruction operator R (see
@@ -172,14 +172,14 @@ def _face_batches(space, rule, kinds, faces):
 def _assemble(space, p, config=None, elements=None, faces=None):
     """R^T A_DG R as a symmetric CSR matrix for the interior penalty form of
     order 2p: the volume pairing and the penalised jumps of ``_PAIRINGS[p]``
-    (penalties from ``config``) plus the consistency terms of
-    ``_CONSISTENCY[p]``, over each face's k sides, plus side first.  The
-    volume pairing is integrated at degree 2(m - p) and the face terms at
-    2m, each by its cheapest exact rule; a face batch's terms are summed by
-    one pairing of their factors stacked along the points.  Each block is
-    added in place into its slot of A_DG, block diagonal for p = 0.
-    Only the lower triangle of the product is kept and then mirrored once,
-    so the result is exactly symmetric."""
+    (penalties from ``config``) plus their consistency terms, over each
+    face's k sides, plus side first.  The volume pairing is integrated at
+    degree 2(m - p) and the face terms at 2m, each by its cheapest exact
+    rule; a face batch's terms are summed by one pairing of their factors
+    stacked along the points.  Each block is added in place into its slot
+    of A_DG, block diagonal for p = 0.  Only the lower triangle of the
+    product is kept and then mirrored once, so the result is exactly
+    symmetric."""
     n, nt, topo = space.num_dofs, space.n_terms, space.topology
     volume, jumps = _PAIRINGS[p]
     sel = _selection(faces, topo.num_faces) if p else np.zeros(0, dtype=int)
@@ -202,8 +202,7 @@ def _assemble(space, p, config=None, elements=None, faces=None):
         T = np.moveaxis(contract(V, *ops[volume], scale), 1, -1)
         add(diag[K], _pair(T, wts, T))
     penalties = [c * _dim_factor(space) for c in config.penalties] if p else []
-    terms = list(zip(jumps, _CONSISTENCY[p], penalties))
-    kinds = tuple(dict.fromkeys(kind for a, b, _ in _CONSISTENCY[p] for _, kind in (a, b)))
+    kinds = tuple(dict.fromkeys(kind for _, _, a, b, _ in jumps for _, kind in (a, b)))
     simply_supported = p > 0 and config.bc == "simply_supported"
     half = np.repeat([0.5, -0.5], nt)  # an interior average from the jump's plus and minus columns
     for batch, _, wts, _, h, boundary, _, scale, V, ops in \
@@ -212,7 +211,7 @@ def _assemble(space, p, config=None, elements=None, faces=None):
         jump = {kind: contract(V, *op, scale).transpose(0, 2, 1, 3).reshape(F, q, k * nt)
                 for kind, op in ops.items()}
         X, Y = [], []  # every term's factors, paired as one sum over their stacked points
-        for (kind, power), (a, b, sign), c in terms:
+        for (kind, power, a, b, sign), c in zip(jumps, penalties):
             if boundary and simply_supported and kind != "val":
                 continue
             if a[1] in jump and b[1] in jump:  # an absent trace is identically zero
@@ -307,19 +306,14 @@ class AnalyticField:
 _ANALYTIC = {"val": AnalyticField.value, "grad": AnalyticField.gradient,
              "lap": AnalyticField.laplacian}
 
-# p -> (volume table kind, face jumps as (table kind, power of 1/h))
+# p -> (volume table kind, face jumps), each jump as (table kind, power of
+# 1/h, then its symmetric consistency term in the stiffness: an ordered pair
+# of (trace, table kind) operands and a sign)
 _PAIRINGS = {
     0: ("val", ()),
-    1: ("grad", (("val", 1),)),
-    2: ("lap", (("val", 3), ("grad", 1))),
-}
-
-# p -> per face jump of _PAIRINGS[p], its symmetric consistency term in the
-# stiffness: an ordered pair of (trace, table kind) operands and a sign
-_CONSISTENCY = {
-    0: (),
-    1: ((("avg", "grad"), ("jump", "val"), -1),),
-    2: ((("jump", "val"), ("avg", "gradlap"), +1), (("avg", "lap"), ("jump", "grad"), -1)),
+    1: ("grad", (("val", 1, ("avg", "grad"), ("jump", "val"), -1),)),
+    2: ("lap", (("val", 3, ("jump", "val"), ("avg", "gradlap"), +1),
+                ("grad", 1, ("avg", "lap"), ("jump", "grad"), -1))),
 }
 
 
@@ -371,13 +365,14 @@ def measure(space, p, fields, l2=False):
     vol = [(values(kinds, V, scale, ops, C[K][:, None], pts, True), wts)
            for K, pts, wts, scale, V, ops in
            _volume_batches(space, _smooth_rule(space, space.mesh.dim), kinds)]
-    kinds, faces = tuple(kind for kind, _ in face_terms), []
+    kinds, faces = tuple(kind for kind, *_ in face_terms), []
     every = np.arange(space.topology.num_faces if kinds else 0)
     for _, pts, wts, n, h, boundary, sides, scale, V, ops in \
             _face_batches(space, _smooth_rule(space, space.mesh.dim - 1), kinds, every):
         faces.append((values(kinds, V, scale, ops, C[sides], pts, boundary, n), wts, h[:, None]))
     terms = [[(T[volume], w) for T, w in vol]]
-    terms += [[(J[k], w / int_power(h, power)) for J, w, h in faces] for k, power in face_terms]
+    terms += [[(J[kind], w / int_power(h, power)) for J, w, h in faces]
+              for kind, power, *_ in face_terms]
     terms += [[(T["val"], w) for T, w in vol]] if l2 else []
     # each batch is copied once, into its term's (fields, points, components) array
     stacked = [(np.concatenate([np.moveaxis(v, 2, 0) for v, _ in term], axis=1),

@@ -56,7 +56,9 @@ class RunConfig(FormConfig):
                           (self.t is not None and self.t < 1, "patch size t must be >= 1"),
                           (self.tol <= 0, "tol must be positive"),
                           (self.target < 1, "target must be >= 1"),
-                          (self.vtk < 0, "vtk must be >= 0")]:
+                          (self.vtk < 0, "vtk must be >= 0"),
+                          (os.path.exists(self.output) and not os.path.isdir(self.output),
+                           f"output {self.output} exists and is not a directory")]:
             if bad:
                 raise ConfigError(text)
         specs = _mesh_specs(self.mesh)
@@ -95,11 +97,13 @@ def _load_mesh_one(spec):
     family, source = spec
     if family is not None:
         return family.generate(source)
-    if not os.path.exists(source):
-        raise ConfigError(f"mesh file not found: {source}")
     parse = parse_poly if source.endswith((".poly", ".txt")) else parse_msh
-    with open(source, "rb") as fh:
-        return parse(fh.read())
+    try:
+        with open(source, "rb") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read mesh file {source}: {exc.strerror}") from None
+    return parse(text)
 
 
 def _check_degree(cfg, mesh):
@@ -280,20 +284,22 @@ _COMMANDS = {
 
 def _file_flags(path):
     """The ``key=value`` lines of a config file as ``--key=value`` flags."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     flags = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"bad config line (need key=value): {raw.rstrip()}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key == "config":
-                raise ConfigError(f"config file {path} names another config file")
-            flags.append(f"--{key}={val}")
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"bad config line (need key=value): {raw.rstrip()}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key == "config":
+            raise ConfigError(f"config file {path} names another config file")
+        flags.append(f"--{key}={val}")
     return flags
 
 

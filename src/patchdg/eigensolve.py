@@ -71,15 +71,12 @@ class _BandCholesky:
 
     def __init__(self, perm, factor):
         self.perm, self.factor = perm, factor
-        self.pbtrs, self.tbtrs = la.get_lapack_funcs(("pbtrs", "tbtrs"), (factor,))
+        self.tbtrs = la.get_lapack_funcs("tbtrs", (factor,))
         self.tbsv = la.get_blas_funcs("tbsv", (factor,))
 
     def solve(self, b):
-        """A^-1 b."""
-        x, _ = self.pbtrs(self.factor, b[self.perm])
-        out = np.empty_like(x)
-        out[self.perm] = x
-        return out
+        """A^-1 b = P U^-1 U^-T P^T b."""
+        return self.back(self.tbsv(self.factor.shape[0] - 1, self.factor, b[self.perm], trans=1))
 
     def congruence(self, M):
         """The symmetric operator U^-T P^T M P U^-1, applied in place of A^-1 M."""

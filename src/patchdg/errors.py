@@ -16,7 +16,8 @@ class UnsupportedVersion(MeshError):
 
 
 class DanglingNode(MeshError):
-    """An element references a node id that is not in the file."""
+    """An element references a node id that is not in the file, or a vertex
+    index out of range."""
 
 
 class DuplicateNode(MeshError):
@@ -40,11 +41,15 @@ class NotStarShaped(MeshError):
 
 
 class BadCount(MeshError):
-    """A mesh file's counts line disagrees with its contents."""
+    """A mesh file line the reader cannot take: a counts line or section
+    that disagrees with the contents, a missing, extra or unreadable field,
+    a non-ASCII byte, an element of the wrong arity, or a polygon that
+    repeats a vertex."""
 
 
 class NonManifold(MeshError):
-    """A facet is shared by more than two elements."""
+    """A facet is shared by more than two elements, or two elements have the
+    same vertex set."""
 
 
 class DegenerateElement(MeshError):
@@ -74,17 +79,19 @@ class RankDeficient(PatchDGError):
 # --- assembly -----------------------------------------------------------
 
 class DegreeTooLow(PatchDGError):
-    """The biharmonic form needs polynomial degree at least 2."""
+    """The interior penalty form of order 2p was given degree below p."""
 
 
 # --- eigensolve ---------------------------------------------------------
 
 class MassNotSPD(PatchDGError):
-    """Cholesky factorization of the mass matrix failed."""
+    """The mass matrix is not positive definite: its Cholesky factorization
+    failed (dense path), or Lanczos found mu <= 0 (sparse path)."""
 
 
 class PenaltyTooSmall(PatchDGError):
-    """Negative eigenvalues indicate insufficient face penalties."""
+    """The band Cholesky of the stiffness met a non-positive pivot: the face
+    penalties are too small for the form to be coercive."""
 
 
 class NoConvergence(PatchDGError):

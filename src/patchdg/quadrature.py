@@ -96,28 +96,16 @@ def simplex_rule(dim, order):
     if order < 0 or order > MAX_ORDER[dim]:
         raise OrderUnsupported(f"order {order} outside [0, {MAX_ORDER[dim]}] in {dim}D")
     n = (order + 2) // 2  # 2n - 1 >= order
-
-    if dim == 1:
-        x, w = _gauss01(n)
-        return QuadRule(1, order, x[:, None].copy(), w.copy())
-
-    if dim == 2:
-        u, wu = _gauss01(n)
-        v, wv = _jacobi01(n, 1)
-        U, V = np.meshgrid(u, v, indexing="ij")
-        pts = np.column_stack([(U * (1.0 - V)).ravel(), V.ravel()])
-        wts = np.outer(wu, wv).ravel()
-        return QuadRule(2, order, pts, wts)
-
-    u, wu = _gauss01(n)
-    v, wv = _jacobi01(n, 1)
-    t, wt = _jacobi01(n, 2)
-    U, V, T = np.meshgrid(u, v, t, indexing="ij")
-    x = U * (1.0 - V) * (1.0 - T)
-    y = V * (1.0 - T)
-    pts = np.column_stack([x.ravel(), y.ravel(), T.ravel()])
-    wts = np.einsum("i,j,k->ijk", wu, wv, wt).ravel()
-    return QuadRule(3, order, pts, wts)
+    # Gauss-Legendre on [0, 1], then per further axis the Gauss-Jacobi rule
+    # of weight (1 - t)^alpha: every point so far scaled by (1 - t), t appended
+    pts, wts = _gauss01(n)
+    pts = pts[:, None]
+    for alpha in range(1, dim):
+        t, wt = _jacobi01(n, alpha)
+        pts = np.column_stack([np.repeat(pts, n, axis=0) * np.tile(1.0 - t, len(pts))[:, None],
+                               np.tile(t, len(pts))])
+        wts = np.outer(wts, wt).ravel()
+    return QuadRule(dim, order, pts, wts)
 
 
 #: orbit name -> the barycentric coordinates of its generator; the orbit is

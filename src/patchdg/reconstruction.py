@@ -22,6 +22,7 @@ evaluation and export goes through it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -60,17 +61,8 @@ class MonomialBasis:
 
 @lru_cache(maxsize=None)
 def monomial_basis(m, dim):
-    exps = []
-    for deg in range(m + 1):
-        if dim == 1:
-            exps.append((deg,))
-        elif dim == 2:
-            for i in range(deg, -1, -1):
-                exps.append((i, deg - i))
-        else:
-            for i in range(deg, -1, -1):
-                for j in range(deg - i, -1, -1):
-                    exps.append((i, j, deg - i - j))
+    exps = sorted((e for e in itertools.product(range(m, -1, -1), repeat=dim) if sum(e) <= m),
+                  key=sum)
     index = {e: i for i, e in enumerate(exps)}
     steps = []
     for e in exps[1:]:
@@ -239,11 +231,21 @@ class ReconstructedSpace:
     def num_dofs(self):
         return self.mesh.num_elements
 
-    def coefficients(self, X):
+    def coefficients(self, X, elements=None):
         """(N, fields, n_terms) coefficients of R x in each element's monomial
-        frame, for every column x of X (N, fields)."""
-        C = self.R @ np.asarray(X, dtype=float)
-        return C.reshape(self.num_dofs, self.n_terms, -1).transpose(0, 2, 1)
+        frame, for every column x of X (N, fields); given ``elements``, the
+        rows of those elements alone, (len(elements), fields, n_terms), as
+        the product of their block rows of R."""
+        R = self.R
+        if elements is not None:
+            elements = np.asarray(elements, dtype=int)
+            start, size = R.indptr[elements], np.diff(R.indptr)[elements]
+            indptr = np.r_[0, np.cumsum(size)]
+            at = np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], size)
+            R = sp.bsr_matrix((R.data[at], R.indices[at], indptr),
+                              shape=(len(elements) * self.n_terms, R.shape[1]))
+        C = R @ np.asarray(X, dtype=float)
+        return C.reshape(R.shape[0] // self.n_terms, self.n_terms, -1).transpose(0, 2, 1)
 
     def evaluate(self, vector, K, points, deriv=0):
         """Evaluate the reconstructed field with DOF samples ``vector`` on
@@ -261,17 +263,11 @@ class ReconstructedSpace:
         points = np.asarray(points, dtype=float)
         if single:
             points = points[None]
-        # the elements' block rows of R x alone, each summed in stored order as R @ x sums it
-        R, x = self.R, np.asarray(vector, dtype=float)
-        start, size = R.indptr[:-1][elements], np.diff(R.indptr)[elements]
-        at = np.arange(size.sum()) + np.repeat(start + size - np.cumsum(size), size)
-        rows = np.repeat(np.arange(len(elements)), size)
-        C = np.zeros((len(elements), self.n_terms))
-        np.add.at(C, rows, R.data[at, :, 0] * x[R.indices[at], None])
+        C = self.coefficients(vector, elements)
         scale = self.scale[elements, None]
         V, _ = factors(self.origin[elements, None], scale, points, self.m, ())
         O, power = _table_operators(self.m, self.mesh.dim)[kind]
-        T = contract(V, O, power, scale, C[:, None, :, None])  # (B, components, n_pts, 1)
+        T = contract(V, O, power, scale, C[..., None])  # (B, components, n_pts, 1)
         out = np.moveaxis(T[..., 0], 1, -1)
         out = out if deriv == 1 else out[..., 0]
         return out[0] if single else out

@@ -269,10 +269,10 @@ def shape_table_product(space, p, fields):
     for ids, pts, wts, T in volume_batches(space, order, (volume,)):
         F = values(T[volume], ids, pts, volume)
         G += np.einsum("kbqc,bq,lbqc->kl", F, wts, F)
-    kinds = tuple(kind for kind, _ in face_terms)
+    kinds = tuple(kind for kind, *_ in face_terms)
     for ids, pts, wts, n, h, boundary, jump, _ in (
             face_batches(space, order, kinds) if kinds else ()):
-        for kind, power in face_terms:
+        for kind, power, *_ in face_terms:
             if boundary:
                 F = values(jump[kind], ids, pts, kind, n if kind == "grad" else None)
             else:

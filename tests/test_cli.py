@@ -50,6 +50,18 @@ class TestSolveCommand:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--mesh", "--config"])
+    def test_unreadable_input_exit_2_no_artifacts(self, tmp_path, capsys, flag):
+        # a directory stands for any path that exists but cannot be read as a file
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        given = [flag, str(folder)] + (["--mesh", "square:2"] if flag == "--config" else [])
+        out = tmp_path / "run"
+        assert main(["solve", "--m", "1", *given, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err and str(folder) in err
+        assert not out.exists()
+
     def test_numerical_failure_exit_3(self, tmp_path):
         out = tmp_path / "run"
         code = main([
@@ -214,11 +226,12 @@ class TestConfigFile:
         ["reliable", "--mesh", "square:4,12", "--m", "1"],
         ["convergence", "--mesh", "square:4,8", "--m", "1", "--target", "0"],
         ["solve", "--mesh", "square:4", "--vtk", "-3"],
+        ["solve", "--mesh", "square:4", "--output", __file__],  # a file, not a directory
     ])
     def test_bad_values_exit_2_before_mesh_work(self, tmp_path, monkeypatch, argv):
         monkeypatch.setattr(cli, "_load_mesh_one", lambda spec: pytest.fail("mesh loaded"))
         out = tmp_path / "run"
-        assert main(argv + ["--output", str(out)]) == 2
+        assert main([argv[0], "--output", str(out), *argv[1:]]) == 2  # argv's own --output wins
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

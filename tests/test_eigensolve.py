@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -195,6 +196,21 @@ class TestFactor:
         b = np.random.default_rng(3).standard_normal(A.shape[0])
         y = np.linalg.solve(A.toarray(), b)
         assert np.max(np.abs(chol.solve(b) - y)) <= 1e-12 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("spec", ["square:16", "cube:3"])
+    def test_solve_matches_pbtrs(self, spec):
+        # the two band sweeps give the bits of LAPACK's own factored solve
+        kind, n = spec.split(":")
+        mesh = (generate_square_tri if kind == "square" else generate_cube_tet)(int(n))
+        space = build_space(mesh, build_topology(mesh), 2)
+        chol = _factor_spd(assemble_laplace(space, FormConfig(problem="laplace", m=2)))
+        b = np.random.default_rng(5).standard_normal(space.num_dofs)
+        pbtrs = la.get_lapack_funcs("pbtrs", (chol.factor,))
+        x, info = pbtrs(chol.factor, b[chol.perm])
+        assert info == 0
+        ref = np.empty_like(x)
+        ref[chol.perm] = x
+        assert np.array_equal(chol.solve(b), ref)
 
     def test_singular_raises(self):
         # an SPD pattern with one zero row and column: the factor must stop

@@ -10,6 +10,7 @@ from patchdg.quadrature import (
     MAX_ORDER,
     REF_MEASURE,
     _expand_orbits,
+    _jacobi01,
     cheapest_rule,
     face_rule,
     map_rule,
@@ -98,6 +99,30 @@ class TestSimplexRules:
                 val = float(np.sum(rule.weights * np.prod(rule.points ** alpha, axis=1)))
                 exact = exact_monomial(dim, alpha)
                 assert abs(val - exact) <= 1e-13 * max(abs(exact), 1e-30), (dim, order, alpha)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_per_dimension_products(self, dim):
+        # the conical products written out once per dimension
+        for order in range(MAX_ORDER[dim] + 1):
+            n = (order + 2) // 2
+            x = np.polynomial.legendre.leggauss(n)
+            u, wu = (x[0] + 1.0) / 2.0, x[1] / 2.0
+            if dim == 1:
+                pts, wts = u[:, None], wu
+            elif dim == 2:
+                v, wv = _jacobi01(n, 1)
+                U, V = np.meshgrid(u, v, indexing="ij")
+                pts = np.column_stack([(U * (1.0 - V)).ravel(), V.ravel()])
+                wts = np.outer(wu, wv).ravel()
+            else:
+                (v, wv), (t, wt) = _jacobi01(n, 1), _jacobi01(n, 2)
+                U, V, T = np.meshgrid(u, v, t, indexing="ij")
+                pts = np.column_stack([(U * (1.0 - V) * (1.0 - T)).ravel(),
+                                       (V * (1.0 - T)).ravel(), T.ravel()])
+                wts = np.einsum("i,j,k->ijk", wu, wv, wt).ravel()
+            rule = simplex_rule(dim, order)
+            assert np.array_equal(rule.points, pts), order
+            assert np.array_equal(rule.weights, wts), order
 
     def test_order_unsupported(self):
         with pytest.raises(OrderUnsupported):

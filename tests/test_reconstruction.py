@@ -51,6 +51,28 @@ class TestMonomialBasis:
         exps = [tuple(e) for e in monomial_basis(1, 3).exponents]
         assert exps == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_per_dimension_loops(self, dim):
+        # the enumeration written out once per dimension, degree by degree
+        for m in range(9):
+            exps = []
+            for deg in range(m + 1):
+                if dim == 1:
+                    exps.append((deg,))
+                elif dim == 2:
+                    exps += [(i, deg - i) for i in range(deg, -1, -1)]
+                else:
+                    exps += [(i, j, deg - i - j)
+                             for i in range(deg, -1, -1) for j in range(deg - i, -1, -1)]
+            index = {e: i for i, e in enumerate(exps)}
+            steps = []
+            for e in exps[1:]:
+                d = max(i for i, a in enumerate(e) if a)
+                steps.append((index[e[:d] + (e[d] - 1,) + e[d + 1:]], d))
+            basis = monomial_basis(m, dim)
+            assert np.array_equal(basis.exponents, np.array(exps, dtype=int)), m
+            assert basis.steps == tuple(steps), m
+
 
 def reference_vandermonde(basis, points):
     """Every monomial of every point as a scalar loop over Python floats:
@@ -166,6 +188,30 @@ class TestKernelBits:
         for deriv, kind in ((1, "grad"), (2, "lap")):
             ref = reference_tabulate(C, *frame, kind)[:, :, 0]
             assert relative(space.evaluate(x, np.arange(n), points, deriv), ref) <= 1e-13, kind
+
+    @pytest.mark.parametrize("mesh_spec, m", [("cube:2", 2), ("cube:4", 3)])
+    def test_element_rows_are_rows_of_r_x(self, mesh_spec, m):
+        # the requested block rows of R, unsorted and repeated, multiply to
+        # the same bits as the rows of the whole product; so does a
+        # single-element evaluation against the batched one
+        space = mesh_space(mesh_spec, m)
+        sizes = np.diff(space.R.indptr)
+        if mesh_spec == "cube:2":
+            assert len(np.unique(sizes)) == 2
+        n = space.num_dofs
+        rng = np.random.default_rng(m)
+        X = rng.standard_normal((n, 3))
+        elements = np.r_[rng.permutation(n)[:40], 7, 0, 7, n - 1]
+        assert np.array_equal(space.coefficients(X, elements), space.coefficients(X)[elements])
+        assert np.array_equal(space.coefficients(X[:, 0], elements),
+                              space.coefficients(X[:, 0])[elements])
+        points = rng.standard_normal((len(elements), 5, 3)) * space.scale[elements, None, None]
+        points += space.origin[elements, None]
+        for deriv in (0, 1, 2):
+            batched = space.evaluate(X[:, 0], elements, points, deriv)
+            for i, K in enumerate(elements):
+                assert np.array_equal(space.evaluate(X[:, 0], int(K), points[i], deriv),
+                                      batched[i]), (K, deriv)
 
 
 class TestFitLocal:
