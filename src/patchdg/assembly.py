@@ -19,17 +19,20 @@ monomials pulled back by R: A = R^T A_DG R, M = R^T M_DG R, b = R^T b_DG.
 
 A_DG has a block structure fixed by the topology: one n_terms x n_terms
 diagonal block per element and the two off-diagonal blocks of each interior
-face.  Each block's slot comes from one sort of the block keys, so the local
-blocks of every batch are added in place into one (slots, n_terms, n_terms)
-array, with no entry-level triplets or sort; M_DG is block diagonal.  The
-products with R run on its (n_terms x 1) blocks.
+face; M_DG is block diagonal.  Only its lower block triangle G, with the
+diagonal blocks halved, is stored, so A_DG = G + G^T: the diagonal
+contributions of every batch are added in place into one block per element,
+and each interior face writes its one block below the diagonal into its own
+slot, with no entry-level triplets.  The products with R run on its
+(n_terms x 1) blocks.
 
 Volume terms batch over the sub-simplices of the topology's geometry (each
 carrying its owner element, so polygons need no separate path), face terms
 over the topology's interior faces and then its boundary faces, at most
-``CHUNK`` carriers per batch.  A batch carries one Vandermonde of the
-n_terms monomials of its elements (both sides of a face at once), so
-nothing is grouped by patch size.
+``CHUNK`` carriers per batch, each mapping the reference rule by the affine
+maps stored once per mesh on the geometry and the topology.  A batch
+carries one Vandermonde of the n_terms monomials of its elements (both
+sides of a face at once), so nothing is grouped by patch size.
 
 Each term is integrated exactly by the rule with the fewest points for its
 polynomial degree (:func:`~patchdg.quadrature.cheapest_rule`): the volume
@@ -40,9 +43,10 @@ degree 2m, the penalised value jump's.  ``measure`` and ``load_vector``
 integrate a smooth factor that no rule integrates exactly, and keep the
 conical rules of order 2m + 2.
 
-Every matrix is a plain symmetric ``scipy.sparse`` CSR matrix.  Symmetry is
-exact by construction: only the lower triangle of R^T A_DG R is kept, then
-mirrored once.  ``scipy.io.mmwrite`` writes one as a coordinate file.
+Every matrix is a plain symmetric ``scipy.sparse`` CSR matrix in canonical
+format, R^T A_DG R = Q + Q^T with Q = R^T (G R).  Symmetry is exact by
+construction: the entries (i, j) and (j, i) both add Q[i, j] and Q[j, i].
+``scipy.io.mmwrite`` writes one as a coordinate file.
 
 Boundary faces use one-sided traces and enforce the essential conditions
 weakly (Nitsche style): v = 0 for the second-order form, v = dv/dn = 0 for
@@ -60,7 +64,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegreeTooLow
-from .quadrature import MAX_ORDER, cheapest_rule, face_rule, map_rule, simplex_rule
+from .quadrature import MAX_ORDER, apply_rule, cheapest_rule, simplex_rule
 from .reconstruction import contract, factors, int_power
 
 # Sub-simplices or faces per batch.  The batch's tables and local blocks
@@ -134,15 +138,15 @@ def _selection(items, n):
 
 def _volume_batches(space, rule, kinds, elements=None):
     """(owners, points, weights, scales (B, 1), V, operators) per batch of
-    sub-simplices, the reference ``rule`` mapped onto each, V and the
-    operators the owners' ``factors``."""
+    sub-simplices, the reference ``rule`` mapped onto each by its stored
+    map, V and the operators the owners' ``factors``."""
     owner = space.geometry.sub_owner
     subs = np.arange(len(owner))
     if elements is not None:
         subs = subs[np.isin(owner, _selection(elements, space.num_dofs))]
     for i in range(0, len(subs), CHUNK):
         batch = subs[i:i + CHUNK]
-        pts, wts = map_rule(rule, space.geometry.sub_simplices[batch])
+        pts, wts = apply_rule(rule, *(a[batch] for a in space.geometry.sub_maps))
         K, scale = owner[batch], space.scale[owner[batch], None]
         yield (K, pts, wts, scale, *factors(space.origin[K, None], scale, pts, space.m, kinds))
 
@@ -151,17 +155,17 @@ def _face_batches(space, rule, kinds, faces):
     """Per batch of the interior ``faces``, then of the boundary ones: (faces,
     points, weights, normals, h, on_boundary, sides (F, k), scales (F, k),
     V, operators), the reference ``rule`` (of dimension dim - 1) mapped onto
-    each face, V and the operators the sides' ``factors``.  The minus
-    side's V is negated and vector kinds take the plus side's outward
-    normal, so ``contract`` gives each side's jump table, and its values
-    summed over the sides are the jumps (on boundary faces, k = 1, the
-    plus-side traces)."""
+    each face by its stored map, V and the operators the sides' ``factors``.
+    The minus side's V is negated and vector kinds take the plus side's
+    outward normal, so ``contract`` gives each side's jump table, and its
+    values summed over the sides are the jumps (on boundary faces, k = 1,
+    the plus-side traces)."""
     topo = space.topology
     boundary = topo.sides[faces, 1] < 0
     for on_boundary, part in ((False, faces[~boundary]), (True, faces[boundary])):
         for i in range(0, len(part), CHUNK):
             batch = part[i:i + CHUNK]
-            pts, wts = face_rule(rule, space.mesh.vertices[topo.faces[batch]])
+            pts, wts = apply_rule(rule, *(a[batch] for a in topo.maps))
             n, sides = topo.normals[batch], topo.sides[batch, :1 if on_boundary else 2]
             scale = space.scale[sides]
             V, ops = factors(space.origin[sides], scale, pts, space.m, kinds, n)
@@ -176,21 +180,28 @@ def _assemble(space, p, config=None, elements=None, faces=None):
     face's k sides, plus side first.  The volume pairing is integrated at
     degree 2(m - p) and the face terms at 2m, each by its cheapest exact
     rule; a face batch's terms are summed by one pairing of their factors
-    stacked along the points.  Each block is added in place into its slot
-    of A_DG, block diagonal for p = 0.  Only the lower triangle of the
-    product is kept and then mirrored once, so the result is exactly
-    symmetric."""
+    stacked along the points.
+
+    Only the lower block triangle G of A_DG = G + G^T is stored, its
+    diagonal blocks halved: every diagonal contribution is added in place
+    into its element's block, and each interior face of ``faces`` (a set of
+    ids, like ``elements``) writes its (minus, plus) block, below the
+    diagonal since the plus side is the lower id, into its own slot.  With Q = R^T (G R) the result
+    is Q + Q^T, in canonical format and exactly symmetric, since each pair
+    of mirrored entries is the same two summands added."""
     n, nt, topo = space.num_dofs, space.n_terms, space.topology
     volume, jumps = _PAIRINGS[p]
-    sel = _selection(faces, topo.num_faces) if p else np.zeros(0, dtype=int)
-    plus, minus = topo.sides[sel].T
-    minus = np.where(minus >= 0, minus, plus)  # a boundary face has one side
-    rows = np.concatenate([np.arange(n), plus, plus, minus, minus])
-    cols = np.concatenate([np.arange(n), plus, minus, plus, minus])
-    keys, slot = np.unique(rows * n + cols, return_inverse=True)
-    diag, face_slots = slot[:n], np.zeros((topo.num_faces, 2, 2), dtype=int)
-    face_slots[sel] = slot[n:].reshape(4, -1).T.reshape(-1, 2, 2)
-    blocks = np.zeros((len(keys), nt, nt))
+    sel = np.unique(_selection(faces, topo.num_faces)) if p else np.zeros(0, dtype=int)
+    inner = sel[topo.sides[sel, 1] >= 0]
+    # G's blocks by block row, then column: the faces' blocks, then the diagonal
+    rows = np.concatenate([topo.sides[inner, 1], np.arange(n)])
+    cols = np.concatenate([topo.sides[inner, 0], np.arange(n)])
+    order = np.lexsort((cols, rows))
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order))
+    face_slot, diag = np.zeros(topo.num_faces, dtype=int), slot[len(inner):]
+    face_slot[inner] = slot[:len(inner)]
+    blocks = np.zeros((len(order), nt, nt))
 
     def add(where, local):  # entry by entry: ufunc.at is much faster on a flat index
         entries = (where.reshape(-1, 1) * nt ** 2 + np.arange(nt ** 2)).ravel()
@@ -205,7 +216,7 @@ def _assemble(space, p, config=None, elements=None, faces=None):
     kinds = tuple(dict.fromkeys(kind for _, _, a, b, _ in jumps for _, kind in (a, b)))
     simply_supported = p > 0 and config.bc == "simply_supported"
     half = np.repeat([0.5, -0.5], nt)  # an interior average from the jump's plus and minus columns
-    for batch, _, wts, _, h, boundary, _, scale, V, ops in \
+    for batch, _, wts, _, h, boundary, sides, scale, V, ops in \
             _face_batches(space, cheapest_rule(dim - 1, 2 * m), kinds, sel):
         F, k, q = V.shape[:3]
         jump = {kind: contract(V, *op, scale).transpose(0, 2, 1, 3).reshape(F, q, k * nt)
@@ -223,13 +234,18 @@ def _assemble(space, p, config=None, elements=None, faces=None):
             Y.append(jump[kind])
         local = _pair(np.concatenate(X, axis=1), np.tile(wts, len(X)), np.concatenate(Y, axis=1))
         local = local.reshape(F, k, nt, k, nt).transpose(0, 1, 3, 2, 4)
-        add(face_slots[batch, :k, :k], local)
-    A_dg = sp.bsr_matrix((blocks, keys % n, np.searchsorted(keys, np.arange(n + 1) * n)),
-                         shape=(n * nt, n * nt))
+        add(diag[sides], local[:, range(k), range(k)])
+        if k == 2:
+            blocks[face_slot[batch]] = local[:, 1, 0]
+    blocks[diag] *= 0.5
     R = space.R
-    L = sp.tril(R.T @ (A_dg @ R), format="csr")
-    L.sum_duplicates()
-    return L + L.T.tocsr() - sp.diags(L.diagonal())
+    GR = sp.bsr_matrix((blocks, cols[order], np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]),
+                       shape=(n * nt, n * nt)) @ R
+    del blocks
+    # each transpose counts the entries into rows in column order: both terms are canonical
+    Qt = (R.T @ GR).tocsr().T.tocsr()
+    del GR
+    return Qt.T.tocsr() + Qt
 
 
 # --------------------------------------------------------------------------
@@ -374,10 +390,15 @@ def measure(space, p, fields, l2=False):
     terms += [[(J[kind], w / int_power(h, power)) for J, w, h in faces]
               for kind, power, *_ in face_terms]
     terms += [[(T["val"], w) for T, w in vol]] if l2 else []
-    # each batch is copied once, into its term's (fields, points, components) array
-    stacked = [(np.concatenate([np.moveaxis(v, 2, 0) for v, _ in term], axis=1),
-                np.concatenate([w.ravel() for _, w in term])) for term in terms]
-    return [(F.reshape(len(F), -1, F.shape[3]), w) for F, w in stacked]
+    del vol, faces
+    # each batch is copied once, into its term's (fields, points, components)
+    # array, and dropped once no term still to be stacked holds it
+    out = []
+    while terms:
+        term = terms.pop(0)
+        F = np.concatenate([np.moveaxis(v, 2, 0) for v, _ in term], axis=1)
+        out.append((F.reshape(len(F), -1, F.shape[3]), np.concatenate([w.ravel() for _, w in term])))
+    return out
 
 
 def gram(terms):

@@ -52,13 +52,14 @@ class RunConfig(FormConfig):
     def __post_init__(self):
         """Reject bad values before any mesh work."""
         super().__post_init__()
+        ancestor = _nearest_existing(self.output)
         for bad, text in [(self.k < 1, "k must be >= 1"),
                           (self.t is not None and self.t < 1, "patch size t must be >= 1"),
                           (self.tol <= 0, "tol must be positive"),
                           (self.target < 1, "target must be >= 1"),
                           (self.vtk < 0, "vtk must be >= 0"),
-                          (os.path.exists(self.output) and not os.path.isdir(self.output),
-                           f"output {self.output} exists and is not a directory")]:
+                          (not os.path.isdir(ancestor),
+                           f"output {self.output}: {ancestor} exists and is not a directory")]:
             if bad:
                 raise ConfigError(text)
         specs = _mesh_specs(self.mesh)
@@ -76,6 +77,14 @@ class RunConfig(FormConfig):
             if not all(map(analysis.halves, sizes[1:], sizes)):
                 raise ConfigError(f"{self.command} mesh sizes must double at each step: "
                                   f"{self.mesh}")
+
+
+def _nearest_existing(path):
+    """``path`` or its nearest ancestor that exists."""
+    path = os.path.abspath(path)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    return path
 
 
 def _mesh_specs(spec):
@@ -285,12 +294,17 @@ _COMMANDS = {
 def _file_flags(path):
     """The ``key=value`` lines of a config file as ``--key=value`` flags."""
     try:
-        with open(path) as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     flags = []
-    for raw in lines:
+    for no, raw in enumerate(lines, 1):
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path}, line {no}: byte {raw[exc.start]:#x} "
+                              "is not UTF-8") from None
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -20,6 +20,7 @@ from .errors import (
     BadCount,
     DanglingNode,
     DegenerateElement,
+    DegenerateSimplex,
     DuplicateNode,
     MixedDimension,
     NonCCW,
@@ -111,13 +112,18 @@ class Mesh:
 class Geometry:
     """Barycenters (N, dim), diameters (N,) and measures (N,) of every
     element, and the simplex tiling of all of them: ``sub_simplices``
-    (S, dim+1, dim) with owning elements ``sub_owner`` (S,), ascending."""
+    (S, dim+1, dim) with owning elements ``sub_owner`` (S,), ascending,
+    and their affine maps ``sub_maps`` (see :func:`simplex_maps`)."""
 
     barycenters: np.ndarray
     diameters: np.ndarray
     measures: np.ndarray
     sub_simplices: np.ndarray
     sub_owner: np.ndarray
+    sub_maps: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.sub_maps = simplex_maps(self.sub_simplices)
 
     @property
     def h(self):
@@ -136,7 +142,7 @@ class FaceTopology:
     the minus side sees its negation.  ``adjacency`` (N, max degree) lists
     each element's face neighbors ascending, padded with -1.  ``geometry``
     is the mesh's :class:`Geometry`, computed once here for every later
-    stage.
+    stage, and ``maps`` the faces' affine maps (see :func:`face_maps`).
     """
 
     faces: np.ndarray
@@ -146,6 +152,7 @@ class FaceTopology:
     boundary: np.ndarray
     adjacency: np.ndarray = field(repr=False)
     geometry: Geometry = field(repr=False)
+    maps: tuple = field(repr=False)
 
     @property
     def num_faces(self):
@@ -195,6 +202,35 @@ def diameters(coords):
     for x in np.moveaxis(coords, -1, 0):  # squares added in axis order, as .sum(-1) would
         sq = sq + (x[:, :, None] - x[:, None, :]) ** 2
     return np.sqrt(sq.max(axis=(1, 2)))
+
+
+def simplex_maps(simplices):
+    """The affine maps x = origin + xi @ edges from the reference simplex
+    onto a batch of simplices (..., d+1, d): origins (..., d), edge matrices
+    (..., d, d) and |det| (...), the ratio of measures.  Raises
+    ``DegenerateSimplex`` for a (numerically) zero volume."""
+    simplices = np.asarray(simplices, dtype=float)
+    d = simplices.shape[-1]
+    edges = simplices[..., 1:, :] - simplices[..., :1, :]  # rows are edge vectors
+    det = np.abs(np.linalg.det(edges))
+    diam = diameters(simplices.reshape(-1, d + 1, d)).reshape(det.shape)
+    if np.any(det <= 1e-14 * diam ** d):
+        raise DegenerateSimplex("simplex has (numerically) zero volume")
+    return simplices[..., 0, :], edges, det
+
+
+def face_maps(faces):
+    """The affine maps from the reference simplex of dimension dim - 1 onto
+    a batch of faces (..., dim, dim) of a dim-dimensional mesh: origins
+    (..., dim), edge matrices (..., dim - 1, dim) and the ratio of measures
+    (...), the length of a segment or twice the area of a triangle."""
+    faces = np.asarray(faces, dtype=float)
+    edges = faces[..., 1:, :] - faces[..., :1, :]
+    if faces.shape[-1] == 2:
+        measure = np.linalg.norm(edges[..., 0, :], axis=-1)
+    else:
+        measure = np.linalg.norm(np.cross(edges[..., 0, :], edges[..., 1, :]), axis=-1)
+    return faces[..., 0, :].copy(), edges, measure  # a copy: ``faces`` need not be kept
 
 
 def _check_finite(vertices, ids):
@@ -500,7 +536,8 @@ def build_topology(mesh):
     degree = np.bincount(a, minlength=mesh.num_elements)
     adjacency = np.full((mesh.num_elements, int(degree.max(initial=0))), -1)
     adjacency[a, np.arange(len(a)) - (np.cumsum(degree) - degree)[a]] = b
-    return FaceTopology(faces, sides, n, diameters(coords), boundary, adjacency, geometry)
+    return FaceTopology(faces, sides, n, diameters(coords), boundary, adjacency, geometry,
+                        face_maps(coords))
 
 
 def _geometry(mesh, elements):

@@ -20,7 +20,7 @@ from .mesh import _geometry, diameters, rowdot
 from .quadrature import element_rule
 
 # patches per batch of the pairwise-distance array behind patch diameters
-DIAMETER_CHUNK = 32
+DIAMETER_CHUNK = 128
 
 
 @dataclass

@@ -27,8 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateSimplex, OrderUnsupported
-from .mesh import diameters
+from .errors import OrderUnsupported
+from .mesh import face_maps, simplex_maps
 
 #: reference measures: interval [0,1], triangle (0,0)-(1,0)-(0,1), unit tet
 REF_MEASURE = {1: 1.0, 2: 0.5, 3: 1.0 / 6.0}
@@ -180,6 +180,15 @@ def cheapest_rule(dim, degree):
     return min(rules, key=lambda rule: len(rule.weights))
 
 
+def apply_rule(rule, origin, edges, scale):
+    """The reference ``rule`` under a batch of affine maps x = origin + xi @
+    edges, as :func:`~patchdg.mesh.simplex_maps` and
+    :func:`~patchdg.mesh.face_maps` give them: (points (..., n, d), weights
+    (..., n)), the weights multiplied by each map's ratio of measures
+    ``scale``."""
+    return origin[..., None, :] + rule.points @ edges, rule.weights * scale[..., None]
+
+
 def map_rule(rule, simplex):
     """Affine-map a reference rule onto a physical simplex, or onto a batch
     of them given as a (..., d+1, d) vertex array.
@@ -187,15 +196,7 @@ def map_rule(rule, simplex):
     Returns (points (..., n, d), weights (..., n)); the weights of each
     simplex sum to its measure.
     """
-    simplex = np.asarray(simplex, dtype=float)
-    d = rule.dim
-    edges = simplex[..., 1:, :] - simplex[..., :1, :]  # rows are edge vectors
-    det = np.abs(np.linalg.det(edges))
-    diam = diameters(simplex.reshape(-1, d + 1, d)).reshape(det.shape)
-    if np.any(det <= 1e-14 * diam ** d):
-        raise DegenerateSimplex("simplex has (numerically) zero volume")
-    pts = simplex[..., :1, :] + rule.points @ edges
-    return pts, rule.weights * det[..., None]
+    return apply_rule(rule, *simplex_maps(simplex))
 
 
 def face_rule(rule, face):
@@ -206,21 +207,14 @@ def face_rule(rule, face):
     batch of faces as a (..., dim, dim) array.  Weights carry the surface
     measure, so they sum to the face length/area.
     """
-    face = np.asarray(face, dtype=float)
     dim = rule.dim + 1
     if dim not in (2, 3):
         raise OrderUnsupported(f"face rules exist for mesh dimension 2 or 3, not {dim}")
-    edges = face[..., 1:, :] - face[..., :1, :]
-    if dim == 2:
-        measure = np.linalg.norm(edges[..., 0, :], axis=-1)
-    else:  # twice the facet area, matching the reference triangle's 1/2
-        measure = np.linalg.norm(np.cross(edges[..., 0, :], edges[..., 1, :]), axis=-1)
-    pts = face[..., :1, :] + rule.points @ edges
-    return pts, rule.weights * measure[..., None]
+    return apply_rule(rule, *face_maps(face))
 
 
 def element_rule(geom, order):
     """Quadrature over one element via its sub-simplex tiling."""
     rule = simplex_rule(geom.sub_simplices.shape[2], order)
-    pts, wts = map_rule(rule, geom.sub_simplices)
+    pts, wts = apply_rule(rule, *geom.sub_maps)
     return pts.reshape(-1, rule.dim), wts.ravel()

@@ -110,6 +110,9 @@ class TestLaplace:
         v = rng.standard_normal(n_el)
         qa, qb = v @ A @ v, v @ B @ v
         assert abs(qa - qb) < 1e-12 * abs(qa)
+        # elements and faces are sets of ids: a repeated one counts once
+        C = assemble_laplace(space_m1, cfg, elements=[*range(n_el)] * 2, faces=[*range(n_f)] * 2)
+        assert (C != A).nnz == 0
 
 
 class TestFormConfig:
@@ -324,7 +327,7 @@ class TestPullBack:
 
     @staticmethod
     def same_matrix(A, ref):
-        assert (A != A.T).nnz == 0
+        assert (A != A.T).nnz == 0 and A.has_canonical_format
         A, ref = sp.tril(A, format="csr"), sp.tril(ref, format="csr")
         assert A.nnz == ref.nnz
         assert np.array_equal(A.indptr, ref.indptr)
@@ -399,6 +402,40 @@ def spy(monkeypatch, module, name, seen):
     monkeypatch.setattr(module, name, lambda rule, *args: seen.append(rule) or real(rule, *args))
 
 
+class TestStoredMaps:
+    """The affine maps stored once per mesh give each batch the points and
+    weights that ``map_rule`` and ``face_rule`` give it, bit for bit."""
+
+    @pytest.mark.parametrize("spec", ["square:4", "cube:2", "polygon"])
+    def test_stored_maps_reproduce_the_mapped_rules(self, monkeypatch, spec):
+        from patchdg import assembly
+        from patchdg.quadrature import MAX_ORDER, cheapest_rule, map_rule
+
+        space, _ = pull_back_case(spec, 1)
+        dim, topo = space.mesh.dim, space.topology
+        rules = []  # every rule the assembly and measure use, at every degree
+        for m in range(1, MAX_ORDER[dim] // 2 + 1):
+            smooth = min(2 * m + 2, MAX_ORDER[dim])
+            rules += [cheapest_rule(dim, 2 * (m - p)) for p in (0, 1, 2) if m >= p]
+            rules += [cheapest_rule(dim - 1, 2 * m), simplex_rule(dim, smooth),
+                      simplex_rule(dim - 1, smooth)]
+        monkeypatch.setattr(assembly, "CHUNK", 7)  # several batches, the last one short
+        for rule in {id(r): r for r in rules}.values():
+            if rule.dim == dim:
+                batches = [(pts, wts, space.geometry.sub_simplices[7 * i:7 * i + 7], map_rule)
+                           for i, (_, pts, wts, *_) in
+                           enumerate(assembly._volume_batches(space, rule, ()))]
+            else:
+                batches = [(pts, wts, space.mesh.vertices[topo.faces[batch]], face_rule)
+                           for batch, pts, wts, *_ in
+                           assembly._face_batches(space, rule, (), np.arange(topo.num_faces))]
+            assert sum(len(w) for _, w, _, _ in batches) == \
+                (len(space.geometry.sub_owner) if rule.dim == dim else topo.num_faces)
+            for pts, wts, coords, mapped in batches:
+                ref_pts, ref_wts = mapped(rule, coords)
+                assert np.array_equal(pts, ref_pts) and np.array_equal(wts, ref_wts)
+
+
 class TestQuadratureChoice:
     """Every form integrated by its cheapest exact rule equals the conical
     products at degree 2m that every form used before; smooth integrands
@@ -424,13 +461,13 @@ class TestQuadratureChoice:
     def test_point_counts_per_term(self, monkeypatch):
         from patchdg import assembly
 
-        volume, face = [], []
-        spy(monkeypatch, assembly, "map_rule", volume)
-        spy(monkeypatch, assembly, "face_rule", face)
+        seen = []
+        spy(monkeypatch, assembly, "apply_rule", seen)
         space = rule_case("cube:2", 2)
         assemble_stiffness(space, FormConfig(problem="biharmonic", m=2))
         assemble_mass(space)
         assemble_stiffness(space, FormConfig(problem="laplace", m=2))
+        volume, face = ([r for r in seen if r.dim == dim] for dim in (3, 2))
         counts = [(len(r.weights), r.dim) for r in {id(r): r for r in volume + face}.values()]
         # biharmonic volume 1 (was 27), faces 6 (was 9), mass 14 (was 27), laplace volume 4
         assert counts == [(1, 3), (14, 3), (4, 3), (6, 2)]
@@ -446,8 +483,7 @@ class TestQuadratureChoice:
             space = rule_case(spec, m)
             dim = space.mesh.dim
             seen = []
-            spy(monkeypatch, assembly, "map_rule", seen)
-            spy(monkeypatch, assembly, "face_rule", seen)
+            spy(monkeypatch, assembly, "apply_rule", seen)
             u = sine_product_field((1,) * dim, np.pi, 1.0)
             v = interpolate(space, lambda *x: np.sin(x[0]) * x[-1])
             for p in (0, 1, 2):
@@ -460,7 +496,7 @@ class TestQuadratureChoice:
             monkeypatch.undo()
 
             seen = []
-            spy(monkeypatch, quadrature, "map_rule", seen)
+            spy(monkeypatch, quadrature, "apply_rule", seen)
             lambda_constant(space.mesh, space.patches[0], m)
             assert seen and all(r is simplex_rule(dim, max(2 * m, 2)) for r in seen)
             monkeypatch.undo()

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from patchdg import cli, mesh, reconstruction
-from patchdg.assembly import FormConfig, assemble_laplace
+from patchdg.assembly import FormConfig, assemble_biharmonic, assemble_laplace, assemble_mass
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -64,9 +64,17 @@ def test_patches_and_split_assembly():
     space = reconstruction.build_space(square, mesh.build_topology(square), 2)
     assert space.patches[0].members[0] == 0
     assert len(space.patches[0].members) == space.t
-    cfg = FormConfig(problem="laplace", m=2)
-    volume = sp.tril(assemble_laplace(space, cfg, faces=[]))
-    faces = sp.tril(assemble_laplace(space, cfg, elements=[]))
-    full = sp.tril(assemble_laplace(space, cfg))
-    assert abs(volume + faces - full).max() <= 1e-12 * abs(full).max()
-    assert np.isfinite(volume.data).all() and faces.nnz > 0
+    # the diagonal blocks are stored halved and restored by the
+    # symmetrisation, in each part and in the whole
+    for cfg in [FormConfig(problem="laplace", m=2)] + [
+            FormConfig(problem="biharmonic", bc=bc, m=2) for bc in ("clamped", "simply_supported")]:
+        assemble = assemble_laplace if cfg.problem == "laplace" else assemble_biharmonic
+        volume = sp.tril(assemble(space, cfg, faces=[]))
+        faces = sp.tril(assemble(space, cfg, elements=[]))
+        full = sp.tril(assemble(space, cfg))
+        assert abs(volume + faces - full).max() <= 1e-12 * abs(full).max(), cfg.bc
+        assert np.isfinite(volume.data).all() and faces.nnz > 0
+    # the mass is all diagonal blocks: every patch reproduces constants, so
+    # the constant field's squared L2 norm is the area of the square
+    ones, area = np.ones(space.num_dofs), space.geometry.measures.sum()
+    assert abs(ones @ assemble_mass(space) @ ones - area) <= 1e-12 * area

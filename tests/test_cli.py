@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -190,6 +191,16 @@ class TestConfigFile:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    def test_undecodable_line_exit_2_names_file_and_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_load_mesh_one", lambda spec: pytest.fail("mesh loaded"))
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"mesh=square:4\r\n# comment\nm=1\xff\n")
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config file {path}, line 3: byte 0xff is not UTF-8" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("how", ["flag", "file"])
     def test_abbreviation_exit_2(self, tmp_path, monkeypatch, capsys, how):
         # a prefix of --mesh is not --mesh, neither on the command line nor as a key
@@ -227,6 +238,7 @@ class TestConfigFile:
         ["convergence", "--mesh", "square:4,8", "--m", "1", "--target", "0"],
         ["solve", "--mesh", "square:4", "--vtk", "-3"],
         ["solve", "--mesh", "square:4", "--output", __file__],  # a file, not a directory
+        ["solve", "--mesh", "square:4", "--output", os.path.join(__file__, "sub")],  # under a file
     ])
     def test_bad_values_exit_2_before_mesh_work(self, tmp_path, monkeypatch, argv):
         monkeypatch.setattr(cli, "_load_mesh_one", lambda spec: pytest.fail("mesh loaded"))
