@@ -335,8 +335,7 @@ def reliable_study(meshes, config, domain, t=None):
     """
     _family(domain, config)
     largest = max(mesh.num_elements for mesh in meshes)
-    if largest > eigensolve.DENSE_THRESHOLD:
-        raise ValueError(f"dense path limited to n <= {eigensolve.DENSE_THRESHOLD}, got {largest}")
+    eigensolve.dense_path(largest, largest)
     hs, results = zip(*[(h, compute_spectrum(space, config, k=None)[0])
                         for h, space in _spaces(meshes, config, t)])
     rows = []

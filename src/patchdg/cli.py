@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis
+from . import analysis, eigensolve
 from .assembly import FormConfig
 from .errors import PatchDGError
 from .mesh import build_topology, parse_msh, parse_poly
@@ -195,8 +195,10 @@ def export_vtk(mesh, space, vector, path):
     vals = space.evaluate(vector, np.arange(n), mesh.vertices[table])
     present = np.arange(table.shape[1]) < lengths[:, None]
     n_points = int(lengths.sum())
-    points = np.zeros((n_points, 3))
-    points[:, :mesh.dim] = mesh.vertices[table[present]]
+    # each mesh vertex formatted once; a point's line is its vertex's line
+    coords = np.zeros((mesh.num_vertices, 3))
+    coords[:, :mesh.dim] = mesh.vertices
+    vertex_lines = _format_lines(coords.ravel().tolist(), [3] * mesh.num_vertices).split("\n")
     # cell rows: the vertex count, then the element's consecutive point ids
     starts = np.cumsum(lengths) - lengths
     cells = np.column_stack([lengths, starts[:, None] + np.arange(table.shape[1])])
@@ -205,7 +207,7 @@ def export_vtk(mesh, space, vector, path):
 
     out = ["# vtk DataFile Version 3.0", "patchdg reconstructed field", "ASCII",
            "DATASET UNSTRUCTURED_GRID", f"POINTS {n_points} double",
-           _format_lines(points.ravel().tolist(), [3] * n_points),
+           "\n".join([vertex_lines[v] for v in table[present].tolist()]),
            f"CELLS {n} {n_points + n}",
            _format_lines(cells.tolist(), (lengths + 1).tolist(), "%d"),
            f"CELL_TYPES {n}",
@@ -230,6 +232,8 @@ def export_vtk(mesh, space, vector, path):
 
 def _cmd_solve(cfg):
     family, (mesh,) = _meshes(cfg)
+    n = mesh.num_elements  # one DOF per element
+    eigensolve.dense_path(n, min(cfg.k, n))
     topo = build_topology(mesh)
     space = build_space(mesh, topo, cfg.m, t=cfg.t)
     result, A, M = analysis.compute_spectrum(space, cfg, k=cfg.k, tol=cfg.tol)

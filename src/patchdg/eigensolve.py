@@ -6,8 +6,10 @@ large spectrum fractions) and a Lanczos path for the k smallest pairs (A
 factored once as P^T A P = U^T U by a band Cholesky, ARPACK's Lanczos
 with full reorthogonalization on the standard symmetric operator
 U^-T P^T M P U^-1, whose largest eigenvalues are the reciprocals of the
-smallest lambda).  :func:`solve_smallest` is the one place that picks
-between them.  The same SPD factor gates both and solves the source problem.
+smallest lambda).  :func:`dense_path` is the one rule that picks between
+them; :func:`solve_smallest` follows it, and callers that know the pencil's
+size ask it before they build the pencil.  The same SPD factor gates both
+and solves the source problem.
 """
 
 from __future__ import annotations
@@ -46,12 +48,22 @@ def _residuals(A, M, values, vectors):
     return np.linalg.norm(AX - (M @ vectors) * values[None, :], axis=0) / den, den
 
 
+def dense_path(n, k):
+    """Whether :func:`solve_smallest` takes the dense path for the k
+    smallest pairs of an n x n pencil: small pencils (n <= 32) and requests
+    for more than a quarter of the spectrum do.  A dense pencil larger than
+    ``DENSE_THRESHOLD`` is refused with ValueError, so a caller that knows
+    n and k can refuse the request before it builds the pencil."""
+    dense = n <= 32 or k > n // 4
+    if dense and n > DENSE_THRESHOLD:
+        raise ValueError(f"dense path limited to n <= {DENSE_THRESHOLD}, got {n}")
+    return dense
+
+
 def solve_dense(A, M):
     """All eigenpairs of the sparse pencil (A, M); A is refused first by
     the shared factor :func:`_factor_spd`, then ``eigh`` factors M."""
-    n = A.shape[0]
-    if n > DENSE_THRESHOLD:
-        raise ValueError(f"dense path limited to n <= {DENSE_THRESHOLD}, got {n}")
+    dense_path(A.shape[0], A.shape[0])
     _factor_spd(A)
     try:
         values, vectors = la.eigh(A.toarray(), M.toarray())  # factors M itself
@@ -140,13 +152,14 @@ def solve_smallest(A, M, k, tol=1e-9):
     """The k smallest eigenpairs, by Lanczos on the Cholesky-symmetrised inverse.
 
     Small pencils (n <= 32) and requests for more than a quarter of the
-    spectrum take the dense path instead.  Otherwise A is factored once
-    by :func:`_factor_spd` as P^T A P = U^T U, which refuses an indefinite
-    or singular stiffness.  The k largest eigenvalues mu of the standard
-    symmetric operator U^-T P^T M P U^-1 are the reciprocals of the k
-    smallest lambda (Ericsson and Ruhe's spectral transformation at zero),
-    so each Lanczos step is a triangular band sweep, a product with M and
-    a transposed sweep, with plain Euclidean inner products.  A unit
+    spectrum take the dense path instead (:func:`dense_path`).  Otherwise
+    A is factored once by :func:`_factor_spd` as P^T A P = U^T U, which
+    refuses an indefinite or singular stiffness.  The k largest
+    eigenvalues mu of the standard symmetric operator U^-T P^T M P U^-1
+    are the reciprocals of the k smallest lambda (Ericsson and Ruhe's
+    spectral transformation at zero), so each Lanczos step is a triangular
+    band sweep, a product with M and a transposed sweep, with plain
+    Euclidean inner products.  A unit
     eigenvector y gives x = P U^-1 y sqrt(lambda), of unit M-norm.
     The Lanczos start vector is seeded, so reruns give identical results.
 
@@ -163,7 +176,7 @@ def solve_smallest(A, M, k, tol=1e-9):
     n = A.shape[0]
     if k > n:
         raise ValueError(f"requested {k} pairs from an n = {n} pencil")
-    if n <= 32 or k > n // 4:
+    if dense_path(n, k):
         res = solve_dense(A, M)
         return EigenResult(res.values[:k], res.vectors[:, :k], res.residuals[:k])
 

@@ -5,7 +5,7 @@ edge/face neighbors of the current member set, the one whose barycenter is
 closest to the center's sampling node (ties broken by element id, so
 construction is deterministic).  Sampling nodes are the member barycenters.
 The patches of many elements grow together, one greedy step at a time over
-stacked candidate arrays.
+candidate arrays whose last axis is the batch.
 """
 
 from __future__ import annotations
@@ -16,11 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PatchExhausted, RankDeficient
-from .mesh import _geometry, diameters, rowdot
+from .mesh import _geometry, rowdot
 from .quadrature import element_rule
-
-# patches per batch of the pairwise-distance array behind patch diameters
-DIAMETER_CHUNK = 128
 
 
 @dataclass
@@ -82,49 +79,77 @@ def _distances(barycenters, ids, centers):
 
 def patch_diameters(mesh, members):
     """Diameter of the union of each row's member elements, (B, s) -> (B,)."""
-    # each row's distinct vertex ids first, padded with its lowest one
-    vids = np.sort(mesh.elements[members].reshape(len(members), -1), axis=1)
+    # each row's distinct vertex ids first, padded with its lowest one (row
+    # gathers here and in build_patch are np.take: a copy of the same rows,
+    # several times faster than fancy indexing)
+    vids = np.sort(np.take(mesh.elements, members, axis=0).reshape(len(members), -1), axis=1)
     last = np.iinfo(int).max
     vids[:, 1:][vids[:, 1:] == vids[:, :-1]] = last
     vids.sort(axis=1)
     vids = vids[:, :int((vids < last).sum(axis=1).max(initial=0))]
     vids = np.where(vids == last, vids[:, :1], vids)
-    out = np.empty(len(members))
-    for i in range(0, len(members), DIAMETER_CHUNK):
-        out[i:i + DIAMETER_CHUNK] = diameters(mesh.vertices[vids[i:i + DIAMETER_CHUNK]])
-    return out
+    # batch last: vertex i against every later one, squares added in axis
+    # order as :func:`diameters` adds them, so the floats are its floats
+    coords = np.take(mesh.vertices, vids.T, axis=0)
+    sq = np.zeros(len(members))
+    for i in range(len(coords) - 1):
+        d = coords[i + 1:] - coords[i]
+        np.maximum(sq, sum(x ** 2 for x in np.moveaxis(d, -1, 0)).max(axis=0), out=sq)
+    return np.sqrt(sq)
 
 
 def build_patch(mesh, topology, K, t):
     """Grow the patches of the elements K (an id array) to exactly t members.
 
     The patches grow together and come back as :class:`Patches`, exhausted
-    rows included.
+    rows included.  The batch is the last axis of every working array: the
+    candidate pool (neighbor ids of the members so far, -1 for none, and
+    their distances) is one (degree · t, B) pair filled a degree-row block
+    per step, and the members are (t, B), so each step's minimum, id
+    tie-break, masking and membership test is an elementwise pass over
+    whole rows of the batch.
     """
     if t < 1:
         raise ValueError("patch size must be >= 1")
     centers = np.asarray(K, dtype=int)
     adjacency, barycenters = topology.adjacency, topology.geometry.barycenters
-    members = np.full((len(centers), t), -1)
-    members[:, 0] = centers
-    # candidate pool: neighbors of members (ids, -1 for none) and distances;
-    # an id may appear more than once, with the same distance each time
-    pool = adjacency[centers]
-    dist = np.where(pool >= 0, _distances(barycenters, pool, centers), np.inf)
+    origin = barycenters[centers]
+    degree = adjacency.shape[1]
+    members = np.full((t, len(centers)), -1)
+    members[0] = centers
+    # an id may appear in the pool more than once, with the same distance each time
+    pool = np.empty((degree * t, len(centers)), dtype=int)
+    dist = np.empty(pool.shape)
+
+    def add(i, new):
+        """Put the candidates ``new`` (degree, B) in pool block i."""
+        block = slice(degree * i, degree * (i + 1))
+        pool[block] = new
+        d = np.take(barycenters, new, axis=0) - origin
+        dist[block] = np.where(new >= 0, np.sqrt(rowdot(d, d)), np.inf)
+
+    add(0, adjacency[centers].T)
     last = np.iinfo(int).max
     for i in range(1, t):
-        nearest = dist.min(axis=1, initial=np.inf)
-        best = np.where(dist == nearest[:, None], pool, last).min(axis=1, initial=last)
+        ids, far = pool[:degree * i], dist[:degree * i]
+        nearest = far.min(axis=0, initial=np.inf)
+        best = np.where(far == nearest, ids, last).min(axis=0, initial=last)
         alive = np.isfinite(nearest)
         best[~alive] = -1
-        members[:, i] = best
-        dist[pool == best[:, None]] = np.inf
-        new = np.where(alive[:, None], adjacency[best], -1)
-        new[(new[:, :, None] == members[:, None, :i + 1]).any(axis=2)] = -1
-        pool = np.concatenate([pool, new], axis=1)
-        dist = np.concatenate(
-            [dist, np.where(new >= 0, _distances(barycenters, new, centers), np.inf)], axis=1)
-    return Patches(centers, members, barycenters[members], patch_diameters(mesh, members))
+        members[i] = best
+        far[ids == best] = np.inf
+        if i == t - 1:
+            break  # the last member's neighbors are never candidates
+        new = np.take(adjacency, best, axis=0).T
+        # drop a dead row's ids and the earlier members (best is no neighbor of itself)
+        known = ~alive | (new == members[0])
+        for row in members[1:i]:
+            known |= new == row
+        new[known] = -1
+        add(i, new)
+    members = members.T
+    return Patches(centers, members, np.take(barycenters, members, axis=0),
+                   patch_diameters(mesh, members))
 
 
 def grow_patch(mesh, topology, patches):

@@ -34,6 +34,11 @@ from .patch import Patch, build_patch, default_patch_size, grow_patch
 
 RCOND = 1e-10  # numerical-rank threshold for unisolvence
 CERTIFY_MARGIN = 1e3  # how far a QR fit's norm bound must clear RCOND to skip the SVD
+# how far below RCOND a values-only s_min / s_max must lie to skip the full
+# SVD: either LAPACK driver's singular values lie within a small multiple of
+# n eps s_max of the exact ones, so the two drivers' ratios differ by about
+# 1e-14 at most (4.3e-16 measured on the fit shapes), far inside RCOND / 2
+SVD_MARGIN = 2.0
 
 
 @dataclass(frozen=True)
@@ -164,32 +169,41 @@ def fit_local(patches, m):
     With A = QR, the table is the transposed pseudo-inverse Q R^-T.  Since
     ``|R|_F = |A|_F >= s_max`` and ``|R^-1|_F = |A^+|_F >= 1 / s_min``, a row
     with ``|R|_F |R^-1|_F < 1 / (CERTIFY_MARGIN RCOND)`` is certainly of
-    full rank.  The rows this bound cannot clear, and those with
-    ``min |R_ii| <= CERTIFY_MARGIN RCOND |R|_F`` (``min |R_ii| >= s_min``, so
-    the bound cannot clear them either; their R is never inverted), are
-    decided and solved by an SVD of their own, so ``ok`` is the SVD's rank
-    rule row for row.
+    full rank.  A row with ``min |R_ii| <= CERTIFY_MARGIN RCOND |R|_F``
+    (``min |R_ii| >= s_min``, so the bound cannot clear it) is screened out
+    first and its R replaced by the identity, so the whole batch goes
+    through one inverse and one product Q R^-T; every row outside ``ok``
+    is then zeroed.  The rows the bound did not clear are decided by an
+    SVD of their own, so ``ok`` is the SVD's rank rule row for row: those
+    whose values-only ``s_min <= RCOND s_max / SVD_MARGIN`` are refused
+    from their singular values alone, and the others take the full SVD,
+    which decides them and gives their pseudo-inverse.
     """
     nodes = patches.nodes
     basis = monomial_basis(m, nodes.shape[2])
     origin = nodes[:, 0].copy()
     scale = np.where(patches.diameters > 0, patches.diameters, 1.0)
-    coeffs = np.zeros(nodes.shape[:2] + (len(basis),))
-    ok = np.zeros(len(nodes), dtype=bool)
-    if nodes.shape[1] >= len(basis):
-        A = vandermonde(basis, (nodes - origin[:, None]) / scale[:, None, None])
-        Q, R = np.linalg.qr(A)
-        floor = CERTIFY_MARGIN * RCOND * np.linalg.norm(R, axis=(1, 2))
-        screened = np.abs(np.diagonal(R, axis1=1, axis2=2)).min(axis=1) > floor
-        Rinv = np.linalg.inv(R[screened])
-        ok[screened] = np.linalg.norm(Rinv, axis=(1, 2)) * floor[screened] < 1.0
-        coeffs[ok] = Q[ok] @ Rinv[ok[screened]].transpose(0, 2, 1)
-        rest = np.nonzero(~ok)[0]
-        U, s, Vt = np.linalg.svd(A[rest], full_matrices=False)
-        full = ~(s[:, -1] <= RCOND * s[:, 0])
-        pinv = (Vt[full].transpose(0, 2, 1) / s[full, None, :]) @ U[full].transpose(0, 2, 1)
-        coeffs[rest[full]] = pinv.transpose(0, 2, 1)
-        ok[rest] = full
+    if nodes.shape[1] < len(basis):
+        return np.zeros(nodes.shape[:2] + (len(basis),)), origin, scale, np.zeros(len(nodes), bool)
+    A = vandermonde(basis, (nodes - origin[:, None]) / scale[:, None, None])
+    Q, R = np.linalg.qr(A)
+    floor = CERTIFY_MARGIN * RCOND * np.linalg.norm(R, axis=(1, 2))
+    screened = np.abs(np.diagonal(R, axis1=1, axis2=2)).min(axis=1) > floor
+    R[~screened] = np.eye(len(basis))
+    Rinv = np.linalg.inv(R)
+    ok = screened & (np.linalg.norm(Rinv, axis=(1, 2)) * floor < 1.0)
+    coeffs = Q @ Rinv.transpose(0, 2, 1)
+    coeffs[~ok] = 0.0
+    # the rest: rows far below the rank rule are refused from their singular
+    # values alone; the others are decided and solved by a full SVD
+    rest = np.nonzero(~ok)[0]
+    s = np.linalg.svd(A[rest], compute_uv=False)
+    rest = rest[~(s[:, -1] <= RCOND / SVD_MARGIN * s[:, 0])]
+    U, s, Vt = np.linalg.svd(A[rest], full_matrices=False)
+    full = ~(s[:, -1] <= RCOND * s[:, 0])
+    pinv = (Vt[full].transpose(0, 2, 1) / s[full, None, :]) @ U[full].transpose(0, 2, 1)
+    coeffs[rest[full]] = pinv.transpose(0, 2, 1)
+    ok[rest] = full
     return coeffs, origin, scale, ok
 
 

@@ -7,11 +7,15 @@ list and patch is checked against an independent computation; exact
 distance ties (herringbone and Kuhn meshes) must be broken by element id.
 """
 
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchdg.mesh import build_topology, generate_cube_tet, generate_square_tri, parse_poly
-from patchdg.patch import Patches, build_patch, grow_patch, patch_diameters
+from patchdg.patch import Patches, build_patch, default_patch_size, grow_patch, patch_diameters
 from patchdg.reconstruction import build_space, fit_local
 
 
@@ -68,14 +72,15 @@ def reference_topology(mesh):
 
 
 def reference_patch(mesh, neighbors, K, t):
-    """Greedy growth with a candidate dict; None when the patch runs out."""
+    """Greedy growth with a candidate dict; a patch that runs out of
+    neighbors is padded with -1 to t members."""
     center = reference_barycenter(mesh, K)
     dist = lambda e: float(np.linalg.norm(reference_barycenter(mesh, e) - center))  # noqa: E731
     members = [K]
     candidates = {nb: dist(nb) for nb in neighbors[K]}
     while len(members) < t:
         if not candidates:
-            return None
+            return members + [-1] * (t - len(members))
         best = min(candidates, key=lambda e: (candidates[e], e))
         del candidates[best]
         members.append(best)
@@ -83,6 +88,15 @@ def reference_patch(mesh, neighbors, K, t):
             if nb not in members and nb not in candidates:
                 candidates[nb] = dist(nb)
     return members
+
+
+def reference_diameter(mesh, members):
+    """The largest distance between two vertices of the member elements,
+    squares summed in axis order from 0 as the batched code sums them."""
+    ids = sorted({v for K in members for v in loops(mesh)[K]})
+    coords = mesh.vertices[ids].tolist()
+    return float(np.sqrt(max(sum((p - q) * (p - q) for p, q in zip(a, b))
+                             for a in coords for b in coords)))
 
 
 def reference_ring(mesh, neighbors, members):
@@ -144,7 +158,55 @@ def test_patches_match_reference(case, t):
     for K in range(mesh.num_elements):
         expect = reference_patch(mesh, neighbors, K, t)
         assert batch.members[K].tolist() == expect
+        assert batch.diameters[K] == reference_diameter(mesh, expect)
         assert build_patch(mesh, topo, [K], t).members.tolist() == [expect]
+
+
+SMALL_MESHES = {
+    "square:1": lambda: generate_square_tri(1),
+    "square:4": lambda: generate_square_tri(4),
+    "cube:2": lambda: generate_cube_tet(2),
+    "polygon": polygon_mesh,
+}
+
+
+@cache
+def small_case(name):
+    mesh = SMALL_MESHES[name]()
+    return mesh, build_topology(mesh), reference_topology(mesh)[4]
+
+
+@pytest.mark.parametrize("name, t", [
+    *((name, t) for name, n, dim in [("square:4", 32, 2), ("cube:2", 48, 3), ("polygon", 48, 2)]
+      for t in (1, default_patch_size(2, dim), n)),  # a lone center, the default, the whole mesh
+    ("square:1", 10),  # every patch runs out at 2 members
+])
+def test_patch_sizes_from_one_to_exhausted_match_reference(name, t):
+    # an exhausted row pads with -1, and its diameter means nothing
+    mesh, topo, neighbors = small_case(name)
+    batch = build_patch(mesh, topo, np.arange(mesh.num_elements), t)
+    for K in range(mesh.num_elements):
+        expect = reference_patch(mesh, neighbors, K, t)
+        assert batch.members[K].tolist() == expect
+        if expect[-1] >= 0:
+            assert batch.diameters[K] == reference_diameter(mesh, expect)
+    assert (batch.members[:, -1] >= 0).all() == (name != "square:1")
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(sorted(SMALL_MESHES)), st.data())
+def test_a_patch_does_not_depend_on_its_batch(name, data):
+    # any rows, repeated and in any order, grow as they do in the whole batch
+    mesh, topo, _ = small_case(name)
+    n = mesh.num_elements
+    t = data.draw(st.integers(1, n + 2))
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12)))
+    whole = build_patch(mesh, topo, np.arange(n), t)
+    part = build_patch(mesh, topo, rows, t)
+    assert np.array_equal(part.centers, rows)
+    for a, b in [(whole.members, part.members), (whole.nodes, part.nodes),
+                 (whole.diameters, part.diameters)]:
+        assert a[rows].tobytes() == b.tobytes()
 
 
 def test_grown_patches_match_reference(case):

@@ -259,6 +259,18 @@ class TestConfigFile:
         assert "configuration error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unservable_solve_exit_2_before_the_space(self, tmp_path, monkeypatch, capsys):
+        # square:64 has 8192 elements; k = 2049 > 8192 // 4 takes the dense path
+        monkeypatch.setattr(cli, "build_topology", lambda mesh: pytest.fail("topology built"))
+        monkeypatch.setattr(cli, "build_space", lambda *a, **kw: pytest.fail("space built"))
+        out = tmp_path / "run"
+        argv = ["solve", "--mesh", "square:64", "--m", "2", "--k", "2049", "--output", str(out)]
+        assert main(argv) == 2
+        limit = eigensolve.DENSE_THRESHOLD
+        assert (f"configuration error: dense path limited to n <= {limit}, got 8192"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--mesh", "square:4", "--threads", "2"],
         ["solve", "--mesh", "square:4", "--rate-threshold", "2"],

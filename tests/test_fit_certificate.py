@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from patchdg.mesh import build_topology, diameters, generate_square_tri
+from patchdg.mesh import build_topology, diameters, generate_cube_tet, generate_square_tri
 from patchdg.patch import Patches, build_patch, default_patch_size
 from patchdg.reconstruction import RCOND, fit_local, monomial_basis, vandermonde
 
@@ -31,24 +31,28 @@ def rotation(dim, a, b):
 def node_sets(draw):
     """m and a batch of node sets (B, t, dim) with t >= dim P^m, in 2D and
     3D for m = 1..4: seeded uniform draws in the unit box or Hypothesis's
-    own arrays there (repeated and extreme coordinates), either squeezed
-    onto a rotated line (2D) or plane (3D) to a width of 10^(-k/m), which
-    puts s_min / s_max near 10^-k, k = 0..16 on both sides of RCOND, or
-    not."""
+    own arrays there (repeated and extreme coordinates).  Each row on its
+    own is either squeezed onto a rotated line (2D) or plane (3D), to a
+    width of 10^(-k/m), which puts s_min / s_max near 10^-k, k = 0..16 on
+    both sides of RCOND, or to width 0, or not; so one batch mixes rows the
+    QR certifies, rows its diagonal screen refuses and rows only an SVD
+    decides."""
     dim = draw(st.sampled_from([2, 3]))
     m = draw(st.integers(1, 4))
     n_terms = len(monomial_basis(m, dim))
     t = draw(st.integers(n_terms, default_patch_size(m, dim)))
-    B = draw(st.integers(1, 4))
+    B = draw(st.integers(1, 6))
     if draw(st.booleans()):
         nodes = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).random((B, t, dim))
     else:
         nodes = draw(hnp.arrays(float, (B, t, dim), elements=st.floats(0.0, 1.0, allow_subnormal=False)))
-    k = draw(st.none() | st.integers(0, 16))
-    if k is not None:
-        nodes[..., -1] = 0.5 + 10.0 ** (-k / m) * (nodes[..., -1] - 0.5)
-        angles = draw(st.tuples(st.floats(0.0, np.pi), st.floats(0.0, np.pi)))
-        nodes = nodes @ rotation(dim, *angles).T
+    for row in nodes:
+        k = draw(st.none() | st.integers(0, 17))
+        if k is not None:
+            width = 10.0 ** (-k / m) if k <= 16 else 0.0
+            row[:, -1] = 0.5 + width * (row[:, -1] - 0.5)
+            angles = draw(st.tuples(st.floats(0.0, np.pi), st.floats(0.0, np.pi)))
+            row[:] = row @ rotation(dim, *angles).T
     return m, nodes
 
 
@@ -73,10 +77,14 @@ def svd_reference(m, nodes):
 @settings(max_examples=200)
 @given(node_sets())
 def test_ok_is_the_svd_rank_rule(case):
+    # a row refused by the diagonal screen is inverted as an identity
+    # stand-in, which passes the norm bound; it must still fail, with a
+    # table of exact zeros
     m, nodes = case
-    _, _, _, ok = fit_local(batch_of(nodes), m)
+    coeffs, _, _, ok = fit_local(batch_of(nodes), m)
     s, _ = svd_reference(m, nodes)
     assert (ok == (s[:, -1] > RCOND * s[:, 0])).all()
+    assert (coeffs[~ok] == 0.0).all()
 
 
 @settings(max_examples=200)
@@ -110,12 +118,13 @@ def test_a_row_does_not_depend_on_its_batch(case, data):
 
 @pytest.fixture
 def svd_rows(monkeypatch):
-    """The number of matrices each np.linalg.svd call receives."""
+    """Per np.linalg.svd call, the number of matrices it receives and
+    whether it was asked for singular vectors."""
     calls, svd = [], np.linalg.svd
 
-    def counted(a, *args, **kwargs):
-        calls.append(len(a))
-        return svd(a, *args, **kwargs)
+    def counted(a, *args, compute_uv=True, **kwargs):
+        calls.append((len(a), compute_uv))
+        return svd(a, *args, compute_uv=compute_uv, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     return calls
@@ -128,15 +137,33 @@ def test_mesh_patches_skip_the_svd(svd_rows, m):
     topo = build_topology(mesh)
     batch = build_patch(mesh, topo, np.arange(mesh.num_elements), default_patch_size(m, 2))
     assert fit_local(batch, m)[3].all()
-    assert sum(svd_rows) == 0
+    assert sum(rows for rows, _ in svd_rows) == 0
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (4, 3)])
+def test_rank_deficient_mesh_patches_skip_the_singular_vectors(svd_rows, n, m):
+    # the first-fit patches of the cube that the QR cannot certify are all
+    # far below RCOND: their singular values alone refuse them
+    mesh = generate_cube_tet(n)
+    topo = build_topology(mesh)
+    batch = build_patch(mesh, topo, np.arange(mesh.num_elements), default_patch_size(m, 3))
+    coeffs, _, _, ok = fit_local(batch, m)
+    assert svd_rows == [((~ok).sum(), False), (0, True)]
+    s, _ = svd_reference(m, batch.nodes)
+    assert (ok == (s[:, -1] > RCOND * s[:, 0])).all()
+    assert 0 < (~ok).sum() and (coeffs[~ok] == 0.0).all()
 
 
 @pytest.mark.parametrize("eps, full_rank", [(1e-8, True), (0.0, False)])
 def test_near_and_exactly_collinear_rows_take_the_svd(svd_rows, eps, full_rank):
-    # s_min / s_max ~ 3e-9 clears RCOND but not the bound, and a collinear
-    # triple fails the diagonal screen; a third, well-spread row is certified
+    # s_min / s_max ~ 3e-9 clears RCOND but not the bound, so its singular
+    # values cannot decide it and it takes the full SVD; a collinear triple
+    # fails the diagonal screen and its singular values alone refuse it; a
+    # well-spread row is certified
     nodes = np.array([[[0.0, 0.0], [1.0, eps], [2.0, -eps]],
-                      [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
-    _, _, _, ok = fit_local(batch_of(nodes), 1)
-    assert ok.tolist() == [full_rank, True]
-    assert svd_rows == [1]
+                      [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                      [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]])
+    coeffs, _, _, ok = fit_local(batch_of(nodes), 1)
+    assert ok.tolist() == [full_rank, True, False]
+    assert svd_rows == [(2, False), (int(full_rank), True)]
+    assert (coeffs[~ok] == 0.0).all()
