@@ -146,7 +146,7 @@ def _volume_batches(space, rule, kinds, elements=None):
         subs = subs[np.isin(owner, _selection(elements, space.num_dofs))]
     for i in range(0, len(subs), CHUNK):
         batch = subs[i:i + CHUNK]
-        pts, wts = apply_rule(rule, *(a[batch] for a in space.geometry.sub_maps))
+        pts, wts = apply_rule(rule, *(np.take(a, batch, axis=0) for a in space.geometry.sub_maps))
         K, scale = owner[batch], space.scale[owner[batch], None]
         yield (K, pts, wts, scale, *factors(space.origin[K, None], scale, pts, space.m, kinds))
 
@@ -165,7 +165,7 @@ def _face_batches(space, rule, kinds, faces):
     for on_boundary, part in ((False, faces[~boundary]), (True, faces[boundary])):
         for i in range(0, len(part), CHUNK):
             batch = part[i:i + CHUNK]
-            pts, wts = apply_rule(rule, *(a[batch] for a in topo.maps))
+            pts, wts = apply_rule(rule, *(np.take(a, batch, axis=0) for a in topo.maps))
             n, sides = topo.normals[batch], topo.sides[batch, :1 if on_boundary else 2]
             scale = space.scale[sides]
             V, ops = factors(space.origin[sides], scale, pts, space.m, kinds, n)

@@ -192,7 +192,7 @@ def export_vtk(mesh, space, vector, path):
     # padding is dropped again
     n = mesh.num_elements
     table, lengths = mesh.elements, mesh.lengths
-    vals = space.evaluate(vector, np.arange(n), mesh.vertices[table])
+    vals = space.evaluate(vector, np.arange(n), np.take(mesh.vertices, table, axis=0))
     present = np.arange(table.shape[1]) < lengths[:, None]
     n_points = int(lengths.sum())
     # each mesh vertex formatted once; a point's line is its vertex's line

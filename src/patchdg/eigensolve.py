@@ -33,10 +33,9 @@ class EigenResult:
 
 
 def _fix_signs(vectors):
-    for j in range(vectors.shape[1]):
-        i = np.argmax(np.abs(vectors[:, j]))
-        if vectors[i, j] < 0:
-            vectors[:, j] = -vectors[:, j]
+    """Negate, in place, each column whose first largest-magnitude entry is negative."""
+    top = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    vectors *= np.where(top < 0, -1.0, 1.0)
     return vectors
 
 

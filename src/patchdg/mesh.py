@@ -97,7 +97,7 @@ class Mesh:
             nonpositive = np.zeros(n, dtype=bool)
             if ok.any():
                 cells = table[ok, :self.dim + 1]
-                nonpositive[ok] = _volumes(self.vertices[cells]) <= 0.0
+                nonpositive[ok] = _affine(self.vertices[cells])[2] <= 0.0
             checks += [(arity, BadCount, f"is not a {self.dim}-simplex"),
                        (nonpositive, DegenerateElement, "has non-positive volume")]
         failed = np.logical_or.reduce([mask for mask, _, _ in checks])
@@ -113,17 +113,15 @@ class Geometry:
     """Barycenters (N, dim), diameters (N,) and measures (N,) of every
     element, and the simplex tiling of all of them: ``sub_simplices``
     (S, dim+1, dim) with owning elements ``sub_owner`` (S,), ascending,
-    and their affine maps ``sub_maps`` (see :func:`simplex_maps`)."""
+    and their affine maps ``sub_maps`` (see :func:`simplex_maps`), from
+    the determinants that the measure checks used."""
 
     barycenters: np.ndarray
     diameters: np.ndarray
     measures: np.ndarray
     sub_simplices: np.ndarray
     sub_owner: np.ndarray
-    sub_maps: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.sub_maps = simplex_maps(self.sub_simplices)
+    sub_maps: tuple = field(repr=False)
 
     @property
     def h(self):
@@ -189,19 +187,26 @@ def unique_rows(rows):
     return ordered[starts], order[starts], inverse, np.diff(np.r_[starts, len(rows)])
 
 
-def _volumes(coords):
-    """Signed measures of a batch of simplices, (B, dim+1, dim) vertices."""
-    d = coords.shape[-1]
-    return np.linalg.det(coords[:, 1:] - coords[:, :1]) / math.factorial(d)
-
-
 def diameters(coords):
     """Largest vertex-to-vertex distance of each of a batch of point sets
-    (B, k, dim); repeated points do not change it."""
-    sq = 0.0
-    for x in np.moveaxis(coords, -1, 0):  # squares added in axis order, as .sum(-1) would
-        sq = sq + (x[:, :, None] - x[:, None, :]) ** 2
-    return np.sqrt(sq.max(axis=(1, 2)))
+    (B, k, dim); repeated points do not change it.  The batch is the last
+    axis of the work: vertex i against every later one, the squares added
+    in axis order."""
+    coords = np.moveaxis(coords, 0, 1)  # (k, B, dim)
+    sq = np.zeros(coords.shape[1])
+    for i in range(len(coords) - 1):
+        d = coords[i + 1:] - coords[i]
+        np.maximum(sq, sum(x ** 2 for x in np.moveaxis(d, -1, 0)).max(axis=0), out=sq)
+    return np.sqrt(sq)
+
+
+def _affine(simplices):
+    """Origins (..., d), edge matrices (..., d, d) (rows are the edge
+    vectors from the origin) and signed determinants (...) of a batch of
+    simplices (..., d+1, d).  The origins are a contiguous copy: ``np.take``
+    of a strided view copies the whole array on every call."""
+    edges = simplices[..., 1:, :] - simplices[..., :1, :]
+    return simplices[..., 0, :].copy(), edges, np.linalg.det(edges)
 
 
 def simplex_maps(simplices):
@@ -211,12 +216,12 @@ def simplex_maps(simplices):
     ``DegenerateSimplex`` for a (numerically) zero volume."""
     simplices = np.asarray(simplices, dtype=float)
     d = simplices.shape[-1]
-    edges = simplices[..., 1:, :] - simplices[..., :1, :]  # rows are edge vectors
-    det = np.abs(np.linalg.det(edges))
+    origin, edges, det = _affine(simplices)
+    det = np.abs(det)
     diam = diameters(simplices.reshape(-1, d + 1, d)).reshape(det.shape)
     if np.any(det <= 1e-14 * diam ** d):
         raise DegenerateSimplex("simplex has (numerically) zero volume")
-    return simplices[..., 0, :], edges, det
+    return origin, edges, det
 
 
 def face_maps(faces):
@@ -247,7 +252,7 @@ def _orient(cells, vertices):
     """Simplex vertex-id rows, the last two ids swapped in every row whose
     signed volume is negative."""
     cells = np.array(cells, dtype=int)
-    flip = _volumes(vertices[cells]) < 0.0
+    flip = _affine(vertices[cells])[2] < 0.0
     cells[flip, -2:] = cells[flip, :-3:-1]
     return cells
 
@@ -553,19 +558,19 @@ def _geometry(mesh, elements):
     coords = mesh.vertices[mesh.elements[elements]]
     h = diameters(coords)
     if mesh.element_kind == "simplex":
-        vol = _volumes(coords)
+        origin, edges, det = _affine(coords)
+        vol = det / math.factorial(mesh.dim)
         degenerate = vol <= 1e-14 * h ** mesh.dim
         if degenerate.any():
             i = int(np.argmax(degenerate))
             raise DegenerateElement(f"element {elements[i]} has measure {vol[i]:g}")
-        return Geometry(coords.mean(axis=1), h, vol, coords, elements)
+        return Geometry(coords.mean(axis=1), h, vol, coords, elements, (origin, edges, np.abs(det)))
 
     # polygons, one batch per vertex count
     area = np.empty(len(elements))
     centroid = np.empty((len(elements), 2))
     fans = np.empty((int(lengths.sum()), 3, 2))
     starts = np.cumsum(lengths) - lengths
-    not_star = np.zeros(len(elements), dtype=bool)
     for k in np.unique(lengths):
         rows = np.nonzero(lengths == k)[0]
         xy = coords[rows, :k]
@@ -583,9 +588,11 @@ def _geometry(mesh, elements):
         fan[:, :, 1] = xy
         fan[:, :, 2] = np.roll(xy, -1, axis=1)
         fans[starts[rows, None] + np.arange(k)] = fan
-        with np.errstate(invalid="ignore"):
-            vol = _volumes(fan.reshape(-1, 3, 2)).reshape(len(rows), k)
-        not_star[rows] = (vol <= 1e-14 * h[rows, None] ** 2).any(axis=1)
+    owner = np.repeat(np.arange(len(elements)), lengths)
+    with np.errstate(invalid="ignore"):  # the fans of a degenerate polygon raise below
+        origin, edges, det = _affine(fans)
+    not_star = np.zeros(len(elements), dtype=bool)
+    not_star[owner[det / 2.0 <= 1e-14 * h[owner] ** 2]] = True
     degenerate = area <= 1e-14 * h ** 2
     failed = degenerate | not_star
     if failed.any():
@@ -595,7 +602,7 @@ def _geometry(mesh, elements):
         if degenerate[i]:
             raise DegenerateElement(f"polygon {elements[i]} has area {area[i]:g}")
         raise NotStarShaped(f"polygon {elements[i]} is not star-shaped about its centroid")
-    return Geometry(centroid, h, area, fans, np.repeat(elements, lengths))
+    return Geometry(centroid, h, area, fans, elements[owner], (origin, edges, np.abs(det)))
 
 
 def all_geometries(mesh):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PatchExhausted, RankDeficient
-from .mesh import _geometry, rowdot
+from .mesh import _geometry, diameters, rowdot
 from .quadrature import element_rule
 
 
@@ -73,7 +73,7 @@ def default_patch_size(m, dim):
 
 def _distances(barycenters, ids, centers):
     """(B, k) distances from each center's node to its candidates ``ids``."""
-    d = barycenters[ids] - barycenters[centers][:, None, :]
+    d = np.take(barycenters, ids, axis=0) - np.take(barycenters, centers, axis=0)[:, None, :]
     return np.sqrt(rowdot(d, d))
 
 
@@ -88,14 +88,8 @@ def patch_diameters(mesh, members):
     vids.sort(axis=1)
     vids = vids[:, :int((vids < last).sum(axis=1).max(initial=0))]
     vids = np.where(vids == last, vids[:, :1], vids)
-    # batch last: vertex i against every later one, squares added in axis
-    # order as :func:`diameters` adds them, so the floats are its floats
-    coords = np.take(mesh.vertices, vids.T, axis=0)
-    sq = np.zeros(len(members))
-    for i in range(len(coords) - 1):
-        d = coords[i + 1:] - coords[i]
-        np.maximum(sq, sum(x ** 2 for x in np.moveaxis(d, -1, 0)).max(axis=0), out=sq)
-    return np.sqrt(sq)
+    # gathered batch last, the layout :func:`diameters` works in
+    return diameters(np.take(mesh.vertices, vids.T, axis=0).swapaxes(0, 1))
 
 
 def build_patch(mesh, topology, K, t):
@@ -159,7 +153,7 @@ def grow_patch(mesh, topology, patches):
     patch with no neighbor left gains one -1 slot."""
     barycenters, members = topology.geometry.barycenters, patches.members
     # each row's neighbor ids, sorted, with -1, repeats and members masked out
-    ring = np.sort(topology.adjacency[members].reshape(len(members), -1), axis=1)
+    ring = np.sort(np.take(topology.adjacency, members, axis=0).reshape(len(members), -1), axis=1)
     offset = np.arange(len(members))[:, None] * mesh.num_elements
     new = (ring >= 0) & ~np.isin(ring + offset, members + offset)
     new[:, 1:] &= ring[:, 1:] != ring[:, :-1]
@@ -170,7 +164,7 @@ def grow_patch(mesh, topology, patches):
     for size in np.unique(count):
         rows = count == size
         grown = np.concatenate([members[rows], ring[rows, :size]], axis=1)
-        groups.append(Patches(patches.centers[rows], grown, barycenters[grown],
+        groups.append(Patches(patches.centers[rows], grown, np.take(barycenters, grown, axis=0),
                               patch_diameters(mesh, grown)))
     return groups
 

@@ -245,21 +245,11 @@ class ReconstructedSpace:
     def num_dofs(self):
         return self.mesh.num_elements
 
-    def coefficients(self, X, elements=None):
+    def coefficients(self, X):
         """(N, fields, n_terms) coefficients of R x in each element's monomial
-        frame, for every column x of X (N, fields); given ``elements``, the
-        rows of those elements alone, (len(elements), fields, n_terms), as
-        the product of their block rows of R."""
-        R = self.R
-        if elements is not None:
-            elements = np.asarray(elements, dtype=int)
-            start, size = R.indptr[elements], np.diff(R.indptr)[elements]
-            indptr = np.r_[0, np.cumsum(size)]
-            at = np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], size)
-            R = sp.bsr_matrix((R.data[at], R.indices[at], indptr),
-                              shape=(len(elements) * self.n_terms, R.shape[1]))
-        C = R @ np.asarray(X, dtype=float)
-        return C.reshape(R.shape[0] // self.n_terms, self.n_terms, -1).transpose(0, 2, 1)
+        frame, for every column x of X (N, fields)."""
+        C = self.R @ np.asarray(X, dtype=float)
+        return C.reshape(self.num_dofs, self.n_terms, -1).transpose(0, 2, 1)
 
     def evaluate(self, vector, K, points, deriv=0):
         """Evaluate the reconstructed field with DOF samples ``vector`` on
@@ -277,7 +267,7 @@ class ReconstructedSpace:
         points = np.asarray(points, dtype=float)
         if single:
             points = points[None]
-        C = self.coefficients(vector, elements)
+        C = self.coefficients(vector)[elements]
         scale = self.scale[elements, None]
         V, _ = factors(self.origin[elements, None], scale, points, self.m, ())
         O, power = _table_operators(self.m, self.mesh.dim)[kind]

@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from patchdg.errors import (
     BadCount,
@@ -24,10 +27,12 @@ from patchdg.mesh import (
     _facet_rows,
     all_geometries,
     build_topology,
+    diameters,
     generate_cube_tet,
     generate_square_tri,
     parse_msh,
     parse_poly,
+    simplex_maps,
     unique_rows,
     write_msh,
     write_poly,
@@ -585,6 +590,69 @@ class TestElementGeometry:
         mesh = Mesh(2, np.array([[0.0, 0], [1, 0], [2, 0]]), [(0, 1, 2)])
         with pytest.raises(DegenerateElement):
             all_geometries(mesh)
+
+    @pytest.mark.parametrize("vertices", [
+        [[0.0, 0], [1, 0], [0.5, 1e-16]],
+        [[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.3, 1e-16]],
+        [[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.3, 0]],
+    ], ids=["thin-triangle", "thin-tetrahedron", "flat-tetrahedron"])
+    def test_flat_simplex_is_a_degenerate_element(self, vertices):
+        # the measure check that rejects it comes before any map is stored,
+        # so a sub-simplex never raises DegenerateSimplex
+        mesh = Mesh(len(vertices) - 1, np.array(vertices), [tuple(range(len(vertices)))])
+        with pytest.raises(MeshError) as info:
+            all_geometries(mesh)
+        assert type(info.value) is DegenerateElement
+
+    @pytest.mark.parametrize("loops", [
+        # a triangle and a convex quad before a dart: loops of two widths
+        [[(0, 0), (1, 0), (0, 1)], [(2, 0), (3, 0), (3, 1), (2, 1)],
+         [(5, 0), (9, 0), (9, 4), (8.9, 0.1)]],
+        [[(0, 0), (1, 0), (0, 1)], [(4, 0), (6, -3), (8, 0), (8, 4), (7.9, 0.1), (4, 4)]],
+    ], ids=["mixed-widths", "concave-hexagon"])
+    def test_non_star_polygon_is_not_star_shaped(self, loops):
+        verts = np.array([xy for loop in loops for xy in loop], dtype=float)
+        ends = np.cumsum([len(loop) for loop in loops])
+        mesh = Mesh(2, verts, [range(e - len(loop), e) for e, loop in zip(ends, loops)],
+                    element_kind="polygon")
+        with pytest.raises(MeshError) as info:
+            all_geometries(mesh)
+        assert type(info.value) is NotStarShaped
+        assert str(info.value) == f"polygon {len(loops) - 1} is not star-shaped about its centroid"
+
+    @pytest.mark.parametrize("mesh", [
+        generate_square_tri(4), generate_cube_tet(2), parse_poly(POLY_FIXTURE),
+        parse_poly(MIXED_POLY)], ids=["square:4", "cube:2", "polygons", "mixed-polygons"])
+    def test_sub_maps_are_the_simplex_maps(self, mesh):
+        # the maps kept from the measure checks' determinants are the bits
+        # that mapping the stored sub-simplices afresh gives
+        geom = all_geometries(mesh)
+        for kept, fresh in zip(geom.sub_maps, simplex_maps(geom.sub_simplices), strict=True):
+            assert kept.shape == fresh.shape
+            assert kept.tobytes() == fresh.tobytes()
+
+
+@st.composite
+def point_sets(draw):
+    """(B, k, dim) point sets drawn from a few distinct points per row, so
+    rows repeat points, as a padded vertex table does; k = 1 included."""
+    B, k, distinct = draw(st.integers(1, 5)), draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 3))
+    coords = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+    base = draw(hnp.arrays(float, (B, distinct, dim), elements=coords))
+    picks = draw(hnp.arrays(int, (B, k), elements=st.integers(0, distinct - 1)))
+    return np.take_along_axis(base, picks[..., None], axis=1)
+
+
+@settings(max_examples=300)
+@given(point_sets())
+def test_diameters_are_the_all_pairs_maximum(points):
+    # every ordered pair, the squares added in axis order, as Python floats
+    reference = []
+    for row in points.tolist():
+        sq = [sum((a - b) ** 2 for a, b in zip(p, q)) for p in row for q in row]
+        reference.append(math.sqrt(max(sq)))
+    assert diameters(points).tobytes() == np.array(reference).tobytes()
 
 
 def test_domain_measures():

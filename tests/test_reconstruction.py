@@ -191,26 +191,25 @@ class TestKernelBits:
 
     @pytest.mark.parametrize("mesh_spec, m", [("cube:2", 2), ("cube:4", 3)])
     def test_element_rows_are_rows_of_r_x(self, mesh_spec, m):
-        # the requested block rows of R, unsorted and repeated, multiply to
-        # the same bits as the rows of the whole product; so does a
-        # single-element evaluation against the batched one
+        # an evaluation on some elements, unsorted and repeated, gives the
+        # same bits as their rows of the evaluation on every element; so
+        # does a single-element evaluation against the batched one
         space = mesh_space(mesh_spec, m)
         sizes = np.diff(space.R.indptr)
         if mesh_spec == "cube:2":
             assert len(np.unique(sizes)) == 2
         n = space.num_dofs
         rng = np.random.default_rng(m)
-        X = rng.standard_normal((n, 3))
+        x = rng.standard_normal(n)
         elements = np.r_[rng.permutation(n)[:40], 7, 0, 7, n - 1]
-        assert np.array_equal(space.coefficients(X, elements), space.coefficients(X)[elements])
-        assert np.array_equal(space.coefficients(X[:, 0], elements),
-                              space.coefficients(X[:, 0])[elements])
-        points = rng.standard_normal((len(elements), 5, 3)) * space.scale[elements, None, None]
-        points += space.origin[elements, None]
+        everywhere = rng.standard_normal((n, 5, 3)) * space.scale[:, None, None]
+        everywhere += space.origin[:, None]
+        points = everywhere[elements]
         for deriv in (0, 1, 2):
-            batched = space.evaluate(X[:, 0], elements, points, deriv)
+            batched = space.evaluate(x, elements, points, deriv)
+            assert np.array_equal(batched, space.evaluate(x, np.arange(n), everywhere, deriv)[elements])
             for i, K in enumerate(elements):
-                assert np.array_equal(space.evaluate(X[:, 0], int(K), points[i], deriv),
+                assert np.array_equal(space.evaluate(x, int(K), points[i], deriv),
                                       batched[i]), (K, deriv)
 
 
