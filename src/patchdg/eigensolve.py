@@ -3,9 +3,9 @@
 Two routes: a dense full-spectrum path (Cholesky reduction to a standard
 symmetric problem, used by the reliable-count experiment which consumes
 large spectrum fractions) and a Lanczos path for the k smallest pairs (A
-factored once as P^T A P = U^T U by a band Cholesky, ARPACK's Lanczos
+factored once as P^T A P = L L^T by a band Cholesky, ARPACK's Lanczos
 with full reorthogonalization on the standard symmetric operator
-U^-T P^T M P U^-1, whose largest eigenvalues are the reciprocals of the
+L^-1 P^T M P L^-T, whose largest eigenvalues are the reciprocals of the
 smallest lambda).  :func:`dense_path` is the one rule that picks between
 them; :func:`solve_smallest` follows it, and callers that know the pencil's
 size ask it before they build the pencil.  The same SPD factor gates both
@@ -75,7 +75,7 @@ def solve_dense(A, M):
 
 
 class _BandCholesky:
-    """P^T A P = U^T U with U upper triangular in LAPACK band storage.
+    """P^T A P = L L^T with L lower triangular in LAPACK's lower band storage.
 
     ``perm[i]`` is the input DOF at position i of the band ordering P.
     """
@@ -86,23 +86,23 @@ class _BandCholesky:
         self.tbsv = la.get_blas_funcs("tbsv", (factor,))
 
     def solve(self, b):
-        """A^-1 b = P U^-1 U^-T P^T b."""
-        return self.back(self.tbsv(self.factor.shape[0] - 1, self.factor, b[self.perm], trans=1))
+        """A^-1 b = P L^-T L^-1 P^T b."""
+        return self.back(self.tbsv(self.factor.shape[0] - 1, self.factor, b[self.perm], lower=1))
 
     def congruence(self, M):
-        """The symmetric operator U^-T P^T M P U^-1, applied in place of A^-1 M."""
+        """The symmetric operator L^-1 P^T M P L^-T, applied in place of A^-1 M."""
         u = self.factor.shape[0] - 1
         x = np.empty(self.factor.shape[1])
 
         def matvec(y):
-            x[self.perm] = self.tbsv(u, self.factor, y.ravel())
-            return self.tbsv(u, self.factor, (M @ x)[self.perm], trans=1, overwrite_x=1)
+            x[self.perm] = self.tbsv(u, self.factor, y.ravel(), lower=1, trans=1)
+            return self.tbsv(u, self.factor, (M @ x)[self.perm], lower=1, overwrite_x=1)
 
         return spla.LinearOperator(M.shape, matvec=matvec, dtype=float)
 
     def back(self, Y):
-        """P U^-1 Y, the eigenvectors of (A, M) from those of the congruence."""
-        Z, _ = self.tbtrs(self.factor, Y)
+        """P L^-T Y, the eigenvectors of (A, M) from those of the congruence."""
+        Z, _ = self.tbtrs(self.factor, Y, uplo="L", trans="T")
         out = np.empty_like(Z)
         out[self.perm] = Z
         return out
@@ -113,13 +113,14 @@ def _factor_spd(A):
 
     The DOFs are elements and the stencil is a patch, so the symmetric CSR
     matrix A is a band in a good element numbering, which LAPACK's blocked
-    band Cholesky (pbtrf) factors.  Reverse Cuthill-McKee finds such a
-    numbering for any mesh; the input numbering is kept when its measured
-    half-bandwidth is strictly smaller (the generated squares, whose
-    row-by-row numbering beats RCM), and RCM is used otherwise (the cubes).
-    The factor exists only for an SPD matrix: an indefinite or singular
-    stiffness raises PenaltyTooSmall, on both eigensolver paths.  Any
-    sparse format is taken (RCM needs CSR).
+    band Cholesky (pbtrf) factors from its lower band, the faster of its two
+    storage forms.  Reverse Cuthill-McKee finds such a numbering for any
+    mesh; the input numbering is kept when its measured half-bandwidth is
+    strictly smaller (the generated squares, whose row-by-row numbering
+    beats RCM), and RCM is used otherwise (the cubes).  The factor exists
+    only for an SPD matrix: an indefinite or singular stiffness raises
+    PenaltyTooSmall, on both eigensolver paths.  Any sparse format is taken
+    (RCM needs CSR).
     """
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -132,13 +133,13 @@ def _factor_spd(A):
     i, j = where[C.row], where[C.col]
     if np.max(np.abs(C.row - C.col), initial=0) < np.max(np.abs(i - j), initial=0):
         perm, i, j = np.arange(n), C.row, C.col
-    upper = i <= j
-    i, j = i[upper], j[upper]
-    u = int(np.max(j - i, initial=0))
+    lower = i >= j
+    i, j = i[lower], j[lower]
+    u = int(np.max(i - j, initial=0))
     band = np.zeros((u + 1, n), order="F")
-    band[u + i - j, j] = C.data[upper]
+    band[i - j, j] = C.data[lower]
     pbtrf = la.get_lapack_funcs("pbtrf", (band,))
-    factor, info = pbtrf(band, overwrite_ab=True)
+    factor, info = pbtrf(band, lower=1, overwrite_ab=True)
     if info > 0:
         raise PenaltyTooSmall(
             f"stiffness is not positive definite (leading minor {info} of the band "
@@ -152,14 +153,14 @@ def solve_smallest(A, M, k, tol=1e-9):
 
     Small pencils (n <= 32) and requests for more than a quarter of the
     spectrum take the dense path instead (:func:`dense_path`).  Otherwise
-    A is factored once by :func:`_factor_spd` as P^T A P = U^T U, which
+    A is factored once by :func:`_factor_spd` as P^T A P = L L^T, which
     refuses an indefinite or singular stiffness.  The k largest
-    eigenvalues mu of the standard symmetric operator U^-T P^T M P U^-1
+    eigenvalues mu of the standard symmetric operator L^-1 P^T M P L^-T
     are the reciprocals of the k smallest lambda (Ericsson and Ruhe's
     spectral transformation at zero), so each Lanczos step is a triangular
     band sweep, a product with M and a transposed sweep, with plain
-    Euclidean inner products.  A unit
-    eigenvector y gives x = P U^-1 y sqrt(lambda), of unit M-norm.
+    Euclidean inner products.  A unit eigenvector y gives
+    x = P L^-T y sqrt(lambda), of unit M-norm.
     The Lanczos start vector is seeded, so reruns give identical results.
 
     Lanczos sees M only through those k mu (the operator has M's inertia):
@@ -193,7 +194,7 @@ def solve_smallest(A, M, k, tol=1e-9):
         raise NoConvergence(f"Lanczos did not converge: {exc}") from None
 
     if mu.min() <= 0.0:
-        # U^-T P^T M P U^-1 has the inertia of M
+        # L^-1 P^T M P L^-T has the inertia of M
         raise MassNotSPD("mass matrix is not positive definite")
     order = np.argsort(-mu)
     values = 1.0 / mu[order]

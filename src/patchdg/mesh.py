@@ -523,11 +523,12 @@ def build_topology(mesh):
 
     geometry = all_geometries(mesh)
     coords = mesh.vertices[faces]
-    if mesh.dim == 2:
-        t = coords[:, 1] - coords[:, 0]
-        n = np.stack([t[:, 1], -t[:, 0]], axis=1)
+    maps = face_maps(coords)
+    edges = maps[1]
+    if mesh.dim == 2:  # the first edge turned clockwise, or the two edges' cross product
+        n = np.stack([edges[:, 0, 1], -edges[:, 0, 0]], axis=1)
     else:
-        n = np.cross(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
+        n = np.cross(edges[:, 0], edges[:, 1])
     n = n / np.sqrt(rowdot(n, n))[:, None]
     center = coords.mean(axis=1)
     inward = rowdot(n, center - geometry.barycenters[kp]) < 0.0
@@ -541,8 +542,7 @@ def build_topology(mesh):
     degree = np.bincount(a, minlength=mesh.num_elements)
     adjacency = np.full((mesh.num_elements, int(degree.max(initial=0))), -1)
     adjacency[a, np.arange(len(a)) - (np.cumsum(degree) - degree)[a]] = b
-    return FaceTopology(faces, sides, n, diameters(coords), boundary, adjacency, geometry,
-                        face_maps(coords))
+    return FaceTopology(faces, sides, n, diameters(coords), boundary, adjacency, geometry, maps)
 
 
 def _geometry(mesh, elements):
@@ -566,33 +566,20 @@ def _geometry(mesh, elements):
             raise DegenerateElement(f"element {elements[i]} has measure {vol[i]:g}")
         return Geometry(coords.mean(axis=1), h, vol, coords, elements, (origin, edges, np.abs(det)))
 
-    # polygons, one batch per vertex count
-    area = np.empty(len(elements))
-    centroid = np.empty((len(elements), 2))
-    fans = np.empty((int(lengths.sum()), 3, 2))
-    starts = np.cumsum(lengths) - lengths
-    for k in np.unique(lengths):
-        rows = np.nonzero(lengths == k)[0]
-        xy = coords[rows, :k]
-        x, y = xy[..., 0], xy[..., 1]
-        xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
-        area[rows] = 0.5 * (rowdot(x, yn) - rowdot(xn, y))
-        cross = x * yn - xn * y
-        six_a = 6.0 * (0.5 * cross.sum(axis=1))
-        with np.errstate(divide="ignore", invalid="ignore"):  # degenerate rows raise below
-            c = np.stack([((x + xn) * cross).sum(axis=1) / six_a,
-                          ((y + yn) * cross).sum(axis=1) / six_a], axis=1)
-        centroid[rows] = c
-        fan = np.empty((len(rows), k, 3, 2))
-        fan[:, :, 0] = c[:, None]
-        fan[:, :, 1] = xy
-        fan[:, :, 2] = np.roll(xy, -1, axis=1)
-        fans[starts[rows, None] + np.arange(k)] = fan
+    # polygons: one shoelace pass about each loop's first vertex, which the padding
+    # repeats, so rolling the table closes every loop and padded edges add exact zeros
+    ahead = np.roll(coords, -1, axis=1)
+    r, rn = coords - coords[:, :1], ahead - coords[:, :1]
+    cross = r[..., 0] * rn[..., 1] - rn[..., 0] * r[..., 1]
+    area = 0.5 * cross.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate rows raise below
+        centroid = coords[:, 0] + ((r + rn) * cross[..., None]).sum(axis=1) / (6.0 * area[:, None])
+    fans = np.stack(np.broadcast_arrays(centroid[:, None], coords, ahead), axis=2)
+    fans = fans[np.arange(coords.shape[1]) < lengths[:, None]]  # (S, 3, 2), element by element
     owner = np.repeat(np.arange(len(elements)), lengths)
     with np.errstate(invalid="ignore"):  # the fans of a degenerate polygon raise below
         origin, edges, det = _affine(fans)
-    not_star = np.zeros(len(elements), dtype=bool)
-    not_star[owner[det / 2.0 <= 1e-14 * h[owner] ** 2]] = True
+    not_star = np.bincount(owner, det / 2.0 <= 1e-14 * h[owner] ** 2, len(elements)) > 0
     degenerate = area <= 1e-14 * h ** 2
     failed = degenerate | not_star
     if failed.any():

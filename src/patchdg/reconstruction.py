@@ -155,6 +155,18 @@ def contract(V, O, power, scale, Ct=None):
     return T / int_power(scale, power)[..., None, None] if power else T
 
 
+def _upper_inverse(R):
+    """The inverses of a batch (B, n, n) of upper triangular R by back substitution,
+    batch last: row i of R^-1 is (e_i - sum_{j > i} R_ij row j) / R_ii, last row first."""
+    T = np.ascontiguousarray(np.moveaxis(R, 0, -1))  # (n, n, B)
+    X = np.zeros_like(T)
+    for i in reversed(range(len(T))):
+        X[i, i] = 1.0
+        X[i, i:] -= (T[i, i + 1:, None] * X[i + 1:, i:]).sum(axis=0)
+        X[i, i:] /= T[i, i]
+    return np.moveaxis(X, -1, 0)
+
+
 def fit_local(patches, m):
     """Solve the sampling-node least-squares fits of degree m on a
     :class:`Patches` batch, with one stacked QR.
@@ -169,15 +181,15 @@ def fit_local(patches, m):
     With A = QR, the table is the transposed pseudo-inverse Q R^-T.  Since
     ``|R|_F = |A|_F >= s_max`` and ``|R^-1|_F = |A^+|_F >= 1 / s_min``, a row
     with ``|R|_F |R^-1|_F < 1 / (CERTIFY_MARGIN RCOND)`` is certainly of
-    full rank.  A row with ``min |R_ii| <= CERTIFY_MARGIN RCOND |R|_F``
-    (``min |R_ii| >= s_min``, so the bound cannot clear it) is screened out
-    first and its R replaced by the identity, so the whole batch goes
-    through one inverse and one product Q R^-T; every row outside ``ok``
-    is then zeroed.  The rows the bound did not clear are decided by an
-    SVD of their own, so ``ok`` is the SVD's rank rule row for row: those
-    whose values-only ``s_min <= RCOND s_max / SVD_MARGIN`` are refused
-    from their singular values alone, and the others take the full SVD,
-    which decides them and gives their pseudo-inverse.
+    full rank.  The whole batch goes through one triangular inverse
+    (:func:`_upper_inverse`) and one product Q R^-T: a zero pivot gives
+    infinities or NaNs, not an error, and fails the bound; every row
+    outside ``ok`` has its R^-1 zeroed before the product.  The rows the
+    bound did not clear are decided by an SVD of their own, so ``ok`` is
+    the SVD's rank rule row for row: those whose values-only ``s_min <=
+    RCOND s_max / SVD_MARGIN`` are refused from their singular values
+    alone, and the others take the full SVD, which decides them and gives
+    their pseudo-inverse.
     """
     nodes = patches.nodes
     basis = monomial_basis(m, nodes.shape[2])
@@ -188,12 +200,11 @@ def fit_local(patches, m):
     A = vandermonde(basis, (nodes - origin[:, None]) / scale[:, None, None])
     Q, R = np.linalg.qr(A)
     floor = CERTIFY_MARGIN * RCOND * np.linalg.norm(R, axis=(1, 2))
-    screened = np.abs(np.diagonal(R, axis1=1, axis2=2)).min(axis=1) > floor
-    R[~screened] = np.eye(len(basis))
-    Rinv = np.linalg.inv(R)
-    ok = screened & (np.linalg.norm(Rinv, axis=(1, 2)) * floor < 1.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # zero pivots give inf, NaN
+        Rinv = _upper_inverse(R)
+        ok = np.linalg.norm(Rinv, axis=(1, 2)) * floor < 1.0
+    Rinv[~ok] = 0.0
     coeffs = Q @ Rinv.transpose(0, 2, 1)
-    coeffs[~ok] = 0.0
     # the rest: rows far below the rank rule are refused from their singular
     # values alone; the others are decided and solved by a full SVD
     rest = np.nonzero(~ok)[0]

@@ -174,6 +174,22 @@ class TestFactor:
         assert x.shape == b.shape
         assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
 
+    @pytest.mark.parametrize("spec", ["square:4", "cube:2"])
+    def test_factor_is_lower_band(self, spec):
+        # the factor is L of P^T A P = L L^T, row d of the band holding L's
+        # d-th subdiagonal
+        kind, n = spec.split(":")
+        mesh = (generate_square_tri if kind == "square" else generate_cube_tet)(int(n))
+        A = assemble_laplace(build_space(mesh, build_topology(mesh), 2),
+                             FormConfig(problem="laplace", m=2)).toarray()
+        chol = _factor_spd(sp.csr_matrix(A))
+        band, N = chol.factor.shape
+        L = np.zeros((N, N))
+        for d in range(band):
+            L[np.arange(d, N), np.arange(N - d)] = chol.factor[d, :N - d]
+        PAP = A[np.ix_(chol.perm, chol.perm)]
+        assert np.max(np.abs(L @ L.T - PAP)) <= 1e-13 * np.max(np.abs(PAP))
+
     @pytest.mark.parametrize("shuffle", [False, True], ids=["generated", "permuted"])
     def test_narrower_ordering(self, shuffle):
         mesh = generate_square_tri(16)
@@ -206,7 +222,7 @@ class TestFactor:
         chol = _factor_spd(assemble_laplace(space, FormConfig(problem="laplace", m=2)))
         b = np.random.default_rng(5).standard_normal(space.num_dofs)
         pbtrs = la.get_lapack_funcs("pbtrs", (chol.factor,))
-        x, info = pbtrs(chol.factor, b[chol.perm])
+        x, info = pbtrs(chol.factor, b[chol.perm], lower=1)
         assert info == 0
         ref = np.empty_like(x)
         ref[chol.perm] = x

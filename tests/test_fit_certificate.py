@@ -4,6 +4,8 @@ SVD's own rank rule and pseudo-inverse, on random node sets and on nodes
 near a line or plane.  A RuntimeWarning anywhere in a fit is an error under
 the suite's warning filters."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from patchdg.mesh import build_topology, diameters, generate_cube_tet, generate_square_tri
 from patchdg.patch import Patches, build_patch, default_patch_size
-from patchdg.reconstruction import RCOND, fit_local, monomial_basis, vandermonde
+from patchdg.reconstruction import RCOND, _upper_inverse, fit_local, monomial_basis, vandermonde
 
 EPS = np.finfo(float).eps
 
@@ -35,8 +37,8 @@ def node_sets(draw):
     own is either squeezed onto a rotated line (2D) or plane (3D), to a
     width of 10^(-k/m), which puts s_min / s_max near 10^-k, k = 0..16 on
     both sides of RCOND, or to width 0, or not; so one batch mixes rows the
-    QR certifies, rows its diagonal screen refuses and rows only an SVD
-    decides."""
+    QR certifies, rows whose triangular factor has a zero pivot and rows
+    only an SVD decides."""
     dim = draw(st.sampled_from([2, 3]))
     m = draw(st.integers(1, 4))
     n_terms = len(monomial_basis(m, dim))
@@ -77,9 +79,9 @@ def svd_reference(m, nodes):
 @settings(max_examples=200)
 @given(node_sets())
 def test_ok_is_the_svd_rank_rule(case):
-    # a row refused by the diagonal screen is inverted as an identity
-    # stand-in, which passes the norm bound; it must still fail, with a
-    # table of exact zeros
+    # a row whose triangular factor has a zero pivot inverts to infinities
+    # or NaNs, which fail the norm bound; it must still fail, with a table
+    # of exact zeros
     m, nodes = case
     coeffs, _, _, ok = fit_local(batch_of(nodes), m)
     s, _ = svd_reference(m, nodes)
@@ -167,3 +169,27 @@ def test_near_and_exactly_collinear_rows_take_the_svd(svd_rows, eps, full_rank):
     assert ok.tolist() == [full_rank, True, False]
     assert svd_rows == [(2, False), (int(full_rank), True)]
     assert (coeffs[~ok] == 0.0).all()
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_upper_inverse_is_the_inverse(n):
+    # well-conditioned triangles: pivots of magnitude 1 to 2, small off-diagonal
+    rng = np.random.default_rng(n)
+    R = np.triu(rng.standard_normal((50, n, n)) / n, 1)
+    R[:, np.arange(n), np.arange(n)] = rng.uniform(1.0, 2.0, (50, n)) * rng.choice([-1.0, 1.0], (50, n))
+    want = np.linalg.inv(R)
+    got = _upper_inverse(R)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_zero_pivot_row_fails_quietly():
+    # a row of coincident nodes: every column of its Vandermonde but the first
+    # is zero, so its triangular factor has exact zero pivots
+    nodes = np.random.default_rng(2).random((3, 8, 2))
+    nodes[1] = 0.25
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coeffs, _, _, ok = fit_local(batch_of(nodes), 2)
+    assert ok.tolist() == [True, False, True]
+    assert (coeffs[1] == 0.0).all()

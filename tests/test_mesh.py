@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -630,6 +631,62 @@ class TestElementGeometry:
         for kept, fresh in zip(geom.sub_maps, simplex_maps(geom.sub_simplices), strict=True):
             assert kept.shape == fresh.shape
             assert kept.tobytes() == fresh.tobytes()
+
+    def test_polygons_match_the_exact_shoelace(self):
+        # 600 star polygons of 3 to 12 vertices (the padded width crosses 8),
+        # centred up to 100 from the origin, against the shoelace formulas in
+        # exact rational arithmetic on the same floats
+        rng = np.random.default_rng(11)
+        loops = []
+        for k in rng.integers(3, 13, size=600):
+            angles = 2 * np.pi * (np.arange(k) + rng.uniform(0.1, 0.9, k)) / k
+            radii = rng.uniform(0.5, 1.0, k)
+            loops.append(rng.uniform(-100, 100, 2) + radii[:, None] * np.column_stack(
+                [np.cos(angles), np.sin(angles)]))
+        geom = all_geometries(loops_mesh(loops))
+        for K, loop in enumerate(loops):
+            xy = [tuple(map(Fraction, p)) for p in loop.tolist()]
+            ends = list(zip(xy, xy[1:] + xy[:1]))
+            cross = [a[0] * b[1] - b[0] * a[1] for a, b in ends]
+            area = sum(cross) / 2
+            centroid = [sum((a[d] + b[d]) * c for (a, b), c in zip(ends, cross)) / (6 * area)
+                        for d in range(2)]
+            assert abs(Fraction(geom.measures[K]) - area) <= 1e-14 * area, K
+            error = max(abs(Fraction(c) - e) for c, e in zip(geom.barycenters[K].tolist(), centroid))
+            assert error <= 1e-13 * geom.diameters[K], K
+
+    @pytest.mark.parametrize("text", [POLY_FIXTURE, MIXED_POLY], ids=["polygons", "mixed-polygons"])
+    def test_translated_polygons(self, text):
+        mesh = parse_poly(text)
+        shift = np.array([100.0, -50.0])
+        moved = Mesh(2, mesh.vertices + shift, mesh.elements, element_kind="polygon")
+        g, h = all_geometries(mesh), all_geometries(moved)
+        assert np.allclose(h.measures, g.measures, rtol=1e-14, atol=0.0)
+        assert np.max(np.abs(h.barycenters - (g.barycenters + shift))) <= 1e-12
+
+    @pytest.mark.parametrize("bad, error, message", [
+        ([(0, 0), (0, 1), (1, 1), (1, 0)], NonCCW, "^polygon 2 is clockwise"),
+        ([(0, 0), (4, 0), (4, 4), (3.9, 0.1)], NotStarShaped,
+         "^polygon 2 is not star-shaped about its centroid$"),
+        ([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)], DegenerateElement, "^polygon 2 has area 0$"),
+    ], ids=["clockwise", "not-star", "degenerate"])
+    def test_lowest_bad_polygon_of_mixed_sizes(self, bad, error, message):
+        # loops of 3 to 6 vertices; the bad one comes before a later clockwise
+        # hexagon, so the error names it, with its own type
+        good = [[(0, 0), (1, 0), (0, 1)], [(0, 0), (2, 0), (3, 1), (1, 2), (-1, 1)]]
+        hexagon = [(np.cos(a), np.sin(a)) for a in np.linspace(2 * np.pi, 0, 6, endpoint=False)]
+        loops = [np.array(loop, dtype=float) + 10 * i
+                 for i, loop in enumerate(good + [bad, [(0, 0), (1, 0), (1, 1), (0, 1)], hexagon])]
+        with pytest.raises(MeshError, match=message) as info:
+            all_geometries(loops_mesh(loops))
+        assert type(info.value) is error
+
+
+def loops_mesh(loops):
+    """A polygon mesh of the given vertex loops, each on vertices of its own."""
+    ends = np.cumsum([len(loop) for loop in loops])
+    return Mesh(2, np.concatenate(loops), [range(e - len(loop), e) for e, loop in zip(ends, loops)],
+                element_kind="polygon")
 
 
 @st.composite
