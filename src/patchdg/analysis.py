@@ -148,6 +148,15 @@ def exact_spectrum(domain, p, count):
     return ExactSpectrum(domain, p, values, labels)
 
 
+def _cluster_spectrum(domain, p, target):
+    """The exact spectrum past the whole cluster of 1-based rank ``target``:
+    target + 8 values, doubled until the last one lies above the cluster."""
+    exact = exact_spectrum(domain, p, target + 8)
+    while np.isclose(exact.values[-1], exact.values[target - 1], rtol=1e-12, atol=0.0):
+        exact = exact_spectrum(domain, p, 2 * len(exact.values))
+    return exact
+
+
 # --------------------------------------------------------------------------
 # matching and errors
 # --------------------------------------------------------------------------
@@ -208,7 +217,7 @@ def eigen_errors(space, p, exact, index, result, M, matched=None):
         raise ValueError("matched vector is zero")
     *terms, l2 = matched.values
     scale = (-1.0 if gram([l2])[0, 1] < 0.0 else 1.0) / nrm
-    G = gram([(F[1:] - scale * F[:1], w) for F, w in terms])
+    G = gram((F[1:] - scale * F[:1], w) for F, w in terms)
     return value_error, float(np.sqrt(max(G[0, 0], 0.0)))
 
 
@@ -268,7 +277,7 @@ def convergence_study(meshes, config, domain, target, t=None):
     if target < 1:
         raise ValueError(f"target is a 1-based rank, got {target}")
     _family(domain, config)
-    exact = exact_spectrum(domain, config.p, target + 8)
+    exact = _cluster_spectrum(domain, config.p, target)
     k_need = exact.cluster_start(target) + exact.multiplicity(target) + 4
     steps = []
     for h, space in _spaces(meshes, config, t):

@@ -26,13 +26,16 @@ and each interior face writes its one block below the diagonal into its own
 slot, with no entry-level triplets.  The products with R run on its
 (n_terms x 1) blocks.
 
-Volume terms batch over the sub-simplices of the topology's geometry (each
-carrying its owner element, so polygons need no separate path), face terms
-over the topology's interior faces and then its boundary faces, at most
-``CHUNK`` carriers per batch, each mapping the reference rule by the affine
-maps stored once per mesh on the geometry and the topology.  A batch
-carries one Vandermonde of the n_terms monomials of its elements (both
-sides of a face at once), so nothing is grouped by patch size.
+Every integral runs over one batch generator, :func:`_batches`, of at
+most ``CHUNK`` carriers per batch: the sub-simplices of the topology's
+geometry for volume terms (one-sided, each carrying its owner element, so
+polygons need no separate path), or the topology's interior faces and then
+its boundary faces for face terms, each mapping the reference rule by the
+affine maps stored once per mesh on the geometry and the topology.  A
+batch carries one Vandermonde of the n_terms monomials of its elements
+(both sides of a face at once), so nothing is grouped by patch size.
+``_assemble``, ``load_vector`` and ``measure`` all consume it; ``measure``
+writes each batch straight into its terms' arrays.
 
 Each term is integrated exactly by the rule with the fewest points for its
 polynomial degree (:func:`~patchdg.quadrature.cheapest_rule`): the volume
@@ -136,41 +139,29 @@ def _selection(items, n):
     return np.arange(n) if items is None else np.array(list(items), dtype=int).reshape(-1)
 
 
-def _volume_batches(space, rule, kinds, elements=None):
-    """(owners, points, weights, scales (B, 1), V, operators) per batch of
-    sub-simplices, the reference ``rule`` mapped onto each by its stored
-    map, V and the operators the owners' ``factors``."""
-    owner = space.geometry.sub_owner
-    subs = np.arange(len(owner))
-    if elements is not None:
-        subs = subs[np.isin(owner, _selection(elements, space.num_dofs))]
-    for i in range(0, len(subs), CHUNK):
-        batch = subs[i:i + CHUNK]
-        pts, wts = apply_rule(rule, *(np.take(a, batch, axis=0) for a in space.geometry.sub_maps))
-        K, scale = owner[batch], space.scale[owner[batch], None]
-        yield (K, pts, wts, scale, *factors(space.origin[K, None], scale, pts, space.m, kinds))
-
-
-def _face_batches(space, rule, kinds, faces):
-    """Per batch of the interior ``faces``, then of the boundary ones: (faces,
-    points, weights, normals, h, on_boundary, sides (F, k), scales (F, k),
-    V, operators), the reference ``rule`` (of dimension dim - 1) mapped onto
-    each face by its stored map, V and the operators the sides' ``factors``.
-    The minus side's V is negated and vector kinds take the plus side's
-    outward normal, so ``contract`` gives each side's jump table, and its
-    values summed over the sides are the jumps (on boundary faces, k = 1,
-    the plus-side traces)."""
-    topo = space.topology
-    boundary = topo.sides[faces, 1] < 0
-    for on_boundary, part in ((False, faces[~boundary]), (True, faces[boundary])):
+def _batches(space, rule, kinds, carriers=None, faces=False):
+    """(carriers, points, weights, sides (B, k), scales (B, k), V, operators)
+    per batch of sub-simplices, or of ``faces``: the reference ``rule`` mapped
+    onto each carrier by its stored map, V and the operators the sides'
+    ``factors``.  ``carriers`` are ids (all of them if None).  A sub-simplex
+    is one-sided, its owner its side, and has no normal.  Faces come interior
+    ones first, then boundary ones with k = 1: the minus side's V is negated
+    and vector kinds take the plus side's outward normal, so ``contract``
+    gives each side's jump table, and its values summed over the sides are
+    the jumps (on boundary faces the plus-side traces)."""
+    topo, geo = space.topology, space.geometry
+    maps, sides = (topo.maps, topo.sides) if faces else (geo.sub_maps, geo.sub_owner[:, None])
+    ids = np.arange(len(sides)) if carriers is None else carriers
+    two = sides[ids, -1] >= 0
+    for part, k in ((ids[two], sides.shape[1]), (ids[~two], 1)):
         for i in range(0, len(part), CHUNK):
             batch = part[i:i + CHUNK]
-            pts, wts = apply_rule(rule, *(np.take(a, batch, axis=0) for a in topo.maps))
-            n, sides = topo.normals[batch], topo.sides[batch, :1 if on_boundary else 2]
-            scale = space.scale[sides]
-            V, ops = factors(space.origin[sides], scale, pts, space.m, kinds, n)
+            pts, wts = apply_rule(rule, *(np.take(a, batch, axis=0) for a in maps))
+            side, n = sides[batch, :k], topo.normals[batch] if faces else None
+            scale = space.scale[side]
+            V, ops = factors(space.origin[side], scale, pts, space.m, kinds, n)
             V[:, 1:] *= -1.0
-            yield batch, pts, wts, n, topo.h_e[batch], on_boundary, sides, scale, V, ops
+            yield batch, pts, wts, side, scale, V, ops
 
 
 def _assemble(space, p, config=None, elements=None, faces=None):
@@ -208,17 +199,19 @@ def _assemble(space, p, config=None, elements=None, faces=None):
         np.add.at(blocks.reshape(-1), entries, local.reshape(-1))
 
     dim, m = space.mesh.dim, space.m
-    for K, _, wts, scale, V, ops in _volume_batches(space, cheapest_rule(dim, 2 * (m - p)),
-                                                    (volume,), elements):
+    subs = np.flatnonzero(np.isin(space.geometry.sub_owner, _selection(elements, n)))
+    for _, _, wts, sides, scale, V, ops in _batches(space, cheapest_rule(dim, 2 * (m - p)),
+                                                    (volume,), subs):
         T = np.moveaxis(contract(V, *ops[volume], scale), 1, -1)
-        add(diag[K], _pair(T, wts, T))
+        add(diag[sides], _pair(T, wts, T))
     penalties = [c * _dim_factor(space) for c in config.penalties] if p else []
     kinds = tuple(dict.fromkeys(kind for _, _, a, b, _ in jumps for _, kind in (a, b)))
     simply_supported = p > 0 and config.bc == "simply_supported"
     half = np.repeat([0.5, -0.5], nt)  # an interior average from the jump's plus and minus columns
-    for batch, _, wts, _, h, boundary, sides, scale, V, ops in \
-            _face_batches(space, cheapest_rule(dim - 1, 2 * m), kinds, sel):
+    for batch, _, wts, sides, scale, V, ops in _batches(space, cheapest_rule(dim - 1, 2 * m),
+                                                        kinds, sel, faces=True):
         F, k, q = V.shape[:3]
+        h, boundary = topo.h_e[batch], k == 1
         jump = {kind: contract(V, *op, scale).transpose(0, 2, 1, 3).reshape(F, q, k * nt)
                 for kind, op in ops.items()}
         X, Y = [], []  # every term's factors, paired as one sum over their stacked points
@@ -280,9 +273,9 @@ def _smooth_rule(space, dim):
 def load_vector(space, f):
     """b[j] = integral of f against shape function j: R^T b_DG."""
     b = np.zeros((space.num_dofs, space.n_terms))
-    for K, pts, wts, _, V, _ in _volume_batches(space, _smooth_rule(space, space.mesh.dim), ()):
+    for _, pts, wts, sides, _, V, _ in _batches(space, _smooth_rule(space, space.mesh.dim), ()):
         fv = np.asarray(f(pts.reshape(-1, pts.shape[2])), dtype=float).reshape(wts.shape)
-        np.add.at(b, K, np.einsum("bqa,bq->ba", V[:, 0], wts * fv))
+        np.add.at(b, sides[:, 0], np.einsum("bqa,bq->ba", V[:, 0], wts * fv))
     return space.R.T @ b.ravel()
 
 
@@ -335,7 +328,8 @@ _PAIRINGS = {
 
 def measure(space, p, fields, l2=False):
     """Values of ``fields`` at every quadrature point of the broken energy
-    pairing p, from one pass over sub-simplices and faces in CHUNKs.
+    pairing p, from one pass of :func:`_batches` over the sub-simplices and
+    one over the faces.
 
     A field is a DOF vector, whose values come from R's per-element monomial
     coefficients C as V (O C^T), each kind's operator applied to the
@@ -343,66 +337,57 @@ def measure(space, p, fields, l2=False):
     an AnalyticField.  A difference of fields is integrated
     from the difference of their values (see :func:`energy_norm`).  Returns
     one (values (fields, points, components), weights (points,)) pair per
-    term of the pairing: the volume term, then each face jump, weighted by
-    h^-power (smooth fields do not jump across interior faces).  With
-    ``l2``, a last pair holds the volume values of the L2 pairing.
+    term of the pairing: the volume term, then each face jump (the normal
+    components summed over the sides), weighted by h^-power.  With ``l2``, a
+    last pair holds the volume values of the L2 pairing.  Each term's arrays
+    are allocated once, C-contiguous, and every batch is transposed once
+    into them at its offset; the analytic values are added on one-sided
+    carriers only, since smooth fields do not jump across interior faces.
     """
-    exact = [f if isinstance(f, AnalyticField) else None for f in fields]
+    exact = [(i, f) for i, f in enumerate(fields) if isinstance(f, AnalyticField)]
     X = np.zeros((space.num_dofs, len(fields)))
     for i, field in enumerate(fields):
-        if exact[i] is None:
+        if not isinstance(field, AnalyticField):
             X[:, i] = field
     C = space.coefficients(X).transpose(0, 2, 1)  # (N, n_terms, fields)
-    volume, face_terms = _PAIRINGS[p]
-
-    def values(kinds, V, scale, ops, Ct, pts, analytic, normals=None):
-        """kind -> (B, q, fields, components) values, each kind's operator
-        applied to the coefficients Ct (B, k, n_terms, fields) first; on
-        faces, normal components summed over the sides, i.e. the jumps.  The
-        analytic parts are added if ``analytic``."""
-        out, at = {}, pts.reshape(-1, pts.shape[2])
-        for kind in kinds:
-            if kind in ops:
-                v = contract(V, *ops[kind], scale, Ct)
-                v = np.moveaxis(v, 1, -1) if normals is None else v.sum(1)[..., None]
-            else:  # identically zero at this degree
-                comps = pts.shape[2] if kind == "grad" and normals is None else 1
-                v = np.zeros(pts.shape[:2] + (Ct.shape[3], comps))
-            for i, u in enumerate(exact if analytic else ()):
-                if u is not None:
-                    flat = _ANALYTIC[kind](u, at).reshape(pts.shape[:2] + (-1,))
-                    if normals is not None and kind == "grad":
-                        flat = np.einsum("bqd,bd->bq", flat, normals)
-                    v[:, :, i] += flat.reshape(v.shape[:2] + v.shape[3:])
-            out[kind] = v
-        return out
-
-    kinds = (volume, "val") if l2 and p else (volume,)
-    vol = [(values(kinds, V, scale, ops, C[K][:, None], pts, True), wts)
-           for K, pts, wts, scale, V, ops in
-           _volume_batches(space, _smooth_rule(space, space.mesh.dim), kinds)]
-    kinds, faces = tuple(kind for kind, *_ in face_terms), []
-    every = np.arange(space.topology.num_faces if kinds else 0)
-    for _, pts, wts, n, h, boundary, sides, scale, V, ops in \
-            _face_batches(space, _smooth_rule(space, space.mesh.dim - 1), kinds, every):
-        faces.append((values(kinds, V, scale, ops, C[sides], pts, boundary, n), wts, h[:, None]))
-    terms = [[(T[volume], w) for T, w in vol]]
-    terms += [[(J[kind], w / int_power(h, power)) for J, w, h in faces]
-              for kind, power, *_ in face_terms]
-    terms += [[(T["val"], w) for T, w in vol]] if l2 else []
-    del vol, faces
-    # each batch is copied once, into its term's (fields, points, components)
-    # array, and dropped once no term still to be stacked holds it
-    out = []
-    while terms:
-        term = terms.pop(0)
-        F = np.concatenate([np.moveaxis(v, 2, 0) for v, _ in term], axis=1)
-        out.append((F.reshape(len(F), -1, F.shape[3]), np.concatenate([w.ravel() for _, w in term])))
+    volume, jumps = _PAIRINGS[p]
+    topo, dim = space.topology, space.mesh.dim
+    # per term: whether its carriers are faces, its table kind and power of 1/h
+    terms = [(False, volume, 0), *((True, kind, power) for kind, power, *_ in jumps)]
+    terms += [(False, "val", 0)] if l2 else []
+    out = [None] * len(terms)
+    for faces in (False, True):
+        mine = [j for j, (on, _, _) in enumerate(terms) if on == faces]
+        if not mine:
+            continue
+        rule = _smooth_rule(space, dim - faces)
+        size = len(rule.weights) * (topo.num_faces if faces else len(space.geometry.sub_owner))
+        for j in mine:
+            comps = dim if terms[j][1] == "grad" and not faces else 1
+            out[j] = np.zeros((len(fields), size, comps)), np.empty(size)
+        at, kinds = 0, tuple(dict.fromkeys(terms[j][1] for j in mine))
+        for batch, pts, wts, sides, scale, V, ops in _batches(space, rule, kinds, faces=faces):
+            (B, k, q), Ct = V.shape[:3], C[sides]
+            for j in mine:
+                (values, weights), (_, kind, power) = out[j], terms[j]
+                v = values[:, at:at + B * q].reshape(len(fields), B, q, -1)
+                if kind in ops:  # else identically zero at this degree
+                    T = contract(V, *ops[kind], scale, Ct)
+                    v[...] = (T.sum(1, keepdims=True) if faces else T).transpose(3, 0, 2, 1)
+                for i, u in exact if k == 1 else ():
+                    flat = _ANALYTIC[kind](u, pts.reshape(-1, dim)).reshape(B, q, -1)
+                    if faces and kind == "grad":
+                        flat = np.einsum("bqd,bd->bq", flat, topo.normals[batch])[..., None]
+                    v[i] += flat
+                weights[at:at + B * q] = (wts / int_power(topo.h_e[batch, None], power)
+                                          if faces else wts).ravel()
+            at += B * q
     return out
 
 
 def gram(terms):
-    """(fields, fields) weighted sum of pointwise products over (values, weights) terms."""
+    """(fields, fields) weighted sum of pointwise products over (values,
+    weights) terms, any iterable of them, taken one at a time."""
     return sum((F * w[:, None]).reshape(len(F), -1) @ F.reshape(len(F), -1).T for F, w in terms)
 
 
@@ -427,7 +412,7 @@ def energy_norm(space, p, exact=None, vector=None):
         raise ValueError("need at least one of exact=, vector=")
     zero = np.zeros(space.num_dofs)
     fields = [zero if exact is None else exact, zero if vector is None else vector]
-    G = gram([(F[:1] - F[1:], w) for F, w in measure(space, p, fields)])
+    G = gram((F[:1] - F[1:], w) for F, w in measure(space, p, fields))
     return float(np.sqrt(max(G[0, 0], 0.0)))
 
 

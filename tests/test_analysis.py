@@ -80,6 +80,16 @@ class TestExactSpectrum:
         assert spec.multiplicity(3) == 2
         assert spec.cluster_start(3) == 2
 
+    def test_study_spectrum_holds_the_whole_cluster(self):
+        # 54 pi^2 on the cube has 12 modes from rank 146; the first
+        # target + 8 = 154 values hold only 9 of them
+        assert exact_spectrum("cube_unit", 1, 154).multiplicity(146) == 9
+        spec = analysis._cluster_spectrum("cube_unit", 1, 146)
+        assert spec.cluster_start(146) == 146 and spec.multiplicity(146) == 12
+        assert spec.values[-1] > spec.values[145]
+        # a cluster that ends inside target + 8 values keeps that length
+        assert len(analysis._cluster_spectrum("square_pi", 1, 3).values) == 11
+
     def test_eigenfunction_normalized(self):
         spec = exact_spectrum("square_pi", 1, 3)
         u = spec.eigenfunction((1, 2))

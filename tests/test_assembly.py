@@ -424,16 +424,53 @@ class TestStoredMaps:
             if rule.dim == dim:
                 batches = [(pts, wts, space.geometry.sub_simplices[7 * i:7 * i + 7], map_rule)
                            for i, (_, pts, wts, *_) in
-                           enumerate(assembly._volume_batches(space, rule, ()))]
+                           enumerate(assembly._batches(space, rule, ()))]
             else:
                 batches = [(pts, wts, space.mesh.vertices[topo.faces[batch]], face_rule)
                            for batch, pts, wts, *_ in
-                           assembly._face_batches(space, rule, (), np.arange(topo.num_faces))]
+                           assembly._batches(space, rule, (), np.arange(topo.num_faces),
+                                             faces=True)]
             assert sum(len(w) for _, w, _, _ in batches) == \
                 (len(space.geometry.sub_owner) if rule.dim == dim else topo.num_faces)
             for pts, wts, coords, mapped in batches:
                 ref_pts, ref_wts = mapped(rule, coords)
                 assert np.array_equal(pts, ref_pts) and np.array_equal(wts, ref_wts)
+
+
+class TestMeasureLayout:
+    """Each term of ``measure`` is one C-contiguous (values, weights) pair,
+    the same for every batch size, whose weights integrate 1 over the
+    domain (volume terms) or h^-power over the faces (face terms)."""
+
+    @pytest.mark.parametrize("spec, area", [("square:4", np.pi ** 2), ("cube:2", 1.0),
+                                            ("polygon", 9.0)])
+    def test_terms_are_contiguous_and_chunk_invariant(self, monkeypatch, spec, area):
+        import math
+
+        from patchdg import assembly
+        from patchdg.analysis import sine_product_field
+
+        space, _ = pull_back_case(spec, 2)  # cube:2 at m=2 has grown patches
+        topo, dim = space.topology, space.mesh.dim
+        rng = np.random.default_rng(5)
+        fields = [*rng.standard_normal((2, space.num_dofs)), sine_product_field((1,) * dim)]
+        corners = space.mesh.vertices[topo.faces]
+        E = corners[:, 1:] - corners[:, :1]  # (faces, dim - 1, dim) edges
+        sizes = np.sqrt(np.linalg.det(E @ E.transpose(0, 2, 1))) / math.factorial(dim - 1)
+        for p in (0, 1, 2):
+            runs = []
+            for chunk in (5, 7, 256):
+                monkeypatch.setattr(assembly, "CHUNK", chunk)
+                runs.append(assembly.measure(space, p, fields, l2=True))
+            powers = [0, *(power for _, power, *_ in assembly._PAIRINGS[p][1]), 0]
+            assert len(runs[0]) == len(powers)
+            for terms in runs[1:]:
+                assert all(np.array_equal(F, G) and np.array_equal(w, v)
+                           for (F, w), (G, v) in zip(runs[0], terms))
+            for (F, w), power in zip(runs[0], powers):
+                assert F.flags.c_contiguous and w.flags.c_contiguous and F.shape[1] == len(w)
+                total = area if power == 0 else np.sum(sizes / topo.h_e ** power)
+                assert abs(w.sum() - total) <= 1e-13 * total, (p, power)
 
 
 class TestQuadratureChoice:
