@@ -46,15 +46,19 @@ class ExactSpectrum:
     values: np.ndarray  # ascending, multiplicity expanded
     labels: list        # index tuple per value
 
+    def _in_cluster(self, index):
+        """Which values equal the one at 1-based rank ``index``, decided
+        exactly: each value is a function of its label's squared norm."""
+        keys = np.array([sum(i * i for i in label) for label in self.labels])
+        return keys == keys[index - 1]
+
     def multiplicity(self, index):
         """Multiplicity of the eigenvalue holding 1-based rank ``index``."""
-        lam = self.values[index - 1]
-        return int(np.sum(np.isclose(self.values, lam, rtol=1e-12, atol=0.0)))
+        return int(np.sum(self._in_cluster(index)))
 
     def cluster_start(self, index):
         """1-based rank of the first member of the cluster at ``index``."""
-        lam = self.values[index - 1]
-        return int(np.argmax(np.isclose(self.values, lam, rtol=1e-12, atol=0.0))) + 1
+        return int(np.argmax(self._in_cluster(index))) + 1
 
     def eigenfunction(self, label):
         _, wave, amplitude = _family(self.domain).facts
@@ -152,7 +156,7 @@ def _cluster_spectrum(domain, p, target):
     """The exact spectrum past the whole cluster of 1-based rank ``target``:
     target + 8 values, doubled until the last one lies above the cluster."""
     exact = exact_spectrum(domain, p, target + 8)
-    while np.isclose(exact.values[-1], exact.values[target - 1], rtol=1e-12, atol=0.0):
+    while exact._in_cluster(target)[-1]:
         exact = exact_spectrum(domain, p, 2 * len(exact.values))
     return exact
 
@@ -182,7 +186,7 @@ def match_cluster(space, p, exact, index, result):
     lam = exact.values[index - 1]
     cluster = result.values[start - 1:start + k - 1]
     spread = float(cluster.max() - cluster.min())
-    gaps = [abs(v - lam) for v in exact.values if not np.isclose(v, lam, rtol=1e-12)]
+    gaps = [abs(v - lam) for v in exact.values[~exact._in_cluster(index)]]
     if gaps and k > 1 and min(gaps) < 2.0 * spread:
         raise ClusterAmbiguous(
             f"exact gap {min(gaps):.3e} < 2 x discrete cluster spread {spread:.3e}"
@@ -278,10 +282,14 @@ def convergence_study(meshes, config, domain, target, t=None):
         raise ValueError(f"target is a 1-based rank, got {target}")
     _family(domain, config)
     exact = _cluster_spectrum(domain, config.p, target)
-    k_need = exact.cluster_start(target) + exact.multiplicity(target) + 4
+    need = exact.cluster_start(target) + exact.multiplicity(target) - 1
+    smallest = min((mesh.num_elements for mesh in meshes), default=need)
+    if need > smallest:
+        raise ValueError(f"target {target} needs {need} pairs, but the smallest mesh has "
+                         f"{smallest} elements")
     steps = []
     for h, space in _spaces(meshes, config, t):
-        result, A, M = compute_spectrum(space, config, k=k_need)
+        result, A, M = compute_spectrum(space, config, k=need + 5)
         matched = match_cluster(space, config.p, exact, target, result)
         ve, fe = eigen_errors(space, config.p, exact, target, result, M, matched)
         steps.append((h, space.num_dofs, result.values[target - 1], ve, fe))

@@ -355,7 +355,7 @@ def build_config(argv):
     parser = _build_parser()
     args = vars(parser.parse_args(argv))
     path = args.pop("config", None)
-    if path:
+    if path is not None:
         args = vars(parser.parse_args([*_file_flags(path), *argv]))
         del args["config"]
     if not args.get("mesh"):

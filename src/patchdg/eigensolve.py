@@ -1,15 +1,13 @@
 """Generalized symmetric eigensolves A x = lambda M x.
 
-Two routes: a dense full-spectrum path (Cholesky reduction to a standard
-symmetric problem, used by the reliable-count experiment which consumes
-large spectrum fractions) and a Lanczos path for the k smallest pairs (A
-factored once as P^T A P = L L^T by a band Cholesky, ARPACK's Lanczos
-with full reorthogonalization on the standard symmetric operator
-L^-1 P^T M P L^-T, whose largest eigenvalues are the reciprocals of the
-smallest lambda).  :func:`dense_path` is the one rule that picks between
-them; :func:`solve_smallest` follows it, and callers that know the pencil's
-size ask it before they build the pencil.  The same SPD factor gates both
-and solves the source problem.
+Both routes solve for mu = 1 / lambda, the eigenvalues of the pencil
+(M, A) reduced by a Cholesky factor of A: dense ``eigh(M, A)`` finds every
+mu (the reliable-count experiment consumes large spectrum fractions), and
+Lanczos on L^-1 P^T M P L^-T, with A factored once as P^T A P = L L^T by a
+band Cholesky, finds the k largest.  :func:`dense_path` is the one rule
+that picks the route; callers that know the pencil's size ask it before
+they build the pencil.  One finishing step serves both routes, and the
+band factor gates both and solves the source problem.
 """
 
 from __future__ import annotations
@@ -39,14 +37,6 @@ def _fix_signs(vectors):
     return vectors
 
 
-def _residuals(A, M, values, vectors):
-    """||A x - lambda M x|| / ||A x|| per pair, and those ||A x|| (0 read as 1)."""
-    AX = A @ vectors
-    den = np.linalg.norm(AX, axis=0)
-    den[den == 0.0] = 1.0
-    return np.linalg.norm(AX - (M @ vectors) * values[None, :], axis=0) / den, den
-
-
 def dense_path(n, k):
     """Whether :func:`solve_smallest` takes the dense path for the k
     smallest pairs of an n x n pencil: small pencils (n <= 32) and requests
@@ -57,21 +47,6 @@ def dense_path(n, k):
     if dense and n > DENSE_THRESHOLD:
         raise ValueError(f"dense path limited to n <= {DENSE_THRESHOLD}, got {n}")
     return dense
-
-
-def solve_dense(A, M):
-    """All eigenpairs of the sparse pencil (A, M); A is refused first by
-    the shared factor :func:`_factor_spd`, then ``eigh`` factors M."""
-    dense_path(A.shape[0], A.shape[0])
-    _factor_spd(A)
-    try:
-        values, vectors = la.eigh(A.toarray(), M.toarray())  # factors M itself
-    except np.linalg.LinAlgError as exc:
-        if "B is not positive definite" in str(exc):
-            raise MassNotSPD("mass matrix is not positive definite") from None
-        raise NoConvergence(f"dense eigensolve failed: {exc}") from None
-    vectors = _fix_signs(vectors)
-    return EigenResult(values, vectors, _residuals(A, M, values, vectors)[0])
 
 
 class _BandCholesky:
@@ -149,25 +124,24 @@ def _factor_spd(A):
 
 
 def solve_smallest(A, M, k, tol=1e-9):
-    """The k smallest eigenpairs, by Lanczos on the Cholesky-symmetrised inverse.
+    """The k smallest eigenpairs, as the k largest mu = 1 / lambda.
 
-    Small pencils (n <= 32) and requests for more than a quarter of the
-    spectrum take the dense path instead (:func:`dense_path`).  Otherwise
     A is factored once by :func:`_factor_spd` as P^T A P = L L^T, which
-    refuses an indefinite or singular stiffness.  The k largest
-    eigenvalues mu of the standard symmetric operator L^-1 P^T M P L^-T
-    are the reciprocals of the k smallest lambda (Ericsson and Ruhe's
-    spectral transformation at zero), so each Lanczos step is a triangular
-    band sweep, a product with M and a transposed sweep, with plain
-    Euclidean inner products.  A unit eigenvector y gives
-    x = P L^-T y sqrt(lambda), of unit M-norm.
-    The Lanczos start vector is seeded, so reruns give identical results.
+    refuses an indefinite or singular stiffness before any eigensolve.
+    Both drivers solve for the mu of the pencil (M, A), Ericsson and Ruhe's
+    spectral transformation at zero, and :func:`dense_path` picks one: the
+    dense ``eigh(M, A)`` reduces by A's own Cholesky and returns every mu,
+    and ARPACK's Lanczos (seeded, fully reorthogonalized) finds the k
+    largest of the symmetric operator L^-1 P^T M P L^-T, each step a band
+    sweep, a product with M and a transposed sweep.  Either way the vectors
+    y (Lanczos's mapped back by P L^-T) are A-orthonormal, x = y sqrt(lambda)
+    has unit M-norm, and every pair is held to the same residual bound.
 
-    Lanczos sees M only through those k mu (the operator has M's inertia):
-    with A = diag(1..n) and M = diag(1, ..., 1, -1), MassNotSPD is raised
-    at n = 20 (dense ``eigh`` factors M) but k = 3 at n = 40 gives
-    [1, 2, 3].  Pipeline masses R^T M_DG R are SPD when R has full column
-    rank; a factor of M would cost about as much as the one of A.
+    The operator has the inertia of M, so a computed mu <= 0 raises
+    MassNotSPD: dense sees every mu, Lanczos only the k largest.  With
+    A = diag(1..n) and M = diag(1, ..., 1, -1), n = 20 raises, but k = 3 at
+    n = 40 gives [1, 2, 3].  Pipeline masses R^T M_DG R are SPD when R has
+    full column rank; a factor of M would cost about as much as A's.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -176,30 +150,34 @@ def solve_smallest(A, M, k, tol=1e-9):
     n = A.shape[0]
     if k > n:
         raise ValueError(f"requested {k} pairs from an n = {n} pencil")
-    if dense_path(n, k):
-        res = solve_dense(A, M)
-        return EigenResult(res.values[:k], res.vectors[:, :k], res.residuals[:k])
-
+    dense = dense_path(n, k)
     chol = _factor_spd(A)
     try:
-        mu, Y = spla.eigsh(
-            chol.congruence(M),
-            k=k,
-            which="LA",
-            v0=np.random.default_rng(0).standard_normal(n),
-            tol=0.0,
-            maxiter=50 * k,
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise NoConvergence(f"Lanczos did not converge: {exc}") from None
+        if dense:
+            mu, Y = la.eigh(M.toarray(), A.toarray())  # every mu, by A's Cholesky
+        else:
+            mu, Y = spla.eigsh(
+                chol.congruence(M),
+                k=k,
+                which="LA",
+                v0=np.random.default_rng(0).standard_normal(n),
+                tol=0.0,
+                maxiter=50 * k,
+            )
+    except (np.linalg.LinAlgError, spla.ArpackNoConvergence) as exc:
+        # LinAlgError is a ValueError, which the CLI would report as exit 2
+        raise NoConvergence(f"eigensolve did not converge: {exc}") from None
 
     if mu.min() <= 0.0:
-        # L^-1 P^T M P L^-T has the inertia of M
         raise MassNotSPD("mass matrix is not positive definite")
-    order = np.argsort(-mu)
+    order = np.argsort(-mu)[:k]
     values = 1.0 / mu[order]
-    vectors = _fix_signs(chol.back(Y[:, order]) * np.sqrt(values))
-    res, den = _residuals(A, M, values, vectors)
+    Y = Y[:, order]
+    vectors = _fix_signs((Y if dense else chol.back(Y)) * np.sqrt(values))
+    AX = A @ vectors
+    den = np.linalg.norm(AX, axis=0)
+    den[den == 0.0] = 1.0  # ||A x||, 0 read as 1
+    res = np.linalg.norm(AX - (M @ vectors) * values[None, :], axis=0) / den
     # the roundoff floor of the relative residual: evaluating A x - lambda M x
     # cancels to eps * ||A|| * ||x||, so for small eigenvalues the quotient
     # cannot reach arbitrary tolerances no matter how converged the pair is
@@ -210,3 +188,9 @@ def solve_smallest(A, M, k, tol=1e-9):
             f"residuals up to {res.max():.3e} exceed the requested tolerance {tol:g}"
         )
     return EigenResult(values, vectors, res)
+
+
+def solve_dense(A, M):
+    """All eigenpairs of the sparse pencil (A, M): :func:`solve_smallest`
+    with k = n, which takes the dense driver and so sees every mu."""
+    return solve_smallest(A, M, A.shape[0])

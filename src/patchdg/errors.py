@@ -85,8 +85,9 @@ class DegreeTooLow(PatchDGError):
 # --- eigensolve ---------------------------------------------------------
 
 class MassNotSPD(PatchDGError):
-    """The mass matrix is not positive definite: its Cholesky factorization
-    failed (dense path), or Lanczos found mu <= 0 (sparse path)."""
+    """The mass matrix is not positive definite: a computed mu = 1 / lambda
+    of the transformed pencil, which has M's inertia, is <= 0.  The dense
+    path sees every mu, Lanczos only the k largest."""
 
 
 class PenaltyTooSmall(PatchDGError):
@@ -95,7 +96,7 @@ class PenaltyTooSmall(PatchDGError):
 
 
 class NoConvergence(PatchDGError):
-    """Lanczos hit its restart cap, or dense LAPACK failed other than on M."""
+    """Lanczos hit its restart cap, dense LAPACK failed, or a residual missed its bound."""
 
 
 # --- analysis -----------------------------------------------------------

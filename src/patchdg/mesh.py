@@ -213,13 +213,14 @@ def simplex_maps(simplices):
     """The affine maps x = origin + xi @ edges from the reference simplex
     onto a batch of simplices (..., d+1, d): origins (..., d), edge matrices
     (..., d, d) and |det| (...), the ratio of measures.  Raises
-    ``DegenerateSimplex`` for a (numerically) zero volume."""
+    ``DegenerateSimplex`` for a (numerically) zero volume: a measure
+    |det| / d! of at most 1e-14 diam^d, the rule of :func:`all_geometries`."""
     simplices = np.asarray(simplices, dtype=float)
     d = simplices.shape[-1]
     origin, edges, det = _affine(simplices)
     det = np.abs(det)
     diam = diameters(simplices.reshape(-1, d + 1, d)).reshape(det.shape)
-    if np.any(det <= 1e-14 * diam ** d):
+    if np.any(det / math.factorial(d) <= 1e-14 * diam ** d):
         raise DegenerateSimplex("simplex has (numerically) zero volume")
     return origin, edges, det
 

@@ -353,6 +353,16 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match=match):
             self.STUDIES[study](meshes, cfg, domain)
 
+    def test_rejects_an_unservable_target_before_any_space(self, monkeypatch):
+        # rank 40 of the square is the double 85 at ranks 40 and 41, past
+        # square:2's 8 elements
+        monkeypatch.setattr(analysis, "build_space",
+                            lambda *args, **kwargs: pytest.fail("space built"))
+        meshes = [generate_square_tri(2), generate_square_tri(4)]
+        with pytest.raises(ValueError, match="target 40 needs 41 pairs, but the smallest "
+                                             "mesh has 8 elements"):
+            convergence_study(meshes, FormConfig(problem="laplace", m=1), "square_pi", 40)
+
     @pytest.mark.parametrize("target", [0, -2])
     def test_rejects_target_below_one(self, target):
         # a rank below 1 would index the exact spectrum from its end

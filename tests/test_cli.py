@@ -63,6 +63,14 @@ class TestSolveCommand:
         assert "configuration error:" in err and str(folder) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("given", [["--config", ""], ["--config="]])
+    def test_empty_config_path_exit_2_no_artifacts(self, tmp_path, capsys, given):
+        out = tmp_path / "run"
+        argv = ["solve", "--mesh", "square:2", "--m", "1", *given, "--output", str(out)]
+        assert main(argv) == 2
+        assert "configuration error: cannot read config file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_exit_3(self, tmp_path):
         out = tmp_path / "run"
         code = main([

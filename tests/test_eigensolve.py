@@ -94,12 +94,34 @@ class TestSmallest:
 
         def refuse(*args):
             raise AssertionError("k = n/4 must take the Lanczos path")
-        monkeypatch.setattr(eigensolve, "solve_dense", refuse)
+        monkeypatch.setattr(eigensolve.la, "eigh", refuse)
         it = solve_smallest(A, M, 12)
         rel = np.abs(it.values - dense.values[:12]) / np.abs(dense.values[:12])
         assert rel.max() < 1e-12
         G = it.vectors.T @ (M @ it.vectors)
         assert np.max(np.abs(G - np.eye(12))) < 1e-12
+
+    def test_agrees_with_dense_at_high_order(self):
+        # both paths solve for mu = 1 / lambda, so the low end is the
+        # accurate end of the dense spectrum too
+        mesh = generate_square_tri(22)
+        space = build_space(mesh, build_topology(mesh), 4)
+        A = assemble_laplace(space, FormConfig(problem="laplace", m=4))
+        M = assemble_mass(space)
+        dense = solve_dense(A, M)
+        it = solve_smallest(A, M, 10)
+        rel = np.abs(it.values - dense.values[:10]) / dense.values[:10]
+        assert rel.max() < 2e-13
+
+    def test_dense_meets_the_lanczos_bound(self, pencil):
+        A, M = pencil
+        res = solve_dense(A, M)
+        X = res.vectors
+        den = np.linalg.norm(A @ X, axis=0)
+        floor = np.finfo(float).eps * abs(A).sum(axis=1).max() * np.linalg.norm(X, axis=0) / den
+        assert np.all(res.residuals <= np.maximum(1e-9, 100.0 * floor))
+        G = X.T @ (M @ X)
+        assert np.max(np.abs(G - np.eye(len(G)))) < 1e-11
 
     def test_variational_bound(self, pencil):
         A, M = pencil

@@ -268,6 +268,13 @@ class TestMappedRules:
         with pytest.raises(DegenerateSimplex):
             map_rule(rule, np.array([[0.0, 0], [1, 0], [2, 0]]))
 
+    def test_zero_measure_rule_of_the_mesh(self):
+        # |det| = 4e-14 is above 1e-14 diam^3 = 2.8e-14, but the measure
+        # |det| / 3! = 6.7e-15 is not, and all_geometries judges the measure
+        tet = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.3, 4e-14]])
+        with pytest.raises(DegenerateSimplex):
+            map_rule(simplex_rule(3, 1), tet)
+
 
 class TestFaceRules:
     def test_midpoint_segment(self):
