@@ -47,10 +47,10 @@ class ExactSpectrum:
     labels: list        # index tuple per value
 
     def _in_cluster(self, index):
-        """Which values equal the one at 1-based rank ``index``, decided
-        exactly: each value is a function of its label's squared norm."""
-        keys = np.array([sum(i * i for i in label) for label in self.labels])
-        return keys == keys[index - 1]
+        """Which values equal the one at 1-based rank ``index``.  Float ==
+        is exact: each value is the same operations on its label's integer
+        squared norm, and distinct norms below 2^26 stay distinct."""
+        return self.values == self.values[index - 1]
 
     def multiplicity(self, index):
         """Multiplicity of the eigenvalue holding 1-based rank ``index``."""
@@ -283,12 +283,13 @@ def convergence_study(meshes, config, domain, target, t=None):
     _family(domain, config)
     exact = _cluster_spectrum(domain, config.p, target)
     need = exact.cluster_start(target) + exact.multiplicity(target) - 1
-    smallest = min((mesh.num_elements for mesh in meshes), default=need)
+    spaces = _spaces(meshes, config, t)  # checks the sequence; builds no space yet
+    smallest = min(mesh.num_elements for mesh in meshes)
     if need > smallest:
         raise ValueError(f"target {target} needs {need} pairs, but the smallest mesh has "
                          f"{smallest} elements")
     steps = []
-    for h, space in _spaces(meshes, config, t):
+    for h, space in spaces:
         result, A, M = compute_spectrum(space, config, k=need + 5)
         matched = match_cluster(space, config.p, exact, target, result)
         ve, fe = eigen_errors(space, config.p, exact, target, result, M, matched)

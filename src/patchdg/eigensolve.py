@@ -135,7 +135,8 @@ def solve_smallest(A, M, k, tol=1e-9):
     largest of the symmetric operator L^-1 P^T M P L^-T, each step a band
     sweep, a product with M and a transposed sweep.  Either way the vectors
     y (Lanczos's mapped back by P L^-T) are A-orthonormal, x = y sqrt(lambda)
-    has unit M-norm, and every pair is held to the same residual bound.
+    has unit M-norm, and every pair is held to one residual bound, which
+    allows the eps * lambda / lambda_1 to which either driver resolves it.
 
     The operator has the inertia of M, so a computed mu <= 0 raises
     MassNotSPD: dense sees every mu, Lanczos only the k largest.  With
@@ -180,8 +181,10 @@ def solve_smallest(A, M, k, tol=1e-9):
     res = np.linalg.norm(AX - (M @ vectors) * values[None, :], axis=0) / den
     # the roundoff floor of the relative residual: evaluating A x - lambda M x
     # cancels to eps * ||A|| * ||x||, so for small eigenvalues the quotient
-    # cannot reach arbitrary tolerances no matter how converged the pair is
-    floor = np.finfo(float).eps * spla.norm(A, np.inf) * np.linalg.norm(vectors, axis=0) / den
+    # cannot reach arbitrary tolerances no matter how converged the pair is,
+    # and both drivers resolve mu to eps * mu_max: eps * lambda / lambda_1
+    floor = np.finfo(float).eps * (spla.norm(A, np.inf) * np.linalg.norm(vectors, axis=0) / den
+                                   + values / values[0])
     bound = np.maximum(tol, 100.0 * floor)
     if np.any(res > bound):
         raise NoConvergence(
