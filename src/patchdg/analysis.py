@@ -252,7 +252,9 @@ class StudyResult:
 
 def compute_spectrum(space, config, k=None, tol=1e-9):
     """Assemble and solve; full spectrum when k is None, else the
-    min(k, N) smallest pairs.  :func:`solve_smallest` picks the path."""
+    min(k, N) smallest pairs, each held to the residual bound ``tol``.
+    :func:`solve_smallest` picks the path; the studies ask for exactly the
+    ranks they read."""
     A, M = assemble_stiffness(space, config), assemble_mass(space)
     k = space.num_dofs if k is None else min(k, space.num_dofs)
     return solve_smallest(A, M, k, tol=tol), A, M
@@ -274,10 +276,20 @@ def _spaces(meshes, config, t):
             for mesh, topo, h in zip(meshes, topos, hs))
 
 
-def convergence_study(meshes, config, domain, target, t=None):
+def convergence_study(meshes, config, domain, target, t=None, tol=1e-9):
     """Eigenvalue and eigenfunction convergence rows over a mesh sequence
     that halves h at each step; ``target`` is the 1-based rank of the
-    tracked exact eigenvalue."""
+    tracked exact eigenvalue, and ``tol`` the residual bound of each solve.
+
+    Each mesh solves ranks 1 to the end of the target's exact cluster and
+    no more, since the rows read no rank past it.  The discrete cluster
+    needs no margin either.  The patch tie-break splits it only slightly
+    (lambda_2 and lambda_3 lie 1.4e-6 apart on ``square:32`` at m = 2, and
+    1.6e-7 apart on a 16 x 16 quad mesh), and Lanczos returns both members
+    when asked for exactly them.  Were a member missed, the next eigenvalue
+    would take its rank and stretch the discrete cluster across the exact
+    gap, so :func:`match_cluster` would raise ClusterAmbiguous instead of
+    writing a wrong row."""
     if target < 1:
         raise ValueError(f"target is a 1-based rank, got {target}")
     _family(domain, config)
@@ -290,7 +302,7 @@ def convergence_study(meshes, config, domain, target, t=None):
                          f"{smallest} elements")
     steps = []
     for h, space in spaces:
-        result, A, M = compute_spectrum(space, config, k=need + 5)
+        result, A, M = compute_spectrum(space, config, k=need, tol=tol)
         matched = match_cluster(space, config.p, exact, target, result)
         ve, fe = eigen_errors(space, config.p, exact, target, result, M, matched)
         steps.append((h, space.num_dofs, result.values[target - 1], ve, fe))
@@ -340,9 +352,10 @@ def reliable_count(exact, result_h, result_2h, *, error_cap=None):
     return count, pct
 
 
-def reliable_study(meshes, config, domain, t=None):
+def reliable_study(meshes, config, domain, t=None, tol=1e-9):
     """(N, count, percentage) per refinement step, from the full spectra
-    of a mesh and of its half-h refinement.
+    of a mesh and of its half-h refinement, each pair held to the residual
+    bound ``tol``.
 
     The rate test alone admits the pre-asymptotic bulk of the spectrum
     (O(1) errors that drift downward under refinement); capping the fine
@@ -354,7 +367,7 @@ def reliable_study(meshes, config, domain, t=None):
     _family(domain, config)
     largest = max(mesh.num_elements for mesh in meshes)
     eigensolve.dense_path(largest, largest)
-    hs, results = zip(*[(h, compute_spectrum(space, config, k=None)[0])
+    hs, results = zip(*[(h, compute_spectrum(space, config, k=None, tol=tol)[0])
                         for h, space in _spaces(meshes, config, t)])
     rows = []
     for coarse, fine, h_coarse in zip(results, results[1:], hs):

@@ -110,8 +110,8 @@ class FormConfig:
                 raise ValueError(f"unknown biharmonic bc {self.bc!r}")
             if self.m < 2:
                 raise ValueError("degree must be >= 2 for the fourth-order form")
-        if min(self.eta, self.alpha, self.beta) <= 0.0:
-            raise ValueError("penalty bases must be positive")
+        if not all(0.0 < base < np.inf for base in (self.eta, self.alpha, self.beta)):
+            raise ValueError("penalty bases must be positive and finite")
 
     @property
     def p(self):

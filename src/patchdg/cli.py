@@ -55,7 +55,7 @@ class RunConfig(FormConfig):
         ancestor = _nearest_existing(self.output)
         for bad, text in [(self.k < 1, "k must be >= 1"),
                           (self.t is not None and self.t < 1, "patch size t must be >= 1"),
-                          (self.tol <= 0, "tol must be positive"),
+                          (not 0.0 < self.tol < np.inf, "tol must be positive and finite"),
                           (self.target < 1, "target must be >= 1"),
                           (self.vtk < 0, "vtk must be >= 0"),
                           (not os.path.isdir(ancestor),
@@ -253,7 +253,8 @@ def _cmd_solve(cfg):
 
 def _cmd_convergence(cfg):
     family, meshes = _meshes(cfg)
-    study = analysis.convergence_study(meshes, cfg, family.domain, cfg.target, t=cfg.t)
+    study = analysis.convergence_study(meshes, cfg, family.domain, cfg.target, t=cfg.t,
+                                       tol=cfg.tol)
     os.makedirs(cfg.output, exist_ok=True)
     _write_rows(os.path.join(cfg.output, "errors.csv"), study.eigenvalue_rows)
     _write_rows(os.path.join(cfg.output, "errors_eigenfunction.csv"), study.eigenfunction_rows)
@@ -261,7 +262,7 @@ def _cmd_convergence(cfg):
 
 def _cmd_reliable(cfg):
     family, meshes = _meshes(cfg)
-    rows = analysis.reliable_study(meshes, cfg, family.domain, t=cfg.t)
+    rows = analysis.reliable_study(meshes, cfg, family.domain, t=cfg.t, tol=cfg.tol)
     os.makedirs(cfg.output, exist_ok=True)
     _write_csv(os.path.join(cfg.output, "reliable.csv"), ["N", "count", "percentage"], rows)
 

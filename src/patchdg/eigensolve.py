@@ -146,8 +146,8 @@ def solve_smallest(A, M, k, tol=1e-9):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     n = A.shape[0]
     if k > n:
         raise ValueError(f"requested {k} pairs from an n = {n} pencil")

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
 
-from patchdg import analysis
+from patchdg import analysis, eigensolve
 from patchdg.analysis import (
     compute_spectrum,
     convergence_study,
@@ -369,6 +370,89 @@ class TestConvergenceStudy:
         meshes = [generate_square_tri(4), generate_square_tri(8)]
         with pytest.raises(ValueError, match="1-based"):
             convergence_study(meshes, FormConfig(problem="laplace", m=1), "square_pi", target)
+
+
+def study_with_margin(meshes, cfg, domain, target, margin):
+    """(value, eigenvalue error, eigenfunction error) per mesh, by a loop
+    whose solves ask for ``margin`` pairs past the target's cluster."""
+    exact = analysis._cluster_spectrum(domain, cfg.p, target)
+    need = exact.cluster_start(target) + exact.multiplicity(target) - 1
+    rows = []
+    for mesh in meshes:
+        space = build_space(mesh, build_topology(mesh), cfg.m)
+        result, _, M = compute_spectrum(space, cfg, k=need + margin)
+        rows.append((result.values[target - 1],
+                     *eigen_errors(space, cfg.p, exact, target, result, M)))
+    return rows
+
+
+class TestRequestSize:
+    # (meshes, config, domain, target, the end rank of its exact cluster);
+    # rank 2 of the cube is the triple 6 pi^2 at ranks 2 to 4
+    STUDIES = {
+        "square-double": (lambda: [generate_square_tri(n) for n in (8, 16)],
+                          FormConfig(problem="laplace", m=2), "square_pi", 3, 3),
+        "cube-simple": (lambda: [generate_cube_tet(n) for n in (2, 4)],
+                        FormConfig(problem="biharmonic", m=2), "cube_unit", 1, 1),
+        "cube-triple": (lambda: [generate_cube_tet(n) for n in (2, 4)],
+                        FormConfig(problem="biharmonic", m=2), "cube_unit", 2, 4),
+    }
+
+    @pytest.mark.parametrize("study", STUDIES)
+    def test_each_solve_asks_for_the_cluster_end(self, monkeypatch, study):
+        meshes, cfg, domain, target, end = self.STUDIES[study]
+        ks = []
+        monkeypatch.setattr(analysis, "solve_smallest",
+                            lambda A, M, k, tol: ks.append(k) or solve_smallest(A, M, k, tol))
+        convergence_study(meshes(), cfg, domain, target)
+        assert ks == [end, end]
+
+    @pytest.mark.parametrize("study", STUDIES)
+    def test_rows_equal_those_of_a_margin(self, study):
+        meshes, cfg, domain, target, _ = self.STUDIES[study]
+        meshes = meshes()
+        rows = convergence_study(meshes, cfg, domain, target)
+        margin = study_with_margin(meshes, cfg, domain, target, 5)
+        for row, fun_row, (value, value_error, fun_error) in zip(
+                rows.eigenvalue_rows, rows.eigenfunction_rows, margin, strict=True):
+            assert row.value == fun_row.value
+            assert abs(row.value - value) <= 1e-12 * value
+            assert abs(row.error - value_error) <= 1e-9 * value_error
+            assert abs(fun_row.error - fun_error) <= 1e-9 * fun_error
+
+    def test_split_cluster_is_whole_at_its_end_rank(self):
+        # the quad mesh's lambda_2 and lambda_3 are split by about 1.6e-7
+        from test_assembly import demo_polygon_mesh
+
+        mesh = demo_polygon_mesh(16)
+        space = build_space(mesh, build_topology(mesh), 2)
+        cfg = FormConfig(problem="laplace", m=2)
+        cluster = compute_spectrum(space, cfg, k=3)[0].values
+        wider = compute_spectrum(space, cfg, k=8)[0].values[:3]
+        assert 0.0 < cluster[2] - cluster[1] < 1e-6
+        assert np.all(np.abs(cluster - wider) <= 1e-12 * wider)
+
+    def test_fewer_operator_applications_than_a_margin(self, monkeypatch):
+        # a count, not a time: the Lanczos start vector is seeded
+        applied = [0]
+        congruence = eigensolve._BandCholesky.congruence
+
+        def counted(self, M):
+            op = congruence(self, M)
+
+            def matvec(y):
+                applied[0] += 1
+                return op.matvec(y)
+
+            return LinearOperator(op.shape, matvec=matvec, dtype=float)
+
+        monkeypatch.setattr(eigensolve._BandCholesky, "congruence", counted)
+        meshes, cfg, domain, target, _ = self.STUDIES["square-double"]
+        meshes = meshes()
+        convergence_study(meshes, cfg, domain, target)
+        cluster, applied[0] = applied[0], 0
+        study_with_margin(meshes, cfg, domain, target, 5)
+        assert 0 < cluster < applied[0]
 
 
 def hand_spaces(meshes, m):

@@ -120,6 +120,12 @@ class TestFormConfig:
         assert FormConfig().bc == "homogeneous_dirichlet"
         assert FormConfig(problem="biharmonic", m=2).bc == "simply_supported"
 
+    @pytest.mark.parametrize("base", ["eta", "alpha", "beta"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_a_penalty_base_that_is_not_positive_and_finite(self, base, value):
+        with pytest.raises(ValueError, match="penalty bases must be positive and finite"):
+            FormConfig(problem="biharmonic", m=2, **{base: value})
+
 
 class TestBiharmonic:
     def test_symmetry_both_bcs(self, space_m2):
@@ -365,8 +371,8 @@ class TestPullBack:
             assert np.array_equal(patch.nodes, expect.nodes)
 
 
-def demo_polygon_mesh():
-    """The quad mesh of ``demos/polygon_mesh_demo.py``."""
+def demo_polygon_mesh(n=12):
+    """The n x n quad mesh of ``demos/polygon_mesh_demo.py``."""
     import importlib.util
     from pathlib import Path
 
@@ -376,7 +382,7 @@ def demo_polygon_mesh():
     spec = importlib.util.spec_from_file_location("polygon_mesh_demo", path)
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
-    return parse_poly(demo.quad_mesh_text(12))
+    return parse_poly(demo.quad_mesh_text(n))
 
 
 def forms(m):

@@ -231,6 +231,11 @@ class TestConfigFile:
         expected = assemble_laplace(space, FormConfig(m=2, eta=7.0))
         assert (assemble_laplace(space, cfg) != expected).nnz == 0
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_run_config_rejects_a_non_finite_tol(self, tol):
+        with pytest.raises(cli.ConfigError, match="tol must be positive and finite"):
+            RunConfig(command="solve", mesh="square:4", tol=tol)
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--mesh", "square:abc"],
         ["solve", "--mesh", "square:0"],
@@ -247,6 +252,12 @@ class TestConfigFile:
         ["solve", "--mesh", "square:4", "--vtk", "-3"],
         ["solve", "--mesh", "square:4", "--output", __file__],  # a file, not a directory
         ["solve", "--mesh", "square:4", "--output", os.path.join(__file__, "sub")],  # under a file
+        # a NaN tol disables the residual gate; a NaN or infinite penalty
+        # base would assemble a NaN stiffness
+        *(["solve", "--mesh", "square:4", "--m", "1", "--k", "3", flag, value]
+          for flag in ("--tol", "--eta") for value in ("nan", "inf")),
+        ["solve", "--mesh", "square:4", "--problem", "biharmonic", "--m", "2", "--alpha", "nan"],
+        ["solve", "--mesh", "square:4", "--problem", "biharmonic", "--m", "2", "--beta", "inf"],
     ])
     def test_bad_values_exit_2_before_mesh_work(self, tmp_path, monkeypatch, argv):
         monkeypatch.setattr(cli, "_load_mesh_one", lambda spec: pytest.fail("mesh loaded"))
@@ -309,6 +320,22 @@ class TestConvergenceCommand:
         assert rows[0][3] == ""  # no order on the first row
         assert float(rows[1][3]) > 0.5
         assert (out / "errors_eigenfunction.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--mesh", "square:4,8", "--m", "1", "--target", "1"],
+    ["reliable", "--mesh", "square:4,8", "--m", "1"],
+], ids=["convergence", "reliable"])
+def test_studies_forward_tol_to_every_solve(tmp_path, monkeypatch, argv):
+    tols = []
+
+    def spy(A, M, k, tol):
+        tols.append(tol)
+        return eigensolve.solve_smallest(A, M, k, tol)
+
+    monkeypatch.setattr(analysis, "solve_smallest", spy)
+    assert main([*argv, "--tol", "1e-11", "--output", str(tmp_path / "run")]) == 0
+    assert tols == [1e-11, 1e-11]
 
 
 class TestReliableCommand:

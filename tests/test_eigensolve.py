@@ -150,6 +150,12 @@ class TestSmallest:
         with pytest.raises(ValueError):
             solve_smallest(sp.eye(4), sp.eye(4), 5)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, np.inf])
+    def test_tol_not_positive_and_finite(self, tol):
+        # a NaN bound would pass every residual
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solve_smallest(sp.eye(4), sp.eye(4), 2, tol=tol)
+
     def test_ascending_and_m_orthonormal(self, pencil):
         A, M = pencil
         res = solve_smallest(A, M, 6)
